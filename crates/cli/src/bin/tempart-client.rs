@@ -181,6 +181,8 @@ fn run() -> Result<(), String> {
     };
     let mut stream = TcpStream::connect(&args.addr)
         .map_err(|e| format!("cannot connect to {}: {e}", args.addr))?;
+    // Frames are latency-bound request/response traffic: no Nagle delay.
+    let _ = stream.set_nodelay(true);
     write_frame(&mut stream, &request.to_json()).map_err(|e| format!("send failed: {e}"))?;
     loop {
         let Some(payload) = read_frame(&mut stream).map_err(|e| format!("receive failed: {e}"))?

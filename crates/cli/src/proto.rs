@@ -47,10 +47,15 @@ pub const MAX_FRAME_BYTES: usize = json::MAX_INPUT_BYTES;
 
 /// Writes one length-prefixed frame.
 ///
+/// The prefix and payload leave in a single `write_all`, so a small frame
+/// is one TCP segment. Two writes (prefix, then payload) would let Nagle's
+/// algorithm hold the payload until the peer's delayed ACK for the prefix
+/// (~40 ms on Linux) — see DESIGN.md §5f, "one frame, one segment".
+///
 /// # Errors
 ///
-/// `InvalidInput` if `payload` exceeds [`MAX_FRAME_BYTES`]; otherwise any
-/// transport error.
+/// `InvalidInput` if `payload` exceeds [`MAX_FRAME_BYTES`] (nothing is
+/// written); otherwise any transport error.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
@@ -59,9 +64,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             format!("frame too large: {} bytes", bytes.len()),
         ));
     }
-    let len = (bytes.len() as u32).to_be_bytes();
-    w.write_all(&len)?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -501,6 +507,47 @@ mod tests {
         let torn = &buf[..2];
         let err = read_frame(&mut &torn[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_call() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, "hello").unwrap();
+        assert_eq!(
+            w.writes,
+            vec![b"\0\0\0\x05hello".to_vec()],
+            "prefix and payload leave in one write"
+        );
+        assert_eq!(w.flushes, 1);
+    }
+
+    #[test]
+    fn oversize_frame_writes_nothing() {
+        let mut w = CountingWriter::default();
+        let payload = "x".repeat(MAX_FRAME_BYTES + 1);
+        let err = write_frame(&mut w, &payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(w.writes.is_empty(), "no bytes before the size check");
+        assert_eq!(w.flushes, 0);
     }
 
     #[test]

@@ -117,8 +117,14 @@ pub(crate) fn handle(inner: Arc<Inner>, stream: TcpStream) {
 }
 
 /// Streams a running job: progress snapshots (when requested) until the
-/// worker delivers the terminal result frame.
+/// worker delivers the terminal result frame. A job without a progress
+/// stream blocks on the channel; only progress streams poll the board.
 fn stream_job(inner: &Inner, writer: &mut TcpStream, admission: &Admission, want_progress: bool) {
+    if !want_progress {
+        let resp = admission.rx.recv().unwrap_or_else(|_| channel_lost());
+        let _ = send(inner, writer, &resp);
+        return;
+    }
     let board = &admission.progress;
     let mut last = (f64::INFINITY.to_bits(), f64::NEG_INFINITY.to_bits(), 0usize);
     loop {
@@ -128,9 +134,6 @@ fn stream_job(inner: &Inner, writer: &mut TcpStream, admission: &Admission, want
                 return;
             }
             Err(RecvTimeoutError::Timeout) => {
-                if !want_progress {
-                    continue;
-                }
                 let (inc, bnd, upd) = (board.incumbent(), board.bound(), board.updates());
                 let now = (inc.to_bits(), bnd.to_bits(), upd);
                 if now == last {
@@ -150,18 +153,18 @@ fn stream_job(inner: &Inner, writer: &mut TcpStream, admission: &Admission, want
                 }
             }
             Err(RecvTimeoutError::Disconnected) => {
-                // Defensive: the worker dropped the sender without a
-                // result. Surface it rather than hanging.
-                let _ = send(
-                    inner,
-                    writer,
-                    &Response::Error {
-                        reason: "job channel lost".to_string(),
-                    },
-                );
+                let _ = send(inner, writer, &channel_lost());
                 return;
             }
         }
+    }
+}
+
+/// Defensive: the worker dropped the sender without a result. Surface it
+/// rather than hanging.
+fn channel_lost() -> Response {
+    Response::Error {
+        reason: "job channel lost".to_string(),
     }
 }
 

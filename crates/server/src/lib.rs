@@ -392,6 +392,11 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
             // The wake-up connection (or a late client): refuse by close.
             return;
         }
+        // `result` follows `accepted` with no client bytes in between, so
+        // with Nagle on it would wait for the client's delayed ACK (~40 ms)
+        // whenever a job finishes soon after admission. A failure here only
+        // costs latency, never correctness.
+        let _ = stream.set_nodelay(true);
         let conn_inner = Arc::clone(&inner);
         let handle = thread::Builder::new()
             .name("tempart-conn".to_string())

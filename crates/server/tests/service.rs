@@ -3,7 +3,7 @@
 
 mod common;
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use common::*;
 use tempart_cli::proto::{Request, Response};
@@ -75,6 +75,67 @@ fn warm_cache_hits_on_the_second_identical_job() {
     let stats = handle.shutdown();
     assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
     assert_eq!(stats.orphaned(), 0);
+}
+
+/// Linux's minimum delayed-ACK timeout. A frame held back by Nagle's
+/// algorithm waits for the peer's ACK, so a stalled round trip costs at
+/// least this much; a stall-free one on loopback costs well under a
+/// millisecond plus the (warm, tiny) solve.
+const DELAYED_ACK_FLOOR: Duration = Duration::from_millis(40);
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+#[test]
+fn round_trips_on_one_connection_stay_below_the_delayed_ack_floor() {
+    let handle = server(|_| {});
+    let mut c = connect(&handle);
+    let pings: Vec<Duration> = (0..20)
+        .map(|_| {
+            let started = Instant::now();
+            let frames = rpc(&mut c, &Request::Ping);
+            assert!(matches!(frames.as_slice(), [Response::Pong]));
+            started.elapsed()
+        })
+        .collect();
+
+    let warm = || solve_request(|p| p.warm_start = true);
+    assert_eq!(
+        summary(&rpc(&mut c, &warm())).cache,
+        "miss",
+        "primes the cache"
+    );
+    let (mut admits, mut gaps) = (Vec::new(), Vec::new());
+    for _ in 0..10 {
+        let sent = Instant::now();
+        send(&mut c, &warm());
+        assert!(matches!(recv(&mut c), Some(Response::Accepted { .. })));
+        let accepted = Instant::now();
+        match recv(&mut c) {
+            Some(Response::Result { summary, .. }) => assert_eq!(summary.cache, "hit"),
+            other => panic!("expected result, got {other:?}"),
+        }
+        admits.push(accepted - sent);
+        gaps.push(accepted.elapsed());
+    }
+    drop(c);
+    assert_eq!(handle.shutdown().orphaned(), 0);
+
+    let bar = Duration::from_millis(15);
+    for (what, samples) in [
+        ("ping round trip", pings),
+        ("send -> accepted", admits),
+        ("accepted -> result", gaps),
+    ] {
+        let m = median(samples);
+        assert!(
+            m < bar,
+            "median {what} {m:?} is not far below the {DELAYED_ACK_FLOOR:?} delayed-ACK floor \
+             (a frame is waiting on Nagle)"
+        );
+    }
 }
 
 #[test]

@@ -30,6 +30,9 @@ cargo build --workspace --release --all-targets
 echo "== workspace: tests =="
 cargo test --workspace -q
 
+echo "== benchmark: package tests (separate workspace) =="
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== resilience: golden fault-injection outcomes =="
 cargo test -q -p tempart-lp faults
 
