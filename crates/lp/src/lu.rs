@@ -29,9 +29,13 @@ pub struct LuFactors {
     pub(crate) u_cols: Vec<Vec<(usize, f64)>>,
     /// Diagonal of `U`.
     pub(crate) u_diag: Vec<f64>,
-    /// Row-wise adjacency of `U`: pivot `k` → columns `j > k` with
-    /// `u_kj ≠ 0`. Drives hypersparse BTRAN pattern propagation.
-    pub(crate) u_rows: Vec<Vec<usize>>,
+    /// Row-wise copy of `U` in one array: row `k` (see
+    /// [`u_row`](Self::u_row)) holds `(column j > k, u_kj)`, columns
+    /// ascending. Drives the hypersparse `Uᵀ` solve, which pushes each
+    /// nonzero `z_k` along its row.
+    pub(crate) u_rows: Vec<(usize, f64)>,
+    /// Row `k` of `U` is `u_rows[u_row_start[k]..u_row_start[k + 1]]`.
+    pub(crate) u_row_start: Vec<usize>,
     /// Reverse adjacency of `Lᵀ`: pivot `k` → pivots `j < k` whose `L`
     /// column touches a row pivoted at `k`. Drives hypersparse BTRAN.
     pub(crate) l_deps: Vec<Vec<usize>>,
@@ -44,9 +48,43 @@ pub struct LuScratch {
     pub(crate) min_heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
     pub(crate) max_heap: std::collections::BinaryHeap<usize>,
     pub(crate) queued: Vec<bool>,
+    /// Worklist bitmap of the [`LuFactors`] solves, one bit per pivot,
+    /// swept in pivot order (see [`sweep_up`]).
+    pub(crate) bits: Vec<u64>,
     pub(crate) z: Vec<f64>,
     pub(crate) stage: Vec<usize>,
     pub(crate) pops: Vec<usize>,
+}
+
+/// Queues pivot `j` in a worklist bitmap.
+fn mark(bits: &mut [u64], j: usize) {
+    bits[j >> 6] |= 1 << (j & 63);
+}
+
+/// Visits the queued pivots of `bits` in ascending order, unqueueing each
+/// before `visit` runs. `visit` may queue only pivots above the one it is
+/// given, so one pass over the words sees every pivot exactly once — the
+/// order a min-heap worklist pops them in, for `O(m/64)` extra work.
+fn sweep_up(bits: &mut [u64], mut visit: impl FnMut(usize, &mut [u64])) {
+    for w in 0..bits.len() {
+        while bits[w] != 0 {
+            let b = bits[w].trailing_zeros() as usize;
+            bits[w] &= bits[w] - 1;
+            visit(w * 64 + b, bits);
+        }
+    }
+}
+
+/// Descending mirror of [`sweep_up`]: `visit` may queue only pivots below
+/// the one it is given.
+fn sweep_down(bits: &mut [u64], mut visit: impl FnMut(usize, &mut [u64])) {
+    for w in (0..bits.len()).rev() {
+        while bits[w] != 0 {
+            let b = 63 - bits[w].leading_zeros() as usize;
+            bits[w] &= !(1 << b);
+            visit(w * 64 + b, bits);
+        }
+    }
 }
 
 impl LuScratch {
@@ -65,10 +103,13 @@ impl LuScratch {
     pub(crate) fn ensure(&mut self, m: usize) {
         if self.queued.len() < m {
             self.queued.resize(m, false);
+            self.bits.resize(m.div_ceil(64), 0);
             self.z.resize(m, 0.0);
         } else if self.queued.len() > Self::SHRINK_FACTOR * m.max(64) {
             self.queued.truncate(m);
             self.queued.shrink_to_fit();
+            self.bits.truncate(m.div_ceil(64));
+            self.bits.shrink_to_fit();
             self.z.truncate(m);
             self.z.shrink_to_fit();
             self.min_heap.shrink_to(m);
@@ -80,6 +121,7 @@ impl LuScratch {
         }
         debug_assert!(self.min_heap.is_empty() && self.max_heap.is_empty());
         debug_assert!(self.queued.iter().all(|&q| !q), "scratch left dirty");
+        debug_assert!(self.bits.iter().all(|&b| b == 0), "scratch left dirty");
         debug_assert!(self.z.iter().all(|&v| is_zero(v)), "scratch left dirty");
     }
 }
@@ -181,13 +223,25 @@ impl LuFactors {
             }
             touched.clear();
         }
-        // Adjacency for hypersparse pattern propagation. `u_rows[k]` lists
-        // the columns whose U part touches pivot `k`; `l_deps[k]` lists the
-        // pivots whose L column touches the row pivoted at `k`.
-        let mut u_rows: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (j, u_col) in u_cols.iter().enumerate() {
+        // Adjacency for the hypersparse solves. `u_row(k)` is row `k` of U
+        // (filled by ascending column, so each row comes out sorted);
+        // `l_deps[k]` lists the pivots whose L column touches the row
+        // pivoted at `k`.
+        let mut u_row_start = vec![0usize; m + 1];
+        for u_col in &u_cols {
             for &(k, _) in u_col {
-                u_rows[k].push(j);
+                u_row_start[k + 1] += 1;
+            }
+        }
+        for k in 0..m {
+            u_row_start[k + 1] += u_row_start[k];
+        }
+        let mut fill = u_row_start.clone();
+        let mut u_rows = vec![(0, 0.0); u_row_start[m]];
+        for (j, u_col) in u_cols.iter().enumerate() {
+            for &(k, u) in u_col {
+                u_rows[fill[k]] = (j, u);
+                fill[k] += 1;
             }
         }
         let mut l_deps: Vec<Vec<usize>> = vec![Vec::new(); m];
@@ -204,8 +258,15 @@ impl LuFactors {
             u_cols,
             u_diag,
             u_rows,
+            u_row_start,
             l_deps,
         })
+    }
+
+    /// Row `k` of `U` above the diagonal: `(column j > k, u_kj)`, columns
+    /// ascending.
+    fn u_row(&self, k: usize) -> &[(usize, f64)] {
+        &self.u_rows[self.u_row_start[k]..self.u_row_start[k + 1]]
     }
 
     /// Dimension of the basis.
@@ -291,58 +352,46 @@ impl LuFactors {
     pub fn ftran_sparse(&self, buf: &mut [f64], pattern: &mut Vec<usize>, scratch: &mut LuScratch) {
         debug_assert_eq!(buf.len(), self.m);
         scratch.ensure(self.m);
+        let LuScratch { bits, z, stage, .. } = scratch;
+        // The active words of the bitmap: `ensure` keeps a longer one after
+        // serving a larger dimension.
+        let bits = &mut bits[..self.m.div_ceil(64)];
         // Forward L solve: process reachable pivots in ascending order so a
-        // row is fully updated before its own pivot pops (the invariant the
-        // dense loop gets for free).
+        // row is fully updated before its own pivot is visited (the
+        // invariant the dense loop gets for free).
         for &r in pattern.iter() {
-            let k = self.pivot_pos[r];
-            if !scratch.queued[k] {
-                scratch.queued[k] = true;
-                scratch.min_heap.push(std::cmp::Reverse(k));
-            }
+            mark(bits, self.pivot_pos[r]);
         }
-        scratch.stage.clear();
-        while let Some(std::cmp::Reverse(j)) = scratch.min_heap.pop() {
-            scratch.queued[j] = false;
+        stage.clear();
+        sweep_up(bits, |j, bits| {
             let zj = buf[self.pivot_row[j]];
             buf[self.pivot_row[j]] = 0.0;
             if is_nonzero(zj) {
-                scratch.z[j] = zj;
-                scratch.stage.push(j);
+                z[j] = zj;
+                stage.push(j);
                 for &(r, mult) in &self.l_cols[j] {
                     buf[r] -= zj * mult;
-                    let k = self.pivot_pos[r];
-                    if !scratch.queued[k] {
-                        scratch.queued[k] = true;
-                        scratch.min_heap.push(std::cmp::Reverse(k));
-                    }
+                    mark(bits, self.pivot_pos[r]);
                 }
             }
-        }
+        });
         // Backward U solve on the staged nonzeros, descending.
-        for &j in &scratch.stage {
-            if !scratch.queued[j] {
-                scratch.queued[j] = true;
-                scratch.max_heap.push(j);
-            }
+        for &j in stage.iter() {
+            mark(bits, j);
         }
         pattern.clear();
-        while let Some(j) = scratch.max_heap.pop() {
-            scratch.queued[j] = false;
-            let wj = scratch.z[j] / self.u_diag[j];
-            scratch.z[j] = 0.0;
+        sweep_down(bits, |j, bits| {
+            let wj = z[j] / self.u_diag[j];
+            z[j] = 0.0;
             if is_nonzero(wj) {
                 buf[j] = wj;
                 pattern.push(j);
                 for &(k, u) in &self.u_cols[j] {
-                    scratch.z[k] -= wj * u;
-                    if !scratch.queued[k] {
-                        scratch.queued[k] = true;
-                        scratch.max_heap.push(k);
-                    }
+                    z[k] -= wj * u;
+                    mark(bits, k);
                 }
             }
-        }
+        });
     }
 
     /// Hypersparse [`btran`](Self::btran): same solve, pattern-tracked.
@@ -353,67 +402,60 @@ impl LuFactors {
     pub fn btran_sparse(&self, buf: &mut [f64], pattern: &mut Vec<usize>, scratch: &mut LuScratch) {
         debug_assert_eq!(buf.len(), self.m);
         scratch.ensure(self.m);
-        // Forward Uᵀ solve, ascending: z_j depends on z_k for k ∈ u_cols[j];
-        // a nonzero z_j feeds every column in u_rows[j].
+        let LuScratch {
+            bits,
+            z,
+            stage,
+            pops,
+            ..
+        } = scratch;
+        let bits = &mut bits[..self.m.div_ceil(64)];
+        // Forward Uᵀ solve, ascending: z_j = (c_j − Σ_k u_kj z_k) / u_jj.
+        // Each nonzero z_k is pushed along row k of U into `buf`, so every
+        // c_j loses its nonzero terms in ascending k — the order the dense
+        // column loop subtracts them in — without visiting the zero ones.
         for &j in pattern.iter() {
-            if !scratch.queued[j] {
-                scratch.queued[j] = true;
-                scratch.min_heap.push(std::cmp::Reverse(j));
-            }
+            mark(bits, j);
         }
-        scratch.stage.clear();
-        while let Some(std::cmp::Reverse(j)) = scratch.min_heap.pop() {
-            scratch.queued[j] = false;
-            let mut s = buf[j];
+        stage.clear();
+        sweep_up(bits, |j, bits| {
+            let zj = buf[j] / self.u_diag[j];
             buf[j] = 0.0;
-            for &(k, u) in &self.u_cols[j] {
-                s -= u * scratch.z[k];
-            }
-            let zj = s / self.u_diag[j];
             if is_nonzero(zj) {
-                scratch.z[j] = zj;
-                scratch.stage.push(j);
-                for &j2 in &self.u_rows[j] {
-                    if !scratch.queued[j2] {
-                        scratch.queued[j2] = true;
-                        scratch.min_heap.push(std::cmp::Reverse(j2));
-                    }
+                z[j] = zj;
+                stage.push(j);
+                for &(j2, u) in self.u_row(j) {
+                    buf[j2] -= u * zj;
+                    mark(bits, j2);
                 }
             }
-        }
+        });
         // Backward Lᵀ solve, descending: v_j depends on v_k for pivots
         // k > j whose row appears in l_cols[j]; a nonzero v_j feeds the
         // pivots in l_deps[j]. Values stay live until all dependants are
         // done, so clearing happens in the scatter pass below.
-        for &j in &scratch.stage {
-            if !scratch.queued[j] {
-                scratch.queued[j] = true;
-                scratch.max_heap.push(j);
-            }
+        for &j in stage.iter() {
+            mark(bits, j);
         }
-        scratch.pops.clear();
-        while let Some(j) = scratch.max_heap.pop() {
-            scratch.queued[j] = false;
-            let mut s = scratch.z[j];
+        pops.clear();
+        sweep_down(bits, |j, bits| {
+            let mut s = z[j];
             for &(r, mult) in &self.l_cols[j] {
-                s -= mult * scratch.z[self.pivot_pos[r]];
+                s -= mult * z[self.pivot_pos[r]];
             }
-            scratch.z[j] = s;
-            scratch.pops.push(j);
+            z[j] = s;
+            pops.push(j);
             if is_nonzero(s) {
                 for &k in &self.l_deps[j] {
-                    if !scratch.queued[k] {
-                        scratch.queued[k] = true;
-                        scratch.max_heap.push(k);
-                    }
+                    mark(bits, k);
                 }
             }
-        }
+        });
         // Scatter to original rows and clean the workspace.
         pattern.clear();
-        for &j in &scratch.pops {
-            let v = scratch.z[j];
-            scratch.z[j] = 0.0;
+        for &j in pops.iter() {
+            let v = z[j];
+            z[j] = 0.0;
             if is_nonzero(v) {
                 buf[self.pivot_row[j]] = v;
                 pattern.push(self.pivot_row[j]);
@@ -425,6 +467,7 @@ impl LuFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tol::exact_bits;
 
     /// Dense reference solve via Gaussian elimination with partial pivoting.
     fn dense_solve(a: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
@@ -574,8 +617,9 @@ mod tests {
         );
     }
 
-    /// Sparse solves must agree with the dense ones and report exactly the
-    /// nonzero pattern, for every unit rhs and a couple of multi-entry ones.
+    /// Sparse solves must agree with the dense ones bit for bit and report
+    /// exactly the nonzero pattern, for every unit rhs and a couple of
+    /// multi-entry ones.
     fn check_sparse_solves(a: &CscMatrix, basis: &[usize]) {
         let lu = LuFactors::factorize(a, basis, 1e-10).unwrap();
         let m = a.nrows();
@@ -603,8 +647,9 @@ mod tests {
                 solve(&lu, &mut dense_buf);
                 sparse(&lu, &mut sparse_buf, &mut pattern, &mut scratch);
                 for i in 0..m {
-                    assert!(
-                        (sparse_buf[i] - dense_buf[i]).abs() < 1e-12,
+                    assert_eq!(
+                        exact_bits(sparse_buf[i]),
+                        exact_bits(dense_buf[i]),
                         "sparse/dense mismatch at {i}: {} vs {}",
                         sparse_buf[i],
                         dense_buf[i]
@@ -659,6 +704,40 @@ mod tests {
         check_sparse_solves(&p, &[0, 1, 2, 3]);
     }
 
+    /// A deterministic sparse basis matrix of dimension `m` whose factors
+    /// have long `L` and `U` columns, with inexact coefficients so that any
+    /// change in the order of a sum changes its bits.
+    fn random_sparse_basis(m: usize, seed: u64) -> CscMatrix {
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut trips = Vec::new();
+        for c in 0..m {
+            trips.push((c, c, 2.0 + next()));
+            for r in 0..m {
+                if r != c && next() < 3.0 / m as f64 {
+                    trips.push((r, c, next() * 2.0 - 1.0));
+                }
+            }
+        }
+        CscMatrix::from_triplets(m, m, trips)
+    }
+
+    #[test]
+    fn sparse_solves_match_dense_bit_for_bit_on_random_bases() {
+        for (m, seed) in [(12, 7u64), (40, 11), (90, 13)] {
+            let a = random_sparse_basis(m, seed);
+            let basis: Vec<usize> = (0..m).collect();
+            check_sparse_solves(&a, &basis);
+            let reversed: Vec<usize> = (0..m).rev().collect();
+            check_sparse_solves(&a, &reversed);
+        }
+    }
+
     #[test]
     fn scratch_reuses_and_compacts_across_dimensions() {
         // A scratch that served a large solve must keep working — and give
@@ -681,6 +760,7 @@ mod tests {
         assert!((buf[0] - 2.0).abs() < 1e-12 && (buf[1] + 2.0 / 3.0).abs() < 1e-12);
         lu.btran_sparse(&mut buf, &mut pattern, &mut scratch);
         assert!(scratch.queued.iter().all(|&q| !q));
+        assert!(scratch.bits.iter().all(|&b| b == 0));
         assert!(scratch.z.iter().all(|&v| v == 0.0));
     }
 

@@ -11,7 +11,10 @@ pub enum Pricing {
     /// Classic Dantzig pricing (most-violated reduced cost), recomputing
     /// reduced costs from scratch each iteration. This is the *legacy
     /// engine*: its pivot sequence is pinned by golden node-count tests, so
-    /// it is the default and the reference for reproducibility.
+    /// it is the default and the reference for reproducibility. Its kernels
+    /// switch to hypersparse (pattern-tracked) solves while their vectors
+    /// are sparse, with the dense loops' arithmetic, so the pivots do not
+    /// depend on which kernel ran (DESIGN.md §5b).
     #[default]
     Dantzig,
     /// Devex pricing (Forrest–Goldfarb reference-framework weights) with

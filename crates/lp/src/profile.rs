@@ -54,8 +54,8 @@ pub struct SimplexProfile {
     /// Basis-update recording (eta push or Forrest–Tomlin U update).
     pub update_secs: f64,
     /// Everything else inside a solve that is measured but fits no kernel
-    /// bucket: crash-basis setup, `x_B` recomputes, phase-1 objective
-    /// checks, and solution extraction. Together with the kernel buckets
+    /// bucket: crash-basis setup, work-vector allocation, `x_B`
+    /// recomputes, phase-1 objective checks, and solution extraction. Together with the kernel buckets
     /// this makes the per-phase timers sum to within a few percent of
     /// [`lp_secs`](Self::lp_secs).
     pub other_secs: f64,

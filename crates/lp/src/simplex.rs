@@ -22,6 +22,7 @@ use crate::lu::{LuFactors, LuScratch};
 use crate::options::{BasisUpdate, LpOptions, Pricing, RefactorSchedule};
 use crate::problem::{LpError, Problem};
 use crate::profile::{tick, tock, SimplexProfile};
+use crate::sparse::CsrMatrix;
 use crate::status::LpStatus;
 use crate::tol::{is_neg_infinite, is_nonzero, is_pos_infinite, is_zero};
 
@@ -81,7 +82,7 @@ struct Eta {
 /// [`LpOptions::basis_update`].
 ///
 /// The `Eta` variant is the legacy product-form scheme whose pivot
-/// sequence the golden tests pin; its code paths are byte-identical to the
+/// sequence the golden tests pin; its arithmetic is bit-identical to the
 /// pre-[`FtFactors`] solver. The `Ft` variant applies Forrest–Tomlin
 /// updates directly to the U factor instead of appending etas, which keeps
 /// FTRAN/BTRAN cost flat as pivots accumulate.
@@ -182,6 +183,8 @@ struct Scratch {
     breakpoints: Vec<(f64, usize)>,
     /// Columns flipped by the current bound-flipping ratio test pass.
     flips: Vec<usize>,
+    /// Columns with a nonzero cost in the current primal phase, ascending.
+    cost_cols: Vec<usize>,
     lu: LuScratch,
 }
 
@@ -196,6 +199,138 @@ impl Scratch {
         self.alpha.resize(n, 0.0);
         self.amask.resize(n, false);
         self.devex.resize(n, 0.0);
+    }
+
+    /// Forms the pivot row `αᵀ = ρᵀ A` from the nonzeros of `rho`, listed
+    /// in `rpat`, in time proportional to the row nonzeros of `A` met,
+    /// accumulating into `alpha`/`touched` (lazily zeroed via `amask`),
+    /// then clears `rho`/`rpat`. Each `α_j` adds its terms in `rpat` order,
+    /// so an ascending `rpat` reproduces
+    /// [`CscMatrix::col_dot`](crate::sparse::CscMatrix::col_dot) bit for
+    /// bit (up to the sign of a zero). Release with
+    /// [`clear_alpha`](Self::clear_alpha).
+    fn form_pivot_row(&mut self, rows_of_a: &CsrMatrix) {
+        debug_assert!(self.touched.is_empty(), "pivot row not released");
+        for &i in &self.rpat {
+            let ri = self.rho[i];
+            if is_zero(ri) {
+                continue;
+            }
+            for (j, v) in rows_of_a.row(i) {
+                if !self.amask[j] {
+                    self.amask[j] = true;
+                    self.alpha[j] = 0.0;
+                    self.touched.push(j);
+                }
+                self.alpha[j] += ri * v;
+            }
+        }
+        for &i in &self.rpat {
+            self.rho[i] = 0.0;
+        }
+        self.rpat.clear();
+    }
+
+    /// `c_j − (Aᵀy)_j` from the product [`form_pivot_row`](Self::form_pivot_row)
+    /// formed with `ρ = y`: a column it never touched has `(Aᵀy)_j = 0`.
+    fn reduced_cost(&self, costs: &[f64], j: usize) -> f64 {
+        if self.amask[j] {
+            costs[j] - self.alpha[j]
+        } else {
+            costs[j]
+        }
+    }
+
+    /// Releases the pivot row built by [`form_pivot_row`](Self::form_pivot_row).
+    fn clear_alpha(&mut self) {
+        for &j in &self.touched {
+            self.amask[j] = false;
+        }
+        self.touched.clear();
+    }
+}
+
+/// A kernel site of the Dantzig engine: a step with a dense and a
+/// pattern-tracked (hypersparse) kernel that compute the same values.
+#[derive(Debug, Clone, Copy)]
+enum Site {
+    /// `y = B⁻ᵀ c_B`, `Aᵀy`, and Dantzig pricing or the full reduced-cost
+    /// recompute.
+    Price,
+    /// Primal FTRAN of the entering column, its ratio test, `x_B` step and
+    /// eta.
+    Ftran,
+    /// Dual `ρ = B⁻ᵀ e_r`, the pivot row `αᵀ = ρᵀA`, the dual ratio test
+    /// and the reduced-cost update.
+    Rho,
+    /// Dual FTRAN of the entering column, its `x_B` step and eta.
+    DualFtran,
+}
+
+/// Per-call dense/sparse choice of the Dantzig engine's kernel sites.
+///
+/// Both kernels of a site add the same nonzero terms in the same order
+/// (DESIGN.md §5b), so the choice moves time, never a pivot. Each site
+/// starts dense and takes its sparse kernel while the output of its
+/// previous call was sparser than [`SPARSE_BELOW`](Self::SPARSE_BELOW).
+#[derive(Debug, Clone, Copy, Default)]
+struct KernelSites {
+    /// Only the Dantzig engine on the eta-file basis takes sparse kernels;
+    /// the devex engine and the Forrest–Tomlin bases keep their own.
+    /// Sparse pricing skips zero-cost columns `Aᵀy` never touched, which
+    /// needs `opt_tol ≥ 0`.
+    enabled: bool,
+    sparse: [bool; 4],
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only override of every enabled site: `Some(true)` forces the
+    /// sparse kernels, `Some(false)` the dense ones.
+    static FORCE_SPARSE: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
+}
+
+/// Forces (`Some`) or releases (`None`) the Dantzig kernel choice on this
+/// thread, for equivalence tests.
+#[cfg(test)]
+pub(crate) fn force_sparse_kernels(force: Option<bool>) {
+    FORCE_SPARSE.with(|f| f.set(force));
+}
+
+impl KernelSites {
+    /// Output density (nonzeros per entry) below which a site's next call
+    /// runs its sparse kernel.
+    const SPARSE_BELOW: f64 = 0.1;
+
+    fn new(opts: &LpOptions) -> Self {
+        KernelSites {
+            enabled: opts.pricing == Pricing::Dantzig
+                && opts.basis_update == BasisUpdate::Eta
+                && opts.opt_tol >= 0.0,
+            sparse: [false; 4],
+        }
+    }
+
+    fn sparse(&self, site: Site) -> bool {
+        #[cfg(test)]
+        if let Some(force) = FORCE_SPARSE.with(|f| f.get()) {
+            return self.enabled && force;
+        }
+        self.enabled && self.sparse[site as usize]
+    }
+
+    /// Records the output density of a call at `site`.
+    fn record(&mut self, site: Site, nnz: usize, len: usize) {
+        self.sparse[site as usize] = (nnz as f64) < Self::SPARSE_BELOW * len as f64;
+    }
+
+    /// Records the output density of a dense call at `site`; the nonzero
+    /// count is skipped while no site is enabled.
+    fn record_dense(&mut self, site: Site, buf: &[f64]) {
+        if self.enabled {
+            let nnz = buf.iter().filter(|&&v| is_nonzero(v)).count();
+            self.record(site, nnz, buf.len());
+        }
     }
 }
 
@@ -217,9 +352,49 @@ struct Simplex<'a> {
     profile: SimplexProfile,
     /// Section timers enabled ([`LpOptions::profile`]).
     timers: bool,
+    sites: KernelSites,
 }
 
 impl<'a> Simplex<'a> {
+    /// A solver over `core` at the basis `basic` (basic values `xb`), with
+    /// its factorization built (timed as a refactorization) and its work
+    /// vectors allocated (timed as other work).
+    fn new(
+        core: &'a CoreLp,
+        opts: &'a LpOptions,
+        lower: Vec<f64>,
+        upper: Vec<f64>,
+        stat: Vec<VStat>,
+        basic: Vec<usize>,
+        xb: Vec<f64>,
+    ) -> Result<Self, LpError> {
+        let tfac = tick(opts.profile);
+        let basis = build_basis(core, &basic, opts)?;
+        let mut profile = SimplexProfile::default();
+        tock(tfac, &mut profile.refactor_secs);
+        let talloc = tick(opts.profile);
+        let mut scratch = Scratch::default();
+        scratch.ensure(core.m, core.n);
+        tock(talloc, &mut profile.other_secs);
+        Ok(Simplex {
+            core,
+            opts,
+            lower,
+            upper,
+            stat,
+            basic,
+            basis,
+            xb,
+            iterations: 0,
+            degen_streak: 0,
+            deadline: deadline_from(opts),
+            scratch,
+            profile,
+            timers: opts.profile,
+            sites: KernelSites::new(opts),
+        })
+    }
+
     /// Value a nonbasic column rests at.
     fn nonbasic_value(&self, j: usize) -> f64 {
         match self.stat[j] {
@@ -295,14 +470,6 @@ impl<'a> Simplex<'a> {
             BasisRepr::Eta { lu, etas } => Self::apply_btran(lu, etas, buf),
             BasisRepr::Ft(ft) => ft.btran(buf),
         }
-    }
-
-    fn ftran(&self, buf: &mut [f64]) {
-        Self::basis_ftran(&self.basis, buf);
-    }
-
-    fn btran(&self, buf: &mut [f64]) {
-        Self::basis_btran(&self.basis, buf);
     }
 
     /// Hypersparse FTRAN: `pattern` holds the nonzeros of `buf` on entry and
@@ -499,16 +666,40 @@ impl<'a> Simplex<'a> {
     }
 
     /// Reduced costs `d_j = c_j − y·a_j` for all columns (basic ones ≈ 0),
-    /// written into `d` (any length; resized to `n`). Uses `scratch.y`, so
-    /// `d` must not alias it.
+    /// written into `d` (any length; resized to `n`). Uses `scratch.y`, or
+    /// the `ρ` and pivot-row buffers on the sparse kernel, so `d` must not
+    /// alias them.
     fn reduced_costs_into(&mut self, costs: &[f64], d: &mut Vec<f64>) {
-        let t = tick(self.timers);
+        let t = self.reduced_costs_pricing(costs, d);
+        tock(t, &mut self.profile.pricing_secs);
+    }
+
+    /// [`reduced_costs_into`](Self::reduced_costs_into) that leaves its
+    /// pricing section running, so a caller pricing next extends it
+    /// instead of opening another.
+    fn reduced_costs_pricing(&mut self, costs: &[f64], d: &mut Vec<f64>) -> Option<Instant> {
         d.resize(self.core.n, 0.0);
+        if self.sites.sparse(Site::Price) {
+            self.btran_costs_sparse(costs);
+            let t = tick(self.timers);
+            self.scratch.form_pivot_row(&self.core.rows_of_a);
+            for j in 0..self.core.n {
+                d[j] = if self.stat[j] == VStat::Basic {
+                    0.0
+                } else {
+                    self.scratch.reduced_cost(costs, j)
+                };
+            }
+            self.scratch.clear_alpha();
+            return t;
+        }
+        let t = tick(self.timers);
         self.scratch.y.fill(0.0);
         for (pos, &col) in self.basic.iter().enumerate() {
             self.scratch.y[pos] = costs[col];
         }
         Self::basis_btran(&self.basis, &mut self.scratch.y);
+        self.sites.record_dense(Site::Price, &self.scratch.y);
         tock(t, &mut self.profile.btran_secs);
         let t = tick(self.timers);
         for j in 0..self.core.n {
@@ -518,7 +709,27 @@ impl<'a> Simplex<'a> {
                 costs[j] - self.core.a.col_dot(j, &self.scratch.y)
             };
         }
-        tock(t, &mut self.profile.pricing_secs);
+        t
+    }
+
+    /// Sparse kernel of [`Site::Price`]: `y = B⁻ᵀ c_B` in `scratch.rho`
+    /// with its rows ascending in `scratch.rpat`, the order in which
+    /// [`Scratch::form_pivot_row`] must add `Aᵀy` to match the dense
+    /// column dots.
+    fn btran_costs_sparse(&mut self, costs: &[f64]) {
+        let t = tick(self.timers);
+        let s = &mut self.scratch;
+        debug_assert!(s.rpat.is_empty(), "ρ buffers not released");
+        for (pos, &col) in self.basic.iter().enumerate() {
+            if is_nonzero(costs[col]) {
+                s.rho[pos] = costs[col];
+                s.rpat.push(pos);
+            }
+        }
+        Self::basis_btran_sparse(&self.basis, &mut s.rho, &mut s.rpat, &mut s.mask, &mut s.lu);
+        s.rpat.sort_unstable();
+        self.sites.record(Site::Price, s.rpat.len(), self.core.m);
+        tock(t, &mut self.profile.btran_secs);
     }
 
     /// [`reduced_costs_into`](Self::reduced_costs_into) targeting
@@ -529,21 +740,27 @@ impl<'a> Simplex<'a> {
         self.scratch.d = d;
     }
 
+    /// How far nonbasic column `j` with reduced cost `dj` violates dual
+    /// feasibility beyond `opt_tol` (`0` when it may not enter).
+    fn pricing_violation(&self, j: usize, dj: f64) -> f64 {
+        let tol = self.opts.opt_tol;
+        match self.stat[j] {
+            VStat::AtLower => (-dj - tol).max(0.0),
+            VStat::AtUpper => (dj - tol).max(0.0),
+            VStat::Free => (dj.abs() - tol).max(0.0),
+            VStat::Basic => 0.0,
+        }
+    }
+
     /// Dantzig (or Bland, under degeneracy) pricing. Returns the entering
     /// column, or `None` at optimality.
     fn price(&self, d: &[f64], bland: bool) -> Option<usize> {
-        let tol = self.opts.opt_tol;
         let mut best: Option<(usize, f64)> = None;
         for j in 0..self.core.n {
             if self.stat[j] == VStat::Basic || self.lower[j] == self.upper[j] {
                 continue;
             }
-            let viol = match self.stat[j] {
-                VStat::AtLower => (-d[j] - tol).max(0.0),
-                VStat::AtUpper => (d[j] - tol).max(0.0),
-                VStat::Free => (d[j].abs() - tol).max(0.0),
-                VStat::Basic => 0.0,
-            };
+            let viol = self.pricing_violation(j, d[j]);
             if viol > 0.0 {
                 if bland {
                     return Some(j);
@@ -556,11 +773,60 @@ impl<'a> Simplex<'a> {
         best.map(|(j, _)| j)
     }
 
-    /// Objective value of the current (possibly mid-pivot) iterate.
+    /// Prices from freshly recomputed reduced costs at [`Site::Price`].
+    /// Returns the entering column and its reduced cost, or `None` at
+    /// optimality.
+    ///
+    /// The sparse kernel never forms `d`. A zero-cost column that `Aᵀy`
+    /// never touched has `d_j = 0`, which cannot price in, so only the
+    /// nonzero-cost and touched columns are candidates. The dense scan
+    /// keeps the first (smallest-index) maximum, and Bland the first
+    /// violation; the sparse scan states both as a smallest-index rule, so
+    /// its visiting order does not matter.
+    fn price_dantzig(&mut self, costs: &[f64], bland: bool) -> Option<(usize, f64)> {
+        if !self.sites.sparse(Site::Price) {
+            let mut d = std::mem::take(&mut self.scratch.d);
+            let t = self.reduced_costs_pricing(costs, &mut d);
+            let entering = self.price(&d, bland).map(|q| (q, d[q]));
+            self.scratch.d = d;
+            tock(t, &mut self.profile.pricing_secs);
+            return entering;
+        }
+        self.btran_costs_sparse(costs);
+        let t = tick(self.timers);
+        self.scratch.form_pivot_row(&self.core.rows_of_a);
+        let s = &self.scratch;
+        let zero_cost_touched = s.touched.iter().copied().filter(|&j| is_zero(costs[j]));
+        let mut best: Option<(usize, f64, f64)> = None; // (col, violation, d)
+        for j in s.cost_cols.iter().copied().chain(zero_cost_touched) {
+            if self.stat[j] == VStat::Basic || self.lower[j] == self.upper[j] {
+                continue;
+            }
+            let dj = s.reduced_cost(costs, j);
+            let viol = self.pricing_violation(j, dj);
+            if viol > 0.0
+                && best.is_none_or(|(bj, bv, _)| {
+                    if bland {
+                        j < bj
+                    } else {
+                        viol > bv || (viol == bv && j < bj)
+                    }
+                })
+            {
+                best = Some((j, viol, dj));
+            }
+        }
+        self.scratch.clear_alpha();
+        tock(t, &mut self.profile.pricing_secs);
+        best.map(|(j, _, dj)| (j, dj))
+    }
+
+    /// Objective value of the current (possibly mid-pivot) iterate, over
+    /// the phase's nonzero-cost columns.
     fn current_objective(&self, costs: &[f64]) -> f64 {
         let mut obj = 0.0;
-        for j in 0..self.core.n {
-            if self.stat[j] != VStat::Basic && is_nonzero(costs[j]) {
+        for &j in &self.scratch.cost_cols {
+            if self.stat[j] != VStat::Basic {
                 obj += costs[j] * self.nonbasic_value(j);
             }
         }
@@ -572,15 +838,136 @@ impl<'a> Simplex<'a> {
         obj
     }
 
+    /// FTRAN of column `q` of `A` into the all-zero `w` at `site`. The
+    /// sparse kernel leaves the nonzero rows of `w` ascending in `wpat` and
+    /// returns `true`; the dense one leaves `wpat` empty. Release the
+    /// buffers with [`release_w`](Self::release_w).
+    fn ftran_column(&mut self, q: usize, site: Site, w: &mut [f64], wpat: &mut Vec<usize>) -> bool {
+        let t = tick(self.timers);
+        let sparse = self.sites.sparse(site);
+        if sparse {
+            for (r, v) in self.core.a.col(q) {
+                w[r] = v;
+                wpat.push(r);
+            }
+            let s = &mut self.scratch;
+            Self::basis_ftran_sparse(&self.basis, w, wpat, &mut s.mask, &mut s.lu);
+            wpat.sort_unstable();
+            self.sites.record(site, wpat.len(), self.core.m);
+        } else {
+            for (r, v) in self.core.a.col(q) {
+                w[r] = v;
+            }
+            Self::basis_ftran(&self.basis, w);
+            self.sites.record_dense(site, w);
+        }
+        tock(t, &mut self.profile.ftran_secs);
+        sparse
+    }
+
+    /// Returns the FTRAN buffers of [`ftran_column`](Self::ftran_column) to
+    /// `scratch`, all-zero. Untimed: the clearing costs less than a timer.
+    fn release_w(&mut self, mut w: Vec<f64>, mut wpat: Vec<usize>, sparse: bool) {
+        if sparse {
+            for &i in &wpat {
+                w[i] = 0.0;
+            }
+            wpat.clear();
+        } else {
+            w.fill(0.0);
+        }
+        self.scratch.w = w;
+        self.scratch.wpat = wpat;
+    }
+
+    /// Primal ratio test over the FTRAN column `w` of entering column `q`
+    /// moving in direction `dir`, visiting the ascending rows `pat` (all
+    /// rows when `None`). Returns the step and the leaving basis position
+    /// with the bound it hits; no position means the entering column
+    /// reaches its other bound first (or, at an infinite step, the phase is
+    /// unbounded).
+    fn primal_ratio_test(
+        &self,
+        w: &[f64],
+        pat: Option<&[usize]>,
+        q: usize,
+        dir: f64,
+        bland: bool,
+    ) -> (f64, Option<(usize, VStat)>) {
+        let ptol = self.opts.pivot_tol;
+        let gap = self.upper[q] - self.lower[q];
+        let mut t_best = if gap.is_finite() { gap } else { f64::INFINITY };
+        let mut leave: Option<(usize, VStat)> = None; // (basis pos, bound hit)
+        let mut leave_piv = 0.0f64;
+        let mut visit = |i: usize| {
+            let wi = w[i];
+            if wi.abs() <= ptol {
+                return;
+            }
+            let bcol = self.basic[i];
+            let delta = dir * wi; // x_B[i] moves by −t·delta
+            let (t_i, hit) = if delta > 0.0 {
+                let lo = self.lower[bcol];
+                if is_neg_infinite(lo) {
+                    return;
+                }
+                (((self.xb[i] - lo) / delta).max(0.0), VStat::AtLower)
+            } else {
+                let hi = self.upper[bcol];
+                if is_pos_infinite(hi) {
+                    return;
+                }
+                (((self.xb[i] - hi) / delta).max(0.0), VStat::AtUpper)
+            };
+            let better = if bland {
+                // Bland's anti-cycling rule needs the smallest-index
+                // leaving variable among ties, not the largest pivot.
+                t_i < t_best - 1e-12
+                    || (t_i < t_best + 1e-12 && leave.is_none_or(|(li, _)| bcol < self.basic[li]))
+            } else {
+                t_i < t_best - 1e-12 || (t_i < t_best + 1e-12 && wi.abs() > leave_piv.abs())
+            };
+            if better {
+                t_best = t_i;
+                leave = Some((i, hit));
+                leave_piv = wi;
+            }
+        };
+        match pat {
+            Some(pat) => pat.iter().for_each(|&i| visit(i)),
+            None => (0..w.len()).for_each(visit),
+        }
+        (t_best, leave)
+    }
+
+    /// `x_B −= scale·w` over the ascending rows `pat` of `w` (all rows when
+    /// `None`).
+    fn step_xb(xb: &mut [f64], w: &[f64], pat: Option<&[usize]>, scale: f64) {
+        let mut step = |i: usize| {
+            if is_nonzero(w[i]) {
+                xb[i] -= scale * w[i];
+            }
+        };
+        match pat {
+            Some(pat) => pat.iter().for_each(|&i| step(i)),
+            None => (0..w.len()).for_each(step),
+        }
+    }
+
     /// One primal phase with cost vector `costs`. Returns `Optimal` or
     /// `Unbounded`. When `stop_at` is set, the phase also ends (reported as
     /// `Optimal`) once the objective reaches that value — used to cut phase 1
     /// short at zero infeasibility instead of stalling on degenerate pivots.
     ///
-    /// Dispatch: [`Pricing::Dantzig`] runs the legacy full-pricing engine
-    /// whose pivot sequence is pinned by golden tests; devex and Bland run
-    /// the incremental engine.
+    /// Dispatch: [`Pricing::Dantzig`] runs the full-pricing engine whose
+    /// pivot sequence is pinned by golden tests; devex and Bland run the
+    /// incremental engine.
     fn primal(&mut self, costs: &[f64], stop_at: Option<f64>) -> Result<LpStatus, LpError> {
+        let t = tick(self.timers);
+        let cols = &mut self.scratch.cost_cols;
+        cols.clear();
+        cols.extend((0..self.core.n).filter(|&j| is_nonzero(costs[j])));
+        tock(t, &mut self.profile.other_secs);
         match self.opts.pricing {
             Pricing::Dantzig => self.primal_dantzig(costs, stop_at),
             Pricing::Devex | Pricing::Bland => self.primal_incremental(costs, stop_at),
@@ -616,12 +1003,8 @@ impl<'a> Simplex<'a> {
                     self.iterations, obj, self.degen_streak
                 );
             }
-            self.update_reduced_costs(costs);
             let bland = self.degen_streak > 40;
-            let tp = tick(self.timers);
-            let entering = self.price(&self.scratch.d, bland);
-            tock(tp, &mut self.profile.pricing_secs);
-            let Some(q) = entering else {
+            let Some((q, dq)) = self.price_dantzig(costs, bland) else {
                 return Ok(LpStatus::Optimal);
             };
             // Direction of the entering variable.
@@ -629,7 +1012,7 @@ impl<'a> Simplex<'a> {
                 VStat::AtLower => 1.0,
                 VStat::AtUpper => -1.0,
                 VStat::Free => {
-                    if self.scratch.d[q] < 0.0 {
+                    if dq < 0.0 {
                         1.0
                     } else {
                         -1.0
@@ -637,59 +1020,15 @@ impl<'a> Simplex<'a> {
                 }
                 VStat::Basic => unreachable!(),
             };
-            // FTRAN of the entering column (dense scratch, zeroed on reuse).
             let mut w = std::mem::take(&mut self.scratch.w);
-            w.fill(0.0);
-            for (r, v) in self.core.a.col(q) {
-                w[r] = v;
-            }
-            let tf = tick(self.timers);
-            self.ftran(&mut w);
-            tock(tf, &mut self.profile.ftran_secs);
-            // Ratio test.
+            let mut wpat = std::mem::take(&mut self.scratch.wpat);
+            let sparse = self.ftran_column(q, Site::Ftran, &mut w, &mut wpat);
+            let pat = sparse.then_some(wpat.as_slice());
             let tr = tick(self.timers);
-            let gap = self.upper[q] - self.lower[q];
-            let mut t_best = if gap.is_finite() { gap } else { f64::INFINITY };
-            let mut leave: Option<(usize, VStat)> = None; // (basis pos, bound hit)
-            let mut leave_piv = 0.0f64;
-            for i in 0..self.core.m {
-                let wi = w[i];
-                if wi.abs() <= self.opts.pivot_tol {
-                    continue;
-                }
-                let bcol = self.basic[i];
-                let delta = dir * wi; // x_B[i] moves by −t·delta
-                let (t_i, hit) = if delta > 0.0 {
-                    let lo = self.lower[bcol];
-                    if is_neg_infinite(lo) {
-                        continue;
-                    }
-                    (((self.xb[i] - lo) / delta).max(0.0), VStat::AtLower)
-                } else {
-                    let hi = self.upper[bcol];
-                    if is_pos_infinite(hi) {
-                        continue;
-                    }
-                    (((self.xb[i] - hi) / delta).max(0.0), VStat::AtUpper)
-                };
-                let better = if bland {
-                    // Bland's anti-cycling rule needs the smallest-index
-                    // leaving variable among ties, not the largest pivot.
-                    t_i < t_best - 1e-12
-                        || (t_i < t_best + 1e-12
-                            && leave.is_none_or(|(li, _)| bcol < self.basic[li]))
-                } else {
-                    t_i < t_best - 1e-12 || (t_i < t_best + 1e-12 && wi.abs() > leave_piv.abs())
-                };
-                if better {
-                    t_best = t_i;
-                    leave = Some((i, hit));
-                    leave_piv = wi;
-                }
-            }
+            let (t_best, leave) = self.primal_ratio_test(&w, pat, q, dir, bland);
             tock(tr, &mut self.profile.ratio_secs);
             if t_best.is_infinite() {
-                self.scratch.w = w;
+                self.release_w(w, wpat, sparse);
                 return Ok(LpStatus::Unbounded);
             }
             self.iterations += 1;
@@ -701,11 +1040,7 @@ impl<'a> Simplex<'a> {
             }
             // Apply the step.
             let t = t_best;
-            for i in 0..self.core.m {
-                if is_nonzero(w[i]) {
-                    self.xb[i] -= t * dir * w[i];
-                }
-            }
+            Self::step_xb(&mut self.xb, &w, pat, t * dir);
             match leave {
                 None => {
                     // Bound flip of the entering variable.
@@ -727,10 +1062,10 @@ impl<'a> Simplex<'a> {
                     self.stat[q] = VStat::Basic;
                     self.basic[r] = q;
                     self.xb[r] = entering_value;
-                    self.update_basis(r, &w, None)?;
+                    self.update_basis(r, &w, pat)?;
                 }
             }
-            self.scratch.w = w;
+            self.release_w(w, wpat, sparse);
         }
     }
 
@@ -790,18 +1125,12 @@ impl<'a> Simplex<'a> {
     /// Devex (max `d_j²/w_j`) or Bland (smallest index) pricing over
     /// incrementally maintained reduced costs.
     fn price_incremental(&self, d: &[f64], bland: bool) -> Option<usize> {
-        let tol = self.opts.opt_tol;
         let mut best: Option<(usize, f64)> = None;
         for j in 0..self.core.n {
             if self.stat[j] == VStat::Basic || self.lower[j] == self.upper[j] {
                 continue;
             }
-            let viol = match self.stat[j] {
-                VStat::AtLower => (-d[j] - tol).max(0.0),
-                VStat::AtUpper => (d[j] - tol).max(0.0),
-                VStat::Free => (d[j].abs() - tol).max(0.0),
-                VStat::Basic => 0.0,
-            };
+            let viol = self.pricing_violation(j, d[j]);
             if viol > 0.0 {
                 if bland {
                     return Some(j);
@@ -824,8 +1153,9 @@ impl<'a> Simplex<'a> {
     ///   every iteration, with full recomputes only at refactorizations and
     ///   once to confirm apparent optimality;
     /// * devex reference weights steer the entering choice (unless Bland);
-    /// * FTRAN/BTRAN are hypersparse (pattern-tracked) and the ratio test
-    ///   and basics update only touch the column's nonzeros.
+    /// * FTRAN/BTRAN are always hypersparse (pattern-tracked), where the
+    ///   Dantzig engine picks per call, and the ratio test and basics
+    ///   update only touch the column's nonzeros.
     fn primal_incremental(
         &mut self,
         costs: &[f64],
@@ -916,43 +1246,7 @@ impl<'a> Simplex<'a> {
             wpat.sort_unstable();
             // Ratio test over the column's nonzeros.
             let tr = tick(self.timers);
-            let gap = self.upper[q] - self.lower[q];
-            let mut t_best = if gap.is_finite() { gap } else { f64::INFINITY };
-            let mut leave: Option<(usize, VStat)> = None; // (basis pos, bound hit)
-            let mut leave_piv = 0.0f64;
-            for &i in &wpat {
-                let wi = w[i];
-                if wi.abs() <= ptol {
-                    continue;
-                }
-                let bcol = self.basic[i];
-                let delta = dir * wi; // x_B[i] moves by −t·delta
-                let (t_i, hit) = if delta > 0.0 {
-                    let lo = self.lower[bcol];
-                    if is_neg_infinite(lo) {
-                        continue;
-                    }
-                    (((self.xb[i] - lo) / delta).max(0.0), VStat::AtLower)
-                } else {
-                    let hi = self.upper[bcol];
-                    if is_pos_infinite(hi) {
-                        continue;
-                    }
-                    (((self.xb[i] - hi) / delta).max(0.0), VStat::AtUpper)
-                };
-                let better = if bland {
-                    t_i < t_best - 1e-12
-                        || (t_i < t_best + 1e-12
-                            && leave.is_none_or(|(li, _)| bcol < self.basic[li]))
-                } else {
-                    t_i < t_best - 1e-12 || (t_i < t_best + 1e-12 && wi.abs() > leave_piv.abs())
-                };
-                if better {
-                    t_best = t_i;
-                    leave = Some((i, hit));
-                    leave_piv = wi;
-                }
-            }
+            let (t_best, leave) = self.primal_ratio_test(&w, Some(&wpat), q, dir, bland);
             tock(tr, &mut self.profile.ratio_secs);
             if t_best.is_infinite() {
                 for &i in &wpat {
@@ -970,11 +1264,7 @@ impl<'a> Simplex<'a> {
                 self.degen_streak = 0;
             }
             let t = t_best;
-            for &i in &wpat {
-                if is_nonzero(w[i]) {
-                    self.xb[i] -= t * dir * w[i];
-                }
-            }
+            Self::step_xb(&mut self.xb, &w, Some(&wpat), t * dir);
             match leave {
                 None => {
                     // Bound flip of the entering variable: the basis (and
@@ -1000,7 +1290,7 @@ impl<'a> Simplex<'a> {
                         &mut self.scratch.mask,
                         &mut self.scratch.lu,
                     );
-                    self.form_pivot_row();
+                    self.scratch.form_pivot_row(&self.core.rows_of_a);
                     tock(tb, &mut self.profile.btran_secs);
                     let alpha_q = if self.scratch.amask[q] {
                         self.scratch.alpha[q]
@@ -1059,7 +1349,7 @@ impl<'a> Simplex<'a> {
                         fresh = false;
                     }
                     tock(tp2, &mut self.profile.pricing_secs);
-                    self.clear_alpha();
+                    self.scratch.clear_alpha();
                 }
             }
             for &i in &wpat {
@@ -1106,27 +1396,16 @@ impl<'a> Simplex<'a> {
         true
     }
 
+    /// Dantzig dual loop. Reduced costs are maintained incrementally across
+    /// dual pivots (`d'_j = d_j − θ·α_j`) and refreshed from scratch at
+    /// every refactorization to bound drift.
     fn dual_dantzig(&mut self, costs: &[f64], d: &mut Vec<f64>) -> Result<LpStatus, WarmFail> {
         // Verify dual feasibility of the start.
         self.reduced_costs_into(costs, d);
         if !self.start_is_dual_feasible(d) {
             return Err(WarmFail::NotDualFeasible);
         }
-        let mut alpha = std::mem::take(&mut self.scratch.alpha);
-        let res = self.dual_dantzig_inner(costs, d, &mut alpha);
-        self.scratch.alpha = alpha;
-        res
-    }
-
-    /// Legacy dual loop. Reduced costs are maintained incrementally across
-    /// dual pivots (`d'_j = d_j − θ·α_j`) and refreshed from scratch at
-    /// every refactorization to bound drift.
-    fn dual_dantzig_inner(
-        &mut self,
-        costs: &[f64],
-        d: &mut Vec<f64>,
-        alpha: &mut [f64],
-    ) -> Result<LpStatus, WarmFail> {
+        let ptol = self.opts.pivot_tol;
         loop {
             if self.iterations >= self.opts.max_iterations {
                 return Err(WarmFail::Error(LpError::IterationLimit));
@@ -1161,75 +1440,22 @@ impl<'a> Simplex<'a> {
             let Some((r, _viol, low_viol)) = leave else {
                 return Ok(LpStatus::Optimal);
             };
-            // Row r of B⁻¹N: rho = B⁻ᵀ e_r, alpha_j = rho·a_j.
-            let mut rho = std::mem::take(&mut self.scratch.rho);
-            rho.fill(0.0);
-            rho[r] = 1.0;
-            let tb = tick(self.timers);
-            self.btran(&mut rho);
-            tock(tb, &mut self.profile.btran_secs);
-            // Dual ratio test.
-            let tr = tick(self.timers);
-            let ptol = self.opts.pivot_tol;
-            let mut best: Option<(usize, f64, f64)> = None; // (col, step s, alpha)
-            for j in 0..self.core.n {
-                alpha[j] = 0.0;
-                if self.stat[j] == VStat::Basic || self.lower[j] == self.upper[j] {
-                    continue;
-                }
-                let aj = self.core.a.col_dot(j, &rho);
-                alpha[j] = aj;
-                if aj.abs() <= ptol {
-                    continue;
-                }
-                let eligible = if low_viol {
-                    // x_Br must increase.
-                    match self.stat[j] {
-                        VStat::AtLower => aj < 0.0,
-                        VStat::AtUpper => aj > 0.0,
-                        VStat::Free => true,
-                        VStat::Basic => false,
-                    }
-                } else {
-                    // x_Br must decrease.
-                    match self.stat[j] {
-                        VStat::AtLower => aj > 0.0,
-                        VStat::AtUpper => aj < 0.0,
-                        VStat::Free => true,
-                        VStat::Basic => false,
-                    }
-                };
-                if !eligible {
-                    continue;
-                }
-                // Max dual step before d_j flips sign.
-                let s = (d[j] / aj).abs().max(0.0);
-                if best.is_none_or(|(_, bs, ba)| {
-                    s < bs - 1e-12 || (s < bs + 1e-12 && aj.abs() > ba.abs())
-                }) {
-                    best = Some((j, s, aj));
-                }
-            }
-            tock(tr, &mut self.profile.ratio_secs);
-            self.scratch.rho = rho;
-            let Some((q, _s, alpha_q)) = best else {
+            let sparse_row = self.sites.sparse(Site::Rho);
+            let Some((q, alpha_q)) = self.dual_pivot_column(r, low_viol, d, sparse_row) else {
                 // Dual unbounded ⇒ primal infeasible.
+                self.scratch.clear_alpha();
                 return Ok(LpStatus::Infeasible);
             };
             self.iterations += 1;
             self.profile.dual_iterations += 1;
             // Primal pivot.
             let mut w = std::mem::take(&mut self.scratch.w);
-            w.fill(0.0);
-            for (row, v) in self.core.a.col(q) {
-                w[row] = v;
-            }
-            let tf = tick(self.timers);
-            self.ftran(&mut w);
-            tock(tf, &mut self.profile.ftran_secs);
+            let mut wpat = std::mem::take(&mut self.scratch.wpat);
+            let sparse = self.ftran_column(q, Site::DualFtran, &mut w, &mut wpat);
             let wr = w[r];
             if wr.abs() <= ptol {
-                self.scratch.w = w;
+                self.release_w(w, wpat, sparse);
+                self.scratch.clear_alpha();
                 // Numerical disagreement between rho·a_q and the FTRAN column;
                 // refactor once and retry, else give up to the cold path.
                 if self.basis.updates_len() == 0 {
@@ -1239,17 +1465,14 @@ impl<'a> Simplex<'a> {
                 self.reduced_costs_into(costs, d);
                 continue;
             }
+            let pat = sparse.then_some(wpat.as_slice());
             let target = if low_viol {
                 self.lower[self.basic[r]]
             } else {
                 self.upper[self.basic[r]]
             };
             let t = (self.xb[r] - target) / wr;
-            for i in 0..self.core.m {
-                if is_nonzero(w[i]) {
-                    self.xb[i] -= t * w[i];
-                }
-            }
+            Self::step_xb(&mut self.xb, &w, pat, t);
             let entering_value = self.nonbasic_value(q) + t;
             let leaving_col = self.basic[r];
             // A leaving fixed column (l == u) rests at its (single) bound.
@@ -1262,22 +1485,137 @@ impl<'a> Simplex<'a> {
             self.stat[q] = VStat::Basic;
             self.basic[r] = q;
             self.xb[r] = entering_value;
-            self.update_basis(r, &w, None).map_err(WarmFail::Error)?;
-            self.scratch.w = w;
+            self.update_basis(r, &w, pat).map_err(WarmFail::Error)?;
+            self.release_w(w, wpat, sparse);
             // Incremental reduced-cost update: d'_j = d_j − θ·α_j, with the
             // leaving column picking up d = −θ and the entering one 0.
             let tp = tick(self.timers);
             let theta = d[q] / alpha_q;
             if is_nonzero(theta) {
-                for j in 0..self.core.n {
-                    if is_nonzero(alpha[j]) {
-                        d[j] -= theta * alpha[j];
+                let s = &self.scratch;
+                let mut update = |j: usize| {
+                    if is_nonzero(s.alpha[j]) {
+                        d[j] -= theta * s.alpha[j];
                     }
+                };
+                if sparse_row {
+                    s.touched.iter().for_each(|&j| update(j));
+                } else {
+                    (0..self.core.n).for_each(update);
                 }
             }
             d[q] = 0.0;
             d[leaving_col] = -theta;
+            self.scratch.clear_alpha();
             tock(tp, &mut self.profile.pricing_secs);
+        }
+    }
+
+    /// Row `r` of `B⁻¹N` (`ρ = B⁻ᵀ e_r`, `α_j = ρ·a_j`) and the Dantzig
+    /// dual ratio test, on the `sparse` or dense kernel of [`Site::Rho`].
+    /// Returns the entering column and its `α_q`, or `None` when the dual
+    /// is unbounded along the row.
+    ///
+    /// `α` is left in `scratch.alpha` for the reduced-cost update, zero on
+    /// basic and fixed columns: over every column on the dense kernel, over
+    /// `scratch.touched` (ascending) on the sparse one. Release it with
+    /// [`Scratch::clear_alpha`].
+    fn dual_pivot_column(
+        &mut self,
+        r: usize,
+        low_viol: bool,
+        d: &[f64],
+        sparse: bool,
+    ) -> Option<(usize, f64)> {
+        let tb = tick(self.timers);
+        let s = &mut self.scratch;
+        s.rho[r] = 1.0;
+        if sparse {
+            s.rpat.push(r);
+            Self::basis_btran_sparse(&self.basis, &mut s.rho, &mut s.rpat, &mut s.mask, &mut s.lu);
+            s.rpat.sort_unstable();
+            self.sites.record(Site::Rho, s.rpat.len(), self.core.m);
+        } else {
+            Self::basis_btran(&self.basis, &mut s.rho);
+            self.sites.record_dense(Site::Rho, &s.rho);
+        }
+        tock(tb, &mut self.profile.btran_secs);
+        let tr = tick(self.timers);
+        let mut best: Option<(usize, f64, f64)> = None; // (col, step s, alpha)
+        if sparse {
+            self.scratch.form_pivot_row(&self.core.rows_of_a);
+            let mut alpha = std::mem::take(&mut self.scratch.alpha);
+            let mut touched = std::mem::take(&mut self.scratch.touched);
+            touched.sort_unstable();
+            for &j in &touched {
+                if self.stat[j] == VStat::Basic || self.lower[j] == self.upper[j] {
+                    alpha[j] = 0.0;
+                    continue;
+                }
+                self.dual_ratio_candidate(j, alpha[j], d[j], low_viol, &mut best);
+            }
+            self.scratch.alpha = alpha;
+            self.scratch.touched = touched;
+        } else {
+            let mut alpha = std::mem::take(&mut self.scratch.alpha);
+            let mut rho = std::mem::take(&mut self.scratch.rho);
+            for j in 0..self.core.n {
+                alpha[j] = 0.0;
+                if self.stat[j] == VStat::Basic || self.lower[j] == self.upper[j] {
+                    continue;
+                }
+                let aj = self.core.a.col_dot(j, &rho);
+                alpha[j] = aj;
+                self.dual_ratio_candidate(j, aj, d[j], low_viol, &mut best);
+            }
+            rho.fill(0.0);
+            self.scratch.alpha = alpha;
+            self.scratch.rho = rho;
+        }
+        tock(tr, &mut self.profile.ratio_secs);
+        best.map(|(q, _, alpha_q)| (q, alpha_q))
+    }
+
+    /// Offers nonbasic column `j` (pivot-row entry `aj`, reduced cost `dj`)
+    /// to the Dantzig dual ratio test: the smallest step before a reduced
+    /// cost changes sign, ties within `1e-12` to the larger `|α_j|`, then
+    /// to the earlier offer.
+    fn dual_ratio_candidate(
+        &self,
+        j: usize,
+        aj: f64,
+        dj: f64,
+        low_viol: bool,
+        best: &mut Option<(usize, f64, f64)>,
+    ) {
+        if aj.abs() <= self.opts.pivot_tol {
+            return;
+        }
+        let eligible = if low_viol {
+            // x_Br must increase.
+            match self.stat[j] {
+                VStat::AtLower => aj < 0.0,
+                VStat::AtUpper => aj > 0.0,
+                VStat::Free => true,
+                VStat::Basic => false,
+            }
+        } else {
+            // x_Br must decrease.
+            match self.stat[j] {
+                VStat::AtLower => aj > 0.0,
+                VStat::AtUpper => aj < 0.0,
+                VStat::Free => true,
+                VStat::Basic => false,
+            }
+        };
+        if !eligible {
+            return;
+        }
+        // Max dual step before d_j flips sign.
+        let s = (dj / aj).abs().max(0.0);
+        if best.is_none_or(|(_, bs, ba)| s < bs - 1e-12 || (s < bs + 1e-12 && aj.abs() > ba.abs()))
+        {
+            *best = Some((j, s, aj));
         }
     }
 
@@ -1345,7 +1683,7 @@ impl<'a> Simplex<'a> {
                 &mut self.scratch.mask,
                 &mut self.scratch.lu,
             );
-            self.form_pivot_row();
+            self.scratch.form_pivot_row(&self.core.rows_of_a);
             tock(tb, &mut self.profile.btran_secs);
             // Bound-flipping ratio test: collect breakpoints, walk them in
             // ascending ratio order flipping boxed columns while the slope
@@ -1449,7 +1787,7 @@ impl<'a> Simplex<'a> {
             let Some((_, q)) = chosen else {
                 // Every breakpoint flips and infeasibility remains: the dual
                 // is unbounded along this row ⇒ the primal is infeasible.
-                self.clear_alpha();
+                self.scratch.clear_alpha();
                 return Ok(LpStatus::Infeasible);
             };
             let alpha_q = self.scratch.alpha[q];
@@ -1479,7 +1817,7 @@ impl<'a> Simplex<'a> {
                 }
                 self.scratch.w = w;
                 self.scratch.wpat = wpat;
-                self.clear_alpha();
+                self.scratch.clear_alpha();
                 if self.basis.updates_len() == 0 {
                     return Err(WarmFail::NotDualFeasible);
                 }
@@ -1544,11 +1882,7 @@ impl<'a> Simplex<'a> {
                 self.upper[self.basic[r]]
             };
             let t = (self.xb[r] - target) / wr;
-            for &i in &wpat {
-                if is_nonzero(w[i]) {
-                    self.xb[i] -= t * w[i];
-                }
-            }
+            Self::step_xb(&mut self.xb, &w, Some(&wpat), t);
             let entering_value = self.nonbasic_value(q) + t;
             let leaving_col = self.basic[r];
             // A leaving fixed column (l == u) rests at its (single) bound.
@@ -1585,45 +1919,8 @@ impl<'a> Simplex<'a> {
             d[q] = 0.0;
             d[leaving_col] = -theta;
             tock(tp, &mut self.profile.pricing_secs);
-            self.clear_alpha();
+            self.scratch.clear_alpha();
         }
-    }
-
-    /// Forms the pivot row `αᵀ = ρᵀ A` from the nonzeros of `scratch.rho`
-    /// in time proportional to the row nonzeros of `A` met, accumulating
-    /// into `scratch.alpha`/`touched` (lazily zeroed via `amask`), then
-    /// clears `rho`/`rpat`. Release with [`clear_alpha`](Self::clear_alpha).
-    fn form_pivot_row(&mut self) {
-        let core = self.core;
-        let s = &mut self.scratch;
-        debug_assert!(s.touched.is_empty(), "pivot row not released");
-        for &i in &s.rpat {
-            let ri = s.rho[i];
-            if is_zero(ri) {
-                continue;
-            }
-            for (j, v) in core.rows_of_a.row(i) {
-                if !s.amask[j] {
-                    s.amask[j] = true;
-                    s.alpha[j] = 0.0;
-                    s.touched.push(j);
-                }
-                s.alpha[j] += ri * v;
-            }
-        }
-        for &i in &s.rpat {
-            s.rho[i] = 0.0;
-        }
-        s.rpat.clear();
-    }
-
-    /// Releases the pivot row built by [`form_pivot_row`](Self::form_pivot_row).
-    fn clear_alpha(&mut self) {
-        let s = &mut self.scratch;
-        for &j in &s.touched {
-            s.amask[j] = false;
-        }
-        s.touched.clear();
     }
 
     /// Dual values `y = B⁻ᵀ c_B` in original row space, computed in
@@ -1880,30 +2177,8 @@ fn solve_core_cold_once(
     let mut setup_secs = 0.0;
     tock(tsetup, &mut setup_secs);
     inject_singular(opts)?;
-    let tfac = tick(opts.profile);
-    let basis = build_basis(core, &basic, opts)?;
-    let mut initial_factorize_secs = 0.0;
-    tock(tfac, &mut initial_factorize_secs);
-    let mut scratch = Scratch::default();
-    scratch.ensure(m, n);
-    let mut sx = Simplex {
-        core,
-        opts,
-        lower,
-        upper,
-        stat,
-        basic,
-        basis,
-        xb: xb0,
-        iterations: 0,
-        degen_streak: 0,
-        deadline: deadline_from(opts),
-        scratch,
-        profile: SimplexProfile::default(),
-        timers: opts.profile,
-    };
+    let mut sx = Simplex::new(core, opts, lower, upper, stat, basic, xb0)?;
     sx.profile.other_secs += setup_secs;
-    sx.profile.refactor_secs += initial_factorize_secs;
     // Phase 1: drive the total artificial infeasibility to zero, stopping
     // the moment it reaches zero (degenerate pivots at the optimum would
     // otherwise stall).
@@ -2007,29 +2282,16 @@ pub(crate) fn solve_core_warm(
     let t0 = Instant::now();
     inject_itercap(opts).map_err(WarmFail::Error)?;
     inject_singular(opts).map_err(WarmFail::Error)?;
-    let tfac = tick(opts.profile);
-    let basis = build_basis(core, &snapshot.basic, opts).map_err(WarmFail::Error)?;
-    let mut initial_factorize_secs = 0.0;
-    tock(tfac, &mut initial_factorize_secs);
-    let mut scratch = Scratch::default();
-    scratch.ensure(core.m, core.n);
-    let mut sx = Simplex {
+    let mut sx = Simplex::new(
         core,
         opts,
-        lower: lower.to_vec(),
-        upper: upper.to_vec(),
+        lower.to_vec(),
+        upper.to_vec(),
         stat,
-        basic: snapshot.basic.clone(),
-        basis,
-        xb: vec![0.0; core.m],
-        iterations: 0,
-        degen_streak: 0,
-        deadline: deadline_from(opts),
-        scratch,
-        profile: SimplexProfile::default(),
-        timers: opts.profile,
-    };
-    sx.profile.refactor_secs += initial_factorize_secs;
+        snapshot.basic.clone(),
+        vec![0.0; core.m],
+    )
+    .map_err(WarmFail::Error)?;
     let tmid = tick(sx.timers);
     sx.recompute_xb();
     tock(tmid, &mut sx.profile.other_secs);
@@ -2130,6 +2392,7 @@ pub fn solve_lp(problem: &Problem, opts: &LpOptions) -> Result<LpOutcome, LpErro
 mod tests {
     use super::*;
     use crate::problem::{Sense, VarKind};
+    use crate::tol::exact_bits;
 
     fn opts() -> LpOptions {
         LpOptions::default()
@@ -2511,46 +2774,57 @@ mod tests {
     /// Differential check of the warm dual paths: after a cold solve, each
     /// bound tightening must warm-resolve to the same status/objective under
     /// the legacy Dantzig dual and the bound-flipping dual.
+    /// Xorshift64 step: the deterministic stream of the pseudo-random
+    /// model generators below.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A small pseudo-random 0-1 model with mixed row senses (3–8
+    /// binaries, 2–6 rows).
+    fn random_binary_model(state: &mut u64) -> Problem {
+        let mut next = || xorshift(state);
+        let mut p = Problem::new("warm");
+        let nv = 3 + (next() % 6) as usize;
+        let nc = 2 + (next() % 5) as usize;
+        let vars: Vec<_> = (0..nv)
+            .map(|i| {
+                let c = (next() % 1000) as f64 / 100.0 - 5.0;
+                p.add_var(format!("x{i}"), VarKind::Binary, c).unwrap()
+            })
+            .collect();
+        for r in 0..nc {
+            let mut coeffs = Vec::new();
+            for &v in &vars {
+                if next() % 3 != 0 {
+                    coeffs.push((v, (next() % 9) as f64 - 4.0));
+                }
+            }
+            let coeffs = if coeffs.is_empty() {
+                vec![(vars[0], 1.0)]
+            } else {
+                coeffs
+            };
+            let sense = match next() % 4 {
+                0 => Sense::Ge,
+                1 => Sense::Eq,
+                _ => Sense::Le,
+            };
+            let rhs = (next() % 9) as f64 - 3.0;
+            p.add_constraint(format!("c{r}"), coeffs, sense, rhs)
+                .unwrap();
+        }
+        p
+    }
+
     #[test]
     fn warm_dual_bfrt_matches_dantzig() {
         let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
         for trial in 0..400 {
-            let mut p = Problem::new("warm");
-            let nv = 3 + (next() % 6) as usize;
-            let nc = 2 + (next() % 5) as usize;
-            let vars: Vec<_> = (0..nv)
-                .map(|i| {
-                    let c = (next() % 1000) as f64 / 100.0 - 5.0;
-                    p.add_var(format!("x{i}"), VarKind::Binary, c).unwrap()
-                })
-                .collect();
-            for r in 0..nc {
-                let mut coeffs = Vec::new();
-                for &v in &vars {
-                    if next() % 3 != 0 {
-                        coeffs.push((v, (next() % 9) as f64 - 4.0));
-                    }
-                }
-                let coeffs = if coeffs.is_empty() {
-                    vec![(vars[0], 1.0)]
-                } else {
-                    coeffs
-                };
-                let sense = match next() % 4 {
-                    0 => Sense::Ge,
-                    1 => Sense::Eq,
-                    _ => Sense::Le,
-                };
-                let rhs = (next() % 9) as f64 - 3.0;
-                p.add_constraint(format!("c{r}"), coeffs, sense, rhs)
-                    .unwrap();
-            }
+            let p = random_binary_model(&mut state);
             let core = CoreLp::from_problem(&p);
             let base = match solve_core_cold(&core, &core.lower, &core.upper, &opts()) {
                 Ok(out) if out.status == LpStatus::Optimal => out,
@@ -2590,5 +2864,365 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A pseudo-random sparse LP with `m` rows: a banded structure (each
+    /// column meets two to four nearby rows) with inexact coefficients and
+    /// costs on about one column in eight, so `y = B⁻ᵀc_B` and the FTRAN
+    /// columns stay hypersparse while every row sense occurs.
+    fn random_banded_lp(m: usize, state: &mut u64) -> Problem {
+        let mut next = || (xorshift(state) >> 11) as f64 / (1u64 << 53) as f64;
+        let mut p = Problem::new("banded");
+        let mut rows: Vec<Vec<(crate::VarId, f64)>> = vec![Vec::new(); m];
+        for j in 0..2 * m {
+            let cost = if next() < 0.125 {
+                next() * 4.0 - 3.0
+            } else {
+                0.0
+            };
+            let v = p
+                .add_var(format!("x{j}"), VarKind::Continuous, cost)
+                .unwrap();
+            p.set_bounds(v, 0.0, 1.0 + 3.0 * next()).unwrap();
+            let first = (j / 2 + (next() * 3.0) as usize) % m;
+            for k in 0..2 + (next() * 3.0) as usize {
+                rows[(first + k * k) % m].push((v, next() * 2.0 - 0.8));
+            }
+        }
+        for (r, coeffs) in rows.into_iter().enumerate() {
+            let sense = match r % 7 {
+                0 => Sense::Ge,
+                1 => Sense::Eq,
+                _ => Sense::Le,
+            };
+            let rhs = if sense == Sense::Le {
+                1.0 + next()
+            } else {
+                0.25 * next()
+            };
+            p.add_constraint(format!("r{r}"), coeffs, sense, rhs)
+                .unwrap();
+        }
+        p
+    }
+
+    /// Runs `solve` with every Dantzig kernel site forced dense, then
+    /// forced sparse.
+    fn dense_and_sparse<T>(solve: impl Fn() -> T) -> (T, T) {
+        force_sparse_kernels(Some(false));
+        let dense = solve();
+        force_sparse_kernels(Some(true));
+        let sparse = solve();
+        force_sparse_kernels(None);
+        (dense, sparse)
+    }
+
+    fn assert_same_outcome(dense: &CoreOutcome, sparse: &CoreOutcome, what: &str) {
+        assert_eq!(dense.status, sparse.status, "{what}: status");
+        assert_eq!(dense.iterations, sparse.iterations, "{what}: iterations");
+        assert_eq!(dense.snapshot.basic, sparse.snapshot.basic, "{what}: basis");
+        assert_eq!(
+            dense.snapshot.stat, sparse.snapshot.stat,
+            "{what}: statuses"
+        );
+        assert_eq!(
+            exact_bits(dense.objective),
+            exact_bits(sparse.objective),
+            "{what}: objective {} vs {}",
+            dense.objective,
+            sparse.objective
+        );
+        let bits = |x: &[f64]| x.iter().map(|&v| exact_bits(v)).collect::<Vec<_>>();
+        assert_eq!(bits(&dense.x), bits(&sparse.x), "{what}: x");
+        assert_eq!(bits(&dense.duals), bits(&sparse.duals), "{what}: duals");
+    }
+
+    /// The Dantzig engine's dense and sparse kernels are interchangeable:
+    /// forcing every site one way or the other leaves each cold and warm
+    /// solve with the same status, pivot count, final basis and bits.
+    #[test]
+    fn dantzig_kernels_dense_and_sparse_pivot_identically() {
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut solved = [0; 2];
+        for trial in 0..200 {
+            let banded = trial % 4 == 3;
+            let p = if banded {
+                random_banded_lp(60 + trial % 50, &mut state)
+            } else {
+                random_binary_model(&mut state)
+            };
+            let core = CoreLp::from_problem(&p);
+            let (dense, sparse) =
+                dense_and_sparse(|| solve_core_cold(&core, &core.lower, &core.upper, &opts()));
+            let (Ok(dense), Ok(sparse)) = (dense, sparse) else {
+                panic!("trial {trial}: cold solve failed");
+            };
+            assert_same_outcome(&dense, &sparse, &format!("trial {trial} cold"));
+            if dense.status != LpStatus::Optimal {
+                continue;
+            }
+            solved[usize::from(banded)] += 1;
+            // Warm dual re-solves after tightening a few columns.
+            for j in (0..core.num_structs).step_by(1 + core.num_structs / 4) {
+                let lower = core.lower.clone();
+                let mut upper = core.upper.clone();
+                upper[j] = lower[j];
+                let (dense_w, sparse_w) = dense_and_sparse(|| {
+                    solve_core_warm(&core, &lower, &upper, &dense.snapshot, &opts()).ok()
+                });
+                assert_eq!(
+                    dense_w.is_some(),
+                    sparse_w.is_some(),
+                    "trial {trial} warm x{j}"
+                );
+                if let (Some(a), Some(b)) = (dense_w, sparse_w) {
+                    assert_same_outcome(&a, &b, &format!("trial {trial} warm x{j}"));
+                }
+            }
+        }
+        assert!(
+            solved[0] > 40 && solved[1] > 25,
+            "optimal trials {solved:?}"
+        );
+    }
+
+    /// The same equivalence through a whole branch-and-bound search.
+    #[test]
+    fn dantzig_kernels_dense_and_sparse_search_identically() {
+        let mut state = 0x853c49e6748fea9bu64;
+        let mut next = || (xorshift(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        let mut p = Problem::new("multi-knapsack");
+        let items: Vec<_> = (0..14)
+            .map(|i| {
+                let value = 5.0 + 20.0 * next();
+                p.add_var(format!("x{i}"), VarKind::Binary, -value).unwrap()
+            })
+            .collect();
+        for r in 0..3 {
+            let weights: Vec<_> = items.iter().map(|&v| (v, 1.0 + 9.0 * next())).collect();
+            p.add_constraint(format!("cap{r}"), weights, Sense::Le, 25.0 + 5.0 * r as f64)
+                .unwrap();
+        }
+        let (dense, sparse) = dense_and_sparse(|| crate::BranchAndBound::new(&p).solve().unwrap());
+        assert_eq!(dense.status, sparse.status);
+        assert!(dense.stats.nodes > 10, "{} nodes", dense.stats.nodes);
+        assert_eq!(dense.stats.nodes, sparse.stats.nodes);
+        assert_eq!(dense.stats.lp_iterations, sparse.stats.lp_iterations);
+        assert_eq!(
+            dense.stats.simplex.refactors,
+            sparse.stats.simplex.refactors
+        );
+        assert_eq!(exact_bits(dense.objective), exact_bits(sparse.objective));
+        assert_eq!(dense.x, sparse.x);
+    }
+
+    /// A basis of a pseudo-random sparse `m × 2m` matrix after `pivots`
+    /// product-form updates: its LU factors and eta file, built the way the
+    /// simplex builds them (largest-magnitude pivot of each FTRAN column).
+    fn factors_with_etas(m: usize, pivots: usize) -> (LuFactors, Vec<Eta>) {
+        let mut state = 0x9e3779b97f4a7c15u64 ^ m as u64;
+        let mut next = || (xorshift(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        let mut trips = Vec::new();
+        for c in 0..2 * m {
+            if c < m {
+                trips.push((c, c, 2.0 + next()));
+            }
+            for r in 0..m {
+                if r != c && next() < 3.0 / m as f64 {
+                    trips.push((r, c, next() * 2.0 - 1.0));
+                }
+            }
+        }
+        let a = crate::sparse::CscMatrix::from_triplets(m, 2 * m, trips);
+        let basis: Vec<usize> = (0..m).collect();
+        let lu = LuFactors::factorize(&a, &basis, 1e-9).unwrap();
+        let mut etas = Vec::new();
+        for q in m..m + pivots {
+            let mut w = vec![0.0; m];
+            a.col_axpy(q, 1.0, &mut w);
+            Simplex::apply_ftran(&lu, &etas, &mut w);
+            let r = (0..m)
+                .max_by(|&i, &k| w[i].abs().total_cmp(&w[k].abs()))
+                .unwrap();
+            if w[r].abs() > 1e-6 {
+                etas.push(Simplex::make_eta(r, &w, 1e-9));
+            }
+        }
+        assert!(etas.len() * 2 > pivots, "too few etas");
+        (lu, etas)
+    }
+
+    /// The eta-file wrappers' hypersparse solves reproduce the dense ones
+    /// bit for bit (up to the sign of a zero) over a non-empty eta file.
+    #[test]
+    fn eta_file_sparse_solves_match_dense_bit_for_bit() {
+        for (m, pivots) in [(30, 6), (80, 20)] {
+            let (lu, etas) = factors_with_etas(m, pivots);
+            let mut mask = vec![false; m];
+            let mut lsc = LuScratch::default();
+            let mut rhss: Vec<Vec<usize>> = (0..m).step_by(3).map(|i| vec![i]).collect();
+            rhss.push(vec![1, m / 2, m - 2]);
+            type Dense = fn(&LuFactors, &[Eta], &mut [f64]);
+            type Sparse =
+                fn(&LuFactors, &[Eta], &mut [f64], &mut Vec<usize>, &mut [bool], &mut LuScratch);
+            let pairs: [(Dense, Sparse); 2] = [
+                (Simplex::apply_ftran, Simplex::apply_ftran_sparse),
+                (Simplex::apply_btran, Simplex::apply_btran_sparse),
+            ];
+            for rows in &rhss {
+                for &(dense, sparse) in &pairs {
+                    let mut dense_buf = vec![0.0; m];
+                    for (t, &r) in rows.iter().enumerate() {
+                        dense_buf[r] = 0.7 + t as f64 / 3.0;
+                    }
+                    let mut sparse_buf = dense_buf.clone();
+                    let mut pattern = rows.clone();
+                    dense(&lu, &etas, &mut dense_buf);
+                    sparse(
+                        &lu,
+                        &etas,
+                        &mut sparse_buf,
+                        &mut pattern,
+                        &mut mask,
+                        &mut lsc,
+                    );
+                    for i in 0..m {
+                        assert_eq!(
+                            exact_bits(sparse_buf[i]),
+                            exact_bits(dense_buf[i]),
+                            "m {m} rhs {rows:?} at {i}: {} vs {}",
+                            sparse_buf[i],
+                            dense_buf[i]
+                        );
+                        assert!(
+                            is_zero(dense_buf[i]) || pattern.contains(&i),
+                            "m {m} rhs {rows:?}: nonzero {i} missing from the pattern"
+                        );
+                    }
+                    assert!(mask.iter().all(|&b| !b), "mask left dirty");
+                }
+            }
+        }
+    }
+
+    /// The row-wise `Aᵀy` of [`Scratch::form_pivot_row`] over an ascending
+    /// pattern reproduces the column dot products bit for bit.
+    #[test]
+    fn row_wise_pivot_row_matches_column_dots_bit_for_bit() {
+        let mut state = 0x6a09e667f3bcc908u64;
+        let mut next = || (xorshift(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        let (m, n) = (50, 90);
+        let mut trips = Vec::new();
+        for c in 0..n {
+            for r in 0..m {
+                if next() < 0.15 {
+                    trips.push((r, c, next() * 2.0 - 1.0));
+                }
+            }
+        }
+        let a = crate::sparse::CscMatrix::from_triplets(m, n, trips);
+        let rows_of_a = a.to_csr();
+        let mut scratch = Scratch::default();
+        scratch.ensure(m, n);
+        for trial in 0..20 {
+            let mut y = vec![0.0; m];
+            for i in 0..m {
+                if next() < 0.05 + 0.02 * trial as f64 {
+                    y[i] = next() * 10.0 - 5.0;
+                    scratch.rho[i] = y[i];
+                    scratch.rpat.push(i);
+                }
+            }
+            scratch.form_pivot_row(&rows_of_a);
+            for j in 0..n {
+                let row_wise = if scratch.amask[j] {
+                    scratch.alpha[j]
+                } else {
+                    0.0
+                };
+                assert_eq!(
+                    exact_bits(row_wise),
+                    exact_bits(a.col_dot(j, &y)),
+                    "trial {trial} column {j}"
+                );
+            }
+            scratch.clear_alpha();
+            assert!(scratch.rpat.is_empty() && scratch.rho.iter().all(|&v| is_zero(v)));
+        }
+    }
+
+    /// At every solved basis of the banded LPs, each Dantzig kernel site
+    /// computes the same bits on its sparse kernel as on its dense one:
+    /// the reduced costs and entering choice of [`Site::Price`], and the
+    /// pivot row and dual ratio test of [`Site::Rho`].
+    #[test]
+    fn dantzig_sites_agree_bit_for_bit_at_solved_bases() {
+        let mut state = 0x3c6ef372fe94f82bu64;
+        let o = opts();
+        let mut checked = 0;
+        for trial in 0..12 {
+            let p = random_banded_lp(80 + 10 * trial, &mut state);
+            let core = CoreLp::from_problem(&p);
+            let out = solve_core_cold(&core, &core.lower, &core.upper, &o).unwrap();
+            if out.status != LpStatus::Optimal {
+                continue;
+            }
+            checked += 1;
+            let (lower, upper) = (core.lower.clone(), core.upper.clone());
+            let (stat, basic) = (out.snapshot.stat.clone(), out.snapshot.basic.clone());
+            let mut sx =
+                Simplex::new(&core, &o, lower, upper, stat, basic, vec![0.0; core.m]).unwrap();
+            sx.recompute_xb();
+            // The negated costs leave this basis far from optimal, so
+            // pricing has many candidates.
+            let costs: Vec<f64> = core.c.iter().map(|c| -c).collect();
+            sx.scratch.cost_cols = (0..core.n).filter(|&j| is_nonzero(costs[j])).collect();
+            let bits = |v: &[f64]| v.iter().map(|&x| exact_bits(x)).collect::<Vec<_>>();
+            let mut d = [Vec::new(), Vec::new()];
+            let mut entering = [None, None];
+            for (k, force) in [false, true].into_iter().enumerate() {
+                force_sparse_kernels(Some(force));
+                sx.reduced_costs_into(&costs, &mut d[k]);
+                entering[k] = sx.price_dantzig(&costs, trial % 2 == 1);
+            }
+            assert_eq!(bits(&d[0]), bits(&d[1]), "trial {trial}: reduced costs");
+            assert!(entering[0].is_some(), "trial {trial}: nothing to price");
+            let bits_of = |e: Option<(usize, f64)>| e.map(|(q, dq)| (q, exact_bits(dq)));
+            assert_eq!(
+                bits_of(entering[0]),
+                bits_of(entering[1]),
+                "trial {trial}: pricing"
+            );
+            for r in (0..core.m).step_by(7) {
+                let mut rows = [None, None];
+                let mut alphas = [Vec::new(), Vec::new()];
+                for (k, sparse) in [false, true].into_iter().enumerate() {
+                    rows[k] = sx.dual_pivot_column(r, r % 2 == 0, &d[0], sparse);
+                    let s = &sx.scratch;
+                    alphas[k] = (0..core.n)
+                        .map(|j| {
+                            if !sparse || s.amask[j] {
+                                s.alpha[j]
+                            } else {
+                                0.0
+                            }
+                        })
+                        .collect();
+                    sx.scratch.clear_alpha();
+                }
+                assert_eq!(
+                    rows[0].map(|e| e.0),
+                    rows[1].map(|e| e.0),
+                    "trial {trial} row {r}"
+                );
+                assert_eq!(
+                    bits(&alphas[0]),
+                    bits(&alphas[1]),
+                    "trial {trial} row {r}: α"
+                );
+            }
+            force_sparse_kernels(None);
+        }
+        assert!(checked >= 6, "only {checked} optimal trials");
     }
 }

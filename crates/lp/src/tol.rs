@@ -35,6 +35,18 @@ pub(crate) fn is_nonzero(v: f64) -> bool {
     v != 0.0
 }
 
+/// Bits of `v` with `−0` folded into `+0`, for tests that hold a
+/// pattern-tracked kernel to its dense counterpart exactly: the two may
+/// differ only in the sign of a zero.
+#[cfg(test)]
+pub(crate) fn exact_bits(v: f64) -> u64 {
+    if is_zero(v) {
+        0
+    } else {
+        v.to_bits()
+    }
+}
+
 /// Relative stability floor for a Forrest–Tomlin replacement diagonal:
 /// the transformed pivot must not be smaller than this fraction of the
 /// largest spike entry, or the update is rejected and the caller

@@ -191,14 +191,50 @@ fn timing_problem(rows: usize, cols: usize) -> Problem {
     p
 }
 
+/// A deterministic banded LP with `rows` packing rows and `2 × rows`
+/// columns, each meeting three nearby rows, with costs on one column in
+/// 24. Its `y = B⁻ᵀc_B` and FTRAN columns stay a few percent dense, so
+/// the default engine runs its hypersparse kernels on nearly every pivot.
+fn hypersparse_timing_problem(rows: usize) -> Problem {
+    let mut p = Problem::new("hypersparse");
+    let mut state = 0x2545f4914f6cdd1du64;
+    let mut next = || {
+        // SplitMix64 step, as in `timing_problem`.
+        state = state.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        ((z ^ (z >> 31)) % 1000) as f64 / 1000.0
+    };
+    let mut terms = vec![Vec::new(); rows];
+    for j in 0..2 * rows {
+        let cost = if j % 24 == 0 { -1.0 - next() } else { 0.0 };
+        let v = p
+            .add_var(format!("x{j}"), VarKind::Continuous, cost)
+            .expect("var");
+        p.set_bounds(v, 0.0, 2.0).expect("bounds");
+        for k in 0..3 {
+            terms[(j / 2 + k * k) % rows].push((v, 0.5 + next()));
+        }
+    }
+    for (i, row) in terms.into_iter().enumerate() {
+        p.add_constraint(format!("cap{i}"), row, Sense::Le, 1.0 + next())
+            .expect("row");
+    }
+    p
+}
+
 /// Satellite check: with profiling on, the per-phase section timers sum to
-/// within 5% of the measured LP wall clock — no untimed hot path remains.
+/// within 5% of the measured LP wall clock — no untimed hot path remains,
+/// on the dense kernels and on the default engine's hypersparse ones.
 #[test]
 fn profile_sections_account_for_lp_time() {
-    let p = timing_problem(24, 24);
-    for (basis_update, refactor) in [
-        (BasisUpdate::Eta, RefactorSchedule::Fixed),
-        (BasisUpdate::Ft, RefactorSchedule::Dynamic),
+    let dense = timing_problem(24, 24);
+    let hypersparse = hypersparse_timing_problem(1500);
+    for (p, basis_update, refactor) in [
+        (&dense, BasisUpdate::Eta, RefactorSchedule::Fixed),
+        (&dense, BasisUpdate::Ft, RefactorSchedule::Dynamic),
+        (&hypersparse, BasisUpdate::Eta, RefactorSchedule::Fixed),
     ] {
         let opts = LpOptions {
             profile: true,
@@ -209,16 +245,17 @@ fn profile_sections_account_for_lp_time() {
         let mut total = SimplexProfile::default();
         // Accumulate enough wall clock that timer granularity is noise.
         while total.lp_secs < 0.25 {
-            let out = solve_lp(&p, &opts).expect("lp solve");
+            let out = solve_lp(p, &opts).expect("lp solve");
             assert_eq!(out.status, LpStatus::Optimal);
             total.absorb(&out.profile);
         }
         let coverage = total.timed_secs() / total.lp_secs;
         assert!(
             (0.95..=1.01).contains(&coverage),
-            "{basis_update}/{refactor}: section timers cover {:.1}% of lp time \
+            "{}, {basis_update}/{refactor}: section timers cover {:.1}% of lp time \
              (pricing {:.1} ftran {:.1} btran {:.1} ratio {:.1} refactor {:.1} \
              update {:.1} other {:.1} vs lp {:.1} ms)",
+            p.name(),
             coverage * 100.0,
             total.pricing_secs * 1e3,
             total.ftran_secs * 1e3,
