@@ -29,9 +29,9 @@
 //! standalone on the flagship unguided row and writes
 //! `BENCH_portfolio.json`. The `simplex` experiment sweeps the pricing
 //! rules (Dantzig / devex / Bland) over the same instances and writes
-//! `BENCH_simplex.json`. The `kernel` experiment compares the
-//! basis-maintenance engines (eta file vs Forrest–Tomlin vs
-//! Markowitz-pivoted FT with the dynamic refactorization trigger) on an
+//! `BENCH_simplex.json`. The `kernel` experiment compares the two
+//! basis-maintenance engines (the eta file vs Markowitz-pivoted
+//! Forrest–Tomlin with the dynamic refactorization trigger) on an
 //! equivalence tier, the flagship row, and the `--scale` replicated
 //! instances, and writes `BENCH_kernel.json`.
 
@@ -40,9 +40,7 @@ use tempart_bench::{
     date98_device, date98_instance, date98_scaled_instance, run_row, ExperimentRow, RowConfig,
 };
 use tempart_core::{CutSet, IlpModel, Linearization, ModelConfig, RuleKind, SolveOptions, WForm};
-use tempart_lp::{
-    solve_lp, BasisUpdate, Branching, LpOptions, MipOptions, Pricing, RefactorSchedule,
-};
+use tempart_lp::{solve_lp, BasisUpdate, Branching, LpOptions, MipOptions, Pricing};
 use tempart_sim::{execute, naive_partitioning};
 
 fn main() {
@@ -134,25 +132,11 @@ fn table1(limit: f64, threads: usize) {
         (3, (2, 2, 2), 3, 1),
     ]
     .into_iter()
-    .map(|(g, ams, n, l)| RowConfig {
-        graph_no: g,
-        ams,
-        config: ModelConfig::basic(n, l).with_linearization(Linearization::Fortet),
-        rule: RuleKind::FirstIndex,
-        time_limit_secs: limit,
-        device: date98_device(),
-        seed_incumbent: false,
-        threads,
-        portfolio: false,
-        pricing: Pricing::Dantzig,
-        profile: false,
-        cuts: false,
-        rins: false,
-        propagate: false,
-        branching: Branching::Rule,
-        basis_update: BasisUpdate::Eta,
-        refactor: RefactorSchedule::Fixed,
-        scale: 1,
+    .map(|(g, ams, n, l)| {
+        let config = ModelConfig::basic(n, l).with_linearization(Linearization::Fortet);
+        let mut cfg = RowConfig::new(g, ams, config, RuleKind::FirstIndex, limit);
+        cfg.solve.mip.threads = threads;
+        cfg
     })
     .collect();
     run_and_print(
@@ -172,25 +156,11 @@ fn table2(limit: f64, threads: usize) {
         (3, (2, 2, 2), 3, 1),
     ]
     .into_iter()
-    .map(|(g, ams, n, l)| RowConfig {
-        graph_no: g,
-        ams,
-        config: ModelConfig::tightened(n, l),
-        rule: RuleKind::FirstIndex,
-        time_limit_secs: limit,
-        device: date98_device(),
-        seed_incumbent: false,
-        threads,
-        portfolio: false,
-        pricing: Pricing::Dantzig,
-        profile: false,
-        cuts: false,
-        rins: false,
-        propagate: false,
-        branching: Branching::Rule,
-        basis_update: BasisUpdate::Eta,
-        refactor: RefactorSchedule::Fixed,
-        scale: 1,
+    .map(|(g, ams, n, l)| {
+        let config = ModelConfig::tightened(n, l);
+        let mut cfg = RowConfig::new(g, ams, config, RuleKind::FirstIndex, limit);
+        cfg.solve.mip.threads = threads;
+        cfg
     })
     .collect();
     run_and_print(
@@ -205,25 +175,11 @@ fn table2(limit: f64, threads: usize) {
 fn table3(limit: f64, threads: usize) {
     let rows: Vec<RowConfig> = [(3u32, 0u32), (3, 1), (2, 2), (2, 3)]
         .into_iter()
-        .map(|(n, l)| RowConfig {
-            graph_no: 1,
-            ams: (2, 2, 1),
-            config: ModelConfig::tightened(n, l),
-            rule: RuleKind::Paper,
-            time_limit_secs: limit,
-            device: date98_device(),
-            seed_incumbent: false,
-            threads,
-            portfolio: false,
-            pricing: Pricing::Dantzig,
-            profile: false,
-            cuts: false,
-            rins: false,
-            propagate: false,
-            branching: Branching::Rule,
-            basis_update: BasisUpdate::Eta,
-            refactor: RefactorSchedule::Fixed,
-            scale: 1,
+        .map(|(n, l)| {
+            let config = ModelConfig::tightened(n, l);
+            let mut cfg = RowConfig::new(1, (2, 2, 1), config, RuleKind::Paper, limit);
+            cfg.solve.mip.threads = threads;
+            cfg
         })
         .collect();
     run_and_print(
@@ -253,25 +209,12 @@ fn table4(limit: f64, threads: usize) {
         (6, (2, 2, 2), 3, 13),
     ]
     .into_iter()
-    .map(|(g, ams, n, l)| RowConfig {
-        graph_no: g,
-        ams,
-        config: ModelConfig::tightened(n, l),
-        rule: RuleKind::Paper,
-        time_limit_secs: limit,
-        device: date98_device(),
-        seed_incumbent: true,
-        threads,
-        portfolio: false,
-        pricing: Pricing::Dantzig,
-        profile: false,
-        cuts: false,
-        rins: false,
-        propagate: false,
-        branching: Branching::Rule,
-        basis_update: BasisUpdate::Eta,
-        refactor: RefactorSchedule::Fixed,
-        scale: 1,
+    .map(|(g, ams, n, l)| {
+        let config = ModelConfig::tightened(n, l);
+        let mut cfg = RowConfig::new(g, ams, config, RuleKind::Paper, limit);
+        cfg.solve.seed_incumbent = true;
+        cfg.solve.mip.threads = threads;
+        cfg
     })
     .collect();
     run_and_print(
@@ -365,26 +308,9 @@ fn ablation(limit: f64, threads: usize) {
         ),
     ];
     for (name, config, rule, seed_incumbent) in variants {
-        let cfg = RowConfig {
-            graph_no: 1,
-            ams: (2, 2, 1),
-            config,
-            rule,
-            time_limit_secs: limit,
-            device: date98_device(),
-            seed_incumbent,
-            threads,
-            portfolio: false,
-            pricing: Pricing::Dantzig,
-            profile: false,
-            cuts: false,
-            rins: false,
-            propagate: false,
-            branching: Branching::Rule,
-            basis_update: BasisUpdate::Eta,
-            refactor: RefactorSchedule::Fixed,
-            scale: 1,
-        };
+        let mut cfg = RowConfig::new(1, (2, 2, 1), config, rule, limit);
+        cfg.solve.seed_incumbent = seed_incumbent;
+        cfg.solve.mip.threads = threads;
         match run_row(&cfg) {
             Ok(r) => println!(
                 "{:<34} {:>9} {:>9} {:>8} {:>8}",
@@ -537,26 +463,8 @@ fn parallel(limit: f64) {
     for (label, g, ams, n, l, rule) in cases {
         let mut serial_ms = None;
         for threads in THREADS {
-            let cfg = RowConfig {
-                graph_no: g,
-                ams,
-                config: ModelConfig::tightened(n, l),
-                rule,
-                time_limit_secs: limit,
-                device: date98_device(),
-                seed_incumbent: false,
-                threads,
-                portfolio: false,
-                pricing: Pricing::Dantzig,
-                profile: false,
-                cuts: false,
-                rins: false,
-                propagate: false,
-                branching: Branching::Rule,
-                basis_update: BasisUpdate::Eta,
-                refactor: RefactorSchedule::Fixed,
-                scale: 1,
-            };
+            let mut cfg = RowConfig::new(g, ams, ModelConfig::tightened(n, l), rule, limit);
+            cfg.solve.mip.threads = threads;
             let mut best: Option<ExperimentRow> = None;
             for _ in 0..REPS {
                 match run_row(&cfg) {
@@ -693,25 +601,11 @@ fn portfolio(limit: f64) {
         "{:<28} {:>9} {:>7} {:>5} {:>9}",
         "configuration", "wall(ms)", "nodes", "cost", "winner"
     );
-    let base = |rule: RuleKind, pricing: Pricing, portfolio: bool| RowConfig {
-        graph_no: 1,
-        ams: (2, 2, 1),
-        config: ModelConfig::tightened(3, 1),
-        rule,
-        time_limit_secs: limit,
-        device: date98_device(),
-        seed_incumbent: false,
-        threads: 1,
-        portfolio,
-        pricing,
-        profile: false,
-        cuts: false,
-        rins: false,
-        propagate: false,
-        branching: Branching::Rule,
-        basis_update: BasisUpdate::Eta,
-        refactor: RefactorSchedule::Fixed,
-        scale: 1,
+    let base = |rule: RuleKind, pricing: Pricing, portfolio: bool| {
+        let mut cfg = RowConfig::new(1, (2, 2, 1), ModelConfig::tightened(3, 1), rule, limit);
+        cfg.solve.mip.lp.pricing = pricing;
+        cfg.solve.mip.portfolio = portfolio;
+        cfg
     };
     let mut json_rows: Vec<String> = Vec::new();
     let mut worst_single: Option<(f64, &'static str)> = None;
@@ -836,26 +730,9 @@ fn simplex(limit: f64) {
     for (label, g, ams, n, l, rule) in cases {
         let mut dantzig_ms = None;
         for pricing in PRICINGS {
-            let cfg = RowConfig {
-                graph_no: g,
-                ams,
-                config: ModelConfig::tightened(n, l),
-                rule,
-                time_limit_secs: limit,
-                device: date98_device(),
-                seed_incumbent: false,
-                threads: 1,
-                portfolio: false,
-                pricing,
-                profile: true,
-                cuts: false,
-                rins: false,
-                propagate: false,
-                branching: Branching::Rule,
-                basis_update: BasisUpdate::Eta,
-                refactor: RefactorSchedule::Fixed,
-                scale: 1,
-            };
+            let mut cfg = RowConfig::new(g, ams, ModelConfig::tightened(n, l), rule, limit);
+            cfg.solve.mip.lp.pricing = pricing;
+            cfg.solve.mip.lp.profile = true;
             let mut best: Option<ExperimentRow> = None;
             for _ in 0..REPS {
                 match run_row(&cfg) {
@@ -921,8 +798,8 @@ fn simplex(limit: f64) {
     println!();
 }
 
-/// Kernel-speed study (DESIGN.md §5h): the basis-maintenance engines —
-/// the pinned legacy eta file, Forrest–Tomlin updates, and
+/// Kernel-speed study (DESIGN.md §5h): the two basis-maintenance engines —
+/// the pinned legacy eta file on its fixed refactorization interval, and
 /// Markowitz-pivoted Forrest–Tomlin under the dynamic refactorization
 /// trigger — compared on three tiers:
 ///
@@ -934,8 +811,8 @@ fn simplex(limit: f64) {
 ///    on the same LP optimum (the doubled-chain MIPs themselves are
 ///    undecidable in any reasonable budget).
 /// 2. *Flagship*: the Table 2 unguided workhorse end-to-end, best of
-///    `REPS` runs per kernel, with the pinned acceptance bar: the best FT
-///    variant ≥1.25× the eta baseline's wall clock at the same proven
+///    `REPS` runs per kernel, with the pinned acceptance bar: the FT
+///    kernel ≥1.25× the eta baseline's wall clock at the same proven
 ///    optimum 13.
 /// 3. *Scaled*: externally timed root-LP solves at a fixed pivot cap on
 ///    the replicate-and-chain instances, including the ≥500-op `g1x23`
@@ -947,37 +824,27 @@ fn simplex(limit: f64) {
 /// comparable. Results go to stdout and `BENCH_kernel.json` (written via
 /// `BENCH_kernel.json.tmp` and renamed, so an interrupted run never
 /// leaves a truncated artifact). `kernel-smoke` is the budgeted CI
-/// variant: the g1 row only on the equivalence tier, eta vs ft-markowitz
-/// only, single reps, the smaller scaled row as the speed bar, and a
-/// separate gitignored artifact (`BENCH_kernel_smoke.json`) so local
-/// `verify.sh` runs never clobber the committed full-budget one.
+/// variant: the g1 row only on the equivalence tier, single reps, the
+/// smaller scaled row as the speed bar, and a separate gitignored artifact
+/// (`BENCH_kernel_smoke.json`) so local `verify.sh` runs never clobber the
+/// committed full-budget one.
 fn kernel(limit: f64, smoke: bool) {
-    type Kernel = (&'static str, BasisUpdate, RefactorSchedule);
-    const ALL_KERNELS: [Kernel; 4] = [
-        ("eta/fixed", BasisUpdate::Eta, RefactorSchedule::Fixed),
-        ("ft/fixed", BasisUpdate::Ft, RefactorSchedule::Fixed),
-        ("ft/dynamic", BasisUpdate::Ft, RefactorSchedule::Dynamic),
-        (
-            "ft-markowitz/dynamic",
-            BasisUpdate::FtMarkowitz,
-            RefactorSchedule::Dynamic,
-        ),
+    // Each kernel is named for its representation and the refactorization
+    // trigger that representation carries.
+    const KERNELS: [(&str, BasisUpdate); 2] = [
+        ("eta/fixed", BasisUpdate::Eta),
+        ("ft-markowitz/dynamic", BasisUpdate::FtMarkowitz),
     ];
-    let kernels: Vec<Kernel> = if smoke {
-        vec![ALL_KERNELS[0], ALL_KERNELS[3]]
-    } else {
-        ALL_KERNELS.to_vec()
-    };
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let mut json_rows: Vec<String> = Vec::new();
     println!(
-        "Kernel study: basis-maintenance engines (eta / FT / FT-Markowitz){}",
+        "Kernel study: basis-maintenance engines (eta / FT-Markowitz){}",
         if smoke { " (smoke)" } else { "" }
     );
 
     // Tier 1 — equivalence: the decidable Table 4 row of every paper graph
     // (graph 4's N3 L5 boundary row is undecidable in the budget; its N2 L6
-    // row is the decidable stand-in) plus a doubled scaled instance.
+    // row is the decidable stand-in).
     type EqCase = (&'static str, usize, usize, (u32, u32, u32), u32, u32);
     const EQ_CASES: [EqCase; 6] = [
         ("g1-N3-L1", 1, 1, (2, 2, 1), 3, 1),
@@ -1000,27 +867,13 @@ fn kernel(limit: f64, smoke: bool) {
     let mut eq_pass = true;
     for (label, g, k, ams, n, l) in eq_cases {
         let mut costs: Vec<Option<u64>> = Vec::new();
-        for &(kname, bu, rs) in &kernels {
-            let cfg = RowConfig {
-                graph_no: g,
-                ams,
-                config: ModelConfig::tightened(n, l),
-                rule: RuleKind::Paper,
-                time_limit_secs: limit,
-                device: date98_device(),
-                seed_incumbent: true,
-                threads: 1,
-                portfolio: false,
-                pricing: Pricing::Dantzig,
-                profile: true,
-                cuts: false,
-                rins: false,
-                propagate: false,
-                branching: Branching::Rule,
-                basis_update: bu,
-                refactor: rs,
-                scale: k,
-            };
+        for (kname, basis_update) in KERNELS {
+            let config = ModelConfig::tightened(n, l);
+            let mut cfg = RowConfig::new(g, ams, config, RuleKind::Paper, limit);
+            cfg.scale = k;
+            cfg.solve.seed_incumbent = true;
+            cfg.solve.mip.lp.basis_update = basis_update;
+            cfg.solve.mip.lp.profile = true;
             let row = match run_row(&cfg) {
                 Ok(r) => r,
                 Err(e) => {
@@ -1063,7 +916,7 @@ fn kernel(limit: f64, smoke: bool) {
             ));
         }
         eq_instances += 1;
-        let agreed = costs.len() == kernels.len()
+        let agreed = costs.len() == KERNELS.len()
             && costs
                 .first()
                 .is_some_and(|first| first.is_some() && costs.iter().all(|c| c == first));
@@ -1075,39 +928,23 @@ fn kernel(limit: f64, smoke: bool) {
     json_rows.push(format!(
         "  {{\"acceptance\": \"identical_optima_across_kernels\", \
          \"instances\": {eq_instances}, \"kernels\": {}, \"pass\": {eq_pass}}}",
-        kernels.len(),
+        KERNELS.len(),
     ));
     println!(
         "acceptance [{}]: identical optima across {} kernels on {} instances",
         if eq_pass { "PASS" } else { "FAIL" },
-        kernels.len(),
+        KERNELS.len(),
         eq_instances,
     );
 
     // Tier 2 — flagship end-to-end (Table 2 unguided workhorse).
     let reps = if smoke { 1 } else { 2 };
     let mut flagship: Vec<(&str, ExperimentRow)> = Vec::new();
-    for &(kname, bu, rs) in &kernels {
-        let cfg = RowConfig {
-            graph_no: 1,
-            ams: (2, 2, 1),
-            config: ModelConfig::tightened(3, 1),
-            rule: RuleKind::FirstIndex,
-            time_limit_secs: limit,
-            device: date98_device(),
-            seed_incumbent: false,
-            threads: 1,
-            portfolio: false,
-            pricing: Pricing::Dantzig,
-            profile: true,
-            cuts: false,
-            rins: false,
-            propagate: false,
-            branching: Branching::Rule,
-            basis_update: bu,
-            refactor: rs,
-            scale: 1,
-        };
+    for (kname, basis_update) in KERNELS {
+        let config = ModelConfig::tightened(3, 1);
+        let mut cfg = RowConfig::new(1, (2, 2, 1), config, RuleKind::FirstIndex, limit);
+        cfg.solve.mip.lp.basis_update = basis_update;
+        cfg.solve.mip.lp.profile = true;
         let mut best: Option<ExperimentRow> = None;
         for _ in 0..reps {
             match run_row(&cfg) {
@@ -1167,14 +1004,11 @@ fn kernel(limit: f64, smoke: bool) {
             row.nnz,
         ));
     }
-    let best_ft = flagship
-        .iter()
-        .filter(|(k, _)| *k != "eta/fixed")
-        .min_by(|(_, a), (_, b)| a.seconds.total_cmp(&b.seconds));
+    let ft_flagship = flagship.iter().find(|(k, _)| *k != "eta/fixed");
     if smoke {
         // CI hardware varies too much to pin a speed bar; the smoke gate is
         // the answer contract on the flagship row.
-        let bar = match (eta_flagship, best_ft) {
+        let bar = match (eta_flagship, ft_flagship) {
             (Some((_, eta_cost)), Some((kname, row))) => {
                 let pass = eta_cost == Some(13) && row.cost == Some(13);
                 format!(
@@ -1191,9 +1025,9 @@ fn kernel(limit: f64, smoke: bool) {
         };
         json_rows.push(bar);
     } else {
-        // Pinned acceptance bar: the best FT variant beats the legacy eta
+        // Pinned acceptance bar: the FT kernel beats the legacy eta
         // baseline by >=1.25x end-to-end at the same proven optimum 13.
-        let bar = match (eta_flagship, best_ft) {
+        let bar = match (eta_flagship, ft_flagship) {
             (Some((eta_secs, eta_cost)), Some((kname, row))) => {
                 let speedup = eta_secs / row.seconds;
                 let pass = eta_cost == Some(13) && row.cost == Some(13) && speedup >= 1.25;
@@ -1264,19 +1098,13 @@ fn kernel(limit: f64, smoke: bool) {
             .map(|r| r.coeffs.len())
             .sum();
         let mut eta_cell: Option<(f64, usize)> = None;
-        let mut best_ft_cell: Option<(&str, f64, usize)> = None;
+        let mut ft_cell: Option<(&str, f64, usize)> = None;
         let mut lp_optima: Vec<f64> = Vec::new();
-        for &(kname, bu, rs) in &kernels {
-            if kname == "ft/fixed" {
-                // The fixed schedule is an end-to-end ablation; the scaled
-                // tier compares the shipping dynamic variants against eta.
-                continue;
-            }
+        for (kname, basis_update) in KERNELS {
             let opts = LpOptions {
                 max_iterations: cap,
                 pricing: Pricing::Devex,
-                basis_update: bu,
-                refactor: rs,
+                basis_update,
                 ..LpOptions::default()
             };
             let mut best: Option<(f64, usize, Option<f64>)> = None;
@@ -1305,9 +1133,8 @@ fn kernel(limit: f64, smoke: bool) {
             let us_per_iter = wall * 1e6 / iters.max(1) as f64;
             if kname == "eta/fixed" {
                 eta_cell = Some((wall, iters));
-            } else if best_ft_cell.is_none_or(|(_, w, it)| us_per_iter < w * 1e6 / it.max(1) as f64)
-            {
-                best_ft_cell = Some((kname, wall, iters));
+            } else {
+                ft_cell = Some((kname, wall, iters));
             }
             println!(
                 "{:<20} {:>20} {:>9} {:>9.1} {:>9.1} {:>12}",
@@ -1335,17 +1162,13 @@ fn kernel(limit: f64, smoke: bool) {
         // in any reasonable budget), every kernel must land on the same
         // LP optimum.
         if label == "g1x4-N3-L6" {
-            let expected = kernels
-                .iter()
-                .filter(|(kname, ..)| *kname != "ft/fixed")
-                .count();
             let spread = lp_optima
                 .iter()
                 .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &o| {
                     (lo.min(o), hi.max(o))
                 });
             let scale = lp_optima.first().map_or(1.0, |o| o.abs().max(1.0));
-            let agree = lp_optima.len() == expected && (spread.1 - spread.0) <= 1e-6 * scale;
+            let agree = lp_optima.len() == KERNELS.len() && (spread.1 - spread.0) <= 1e-6 * scale;
             println!(
                 "acceptance [{}]: {label} root-LP optimum agrees across {} kernels                  (spread {:.2e})",
                 if agree { "PASS" } else { "FAIL" },
@@ -1365,7 +1188,7 @@ fn kernel(limit: f64, smoke: bool) {
         // early-converging run cannot skew the ratio).
         let is_bar_row = label == "g1x23-N3-L2" || (smoke && label == "g1x4-N3-L6");
         if is_bar_row {
-            let bar = match (eta_cell, best_ft_cell) {
+            let bar = match (eta_cell, ft_cell) {
                 (Some((eta_wall, eta_iters)), Some((kname, ft_wall, ft_iters))) => {
                     let speedup =
                         (eta_wall / eta_iters.max(1) as f64) / (ft_wall / ft_iters.max(1) as f64);
@@ -1563,26 +1386,12 @@ fn scale(limit: f64, smoke: bool) {
     let mut baseline: Option<(usize, Option<u64>)> = None;
     let mut full: Option<(usize, Option<u64>)> = None;
     for (name, cuts, rins, propagate, branching) in variants {
-        let cfg = RowConfig {
-            graph_no: 1,
-            ams: (2, 2, 1),
-            config: ModelConfig::tightened(3, 1),
-            rule: RuleKind::FirstIndex,
-            time_limit_secs: limit,
-            device: date98_device(),
-            seed_incumbent: false,
-            threads: 1,
-            portfolio: false,
-            pricing: Pricing::Dantzig,
-            profile: false,
-            cuts,
-            rins,
-            propagate,
-            branching,
-            basis_update: BasisUpdate::Eta,
-            refactor: RefactorSchedule::Fixed,
-            scale: 1,
-        };
+        let config = ModelConfig::tightened(3, 1);
+        let mut cfg = RowConfig::new(1, (2, 2, 1), config, RuleKind::FirstIndex, limit);
+        cfg.solve.mip.cuts = cuts;
+        cfg.solve.mip.rins = rins;
+        cfg.solve.mip.propagate = propagate;
+        cfg.solve.mip.branching = branching;
         let row = match run_row(&cfg) {
             Ok(r) => r,
             Err(e) => {

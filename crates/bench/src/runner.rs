@@ -4,13 +4,12 @@ use std::time::Instant;
 
 use tempart_core::{CoreError, IlpModel, ModelConfig, RuleKind, SolveOptions};
 use tempart_graph::FpgaDevice;
-use tempart_lp::{
-    BasisUpdate, Branching, MipOptions, MipStats, MipStatus, Pricing, RefactorSchedule,
-};
+use tempart_lp::{MipStats, MipStatus, Pricing};
 
-use crate::graphs::{date98_instance, date98_scaled_instance};
+use crate::graphs::{date98_device, date98_instance, date98_scaled_instance};
 
-/// Configuration of one experiment row.
+/// Configuration of one experiment row: the instance, and the solver
+/// options it is solved with.
 #[derive(Debug, Clone)]
 pub struct RowConfig {
     /// Paper graph number (1-based).
@@ -19,56 +18,45 @@ pub struct RowConfig {
     pub ams: (u32, u32, u32),
     /// Formulation variant, partitions `N`, latency relaxation `L`.
     pub config: ModelConfig,
-    /// Branching rule.
-    pub rule: RuleKind,
-    /// Wall-clock limit in seconds (like the paper's >7200 cutoffs).
-    pub time_limit_secs: f64,
     /// Target device.
     pub device: FpgaDevice,
-    /// Whether to seed the search with the constructive incumbent. The
-    /// paper's experiments had no such warm start, so the faithful Table 1–3
-    /// reproductions run unseeded; Table 4 and the extension studies use the
-    /// modern default.
-    pub seed_incumbent: bool,
-    /// Branch-and-bound worker threads (`1` = exact serial solver with
-    /// deterministic node counts, `0` = one per CPU). The faithful table
-    /// reproductions run serial; the `parallel` experiment sweeps this.
-    pub threads: usize,
-    /// Race the solver-configuration portfolio instead of parallelizing one
-    /// tree search (takes precedence over `threads`); the `portfolio`
-    /// experiment sets this.
-    pub portfolio: bool,
-    /// Simplex pricing rule. The faithful table reproductions run the pinned
-    /// `Dantzig` legacy engine; the `simplex` experiment sweeps this.
-    pub pricing: Pricing,
-    /// Enable the per-phase simplex section timers (the `simplex` experiment
-    /// sets this; counters are collected regardless).
-    pub profile: bool,
-    /// Root cover/clique cut separation (cut-and-branch). Off for the
-    /// faithful table reproductions — the golden node counts depend on it;
-    /// the `scale` experiment sets this.
-    pub cuts: bool,
-    /// Scheduler-driven RINS primal heuristic (Figure-2 list schedule as the
-    /// reference solution). Off for the faithful tables; `scale` sets it.
-    pub rins: bool,
-    /// Node bound propagation before each LP solve. Off for the faithful
-    /// tables; `scale` sets it.
-    pub propagate: bool,
-    /// Variable-selection engine: the static rule (pinned default) or
-    /// pseudo-cost branching with reliability initialization.
-    pub branching: Branching,
-    /// Simplex basis-maintenance kernel. The faithful table reproductions
-    /// run the pinned legacy eta file; the `kernel` experiment sweeps the
-    /// Forrest–Tomlin representations.
-    pub basis_update: BasisUpdate,
-    /// Refactorization schedule (fixed legacy interval or the dynamic
-    /// fill-in/stability trigger); swept by the `kernel` experiment.
-    pub refactor: RefactorSchedule,
     /// Instance replication factor: `1` solves the paper graph itself, `k >
     /// 1` the deterministic replicate-and-chain scaled instance
     /// ([`date98_scaled_instance`]) — the kernel tier where basis
     /// maintenance dominates.
     pub scale: usize,
+    /// Branching rule, incumbent seeding, and every solver option.
+    pub solve: SolveOptions,
+}
+
+impl RowConfig {
+    /// Graph `graph_no` on the paper's device, unscaled, solved by `rule`
+    /// within `time_limit_secs` on the default serial engine and without a
+    /// seeded incumbent: the paper's experiments had no warm start, so the
+    /// faithful table reproductions run unseeded. Studies change `solve`
+    /// for anything else.
+    pub fn new(
+        graph_no: usize,
+        ams: (u32, u32, u32),
+        config: ModelConfig,
+        rule: RuleKind,
+        time_limit_secs: f64,
+    ) -> Self {
+        let mut solve = SolveOptions {
+            rule,
+            seed_incumbent: false,
+            ..SolveOptions::default()
+        };
+        solve.mip.time_limit_secs = time_limit_secs;
+        Self {
+            graph_no,
+            ams,
+            config,
+            device: date98_device(),
+            scale: 1,
+            solve,
+        }
+    }
 }
 
 /// Result of one experiment row, mirroring the paper's table columns.
@@ -113,9 +101,9 @@ pub struct ExperimentRow {
     /// Pricing rule used.
     pub pricing: Pricing,
     /// Full solver statistics: the merged simplex profile (timers populated
-    /// only when [`RowConfig::profile`] was set), the parallel scheduler's
-    /// contention counters, per-worker node/busy-time vectors, and the
-    /// portfolio winner.
+    /// only when [`LpOptions::profile`](tempart_lp::LpOptions::profile) was
+    /// set), the parallel scheduler's contention counters, per-worker
+    /// node/busy-time vectors, and the portfolio winner.
     pub stats: MipStats,
 }
 
@@ -178,26 +166,8 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
         .rows_for_export()
         .map(|r| r.coeffs.len())
         .sum();
-    let mut mip = MipOptions {
-        time_limit_secs: cfg.time_limit_secs,
-        threads: cfg.threads,
-        portfolio: cfg.portfolio,
-        cuts: cfg.cuts,
-        rins: cfg.rins,
-        propagate: cfg.propagate,
-        branching: cfg.branching,
-        ..MipOptions::default()
-    };
-    mip.lp.pricing = cfg.pricing;
-    mip.lp.profile = cfg.profile;
-    mip.lp.basis_update = cfg.basis_update;
-    mip.lp.refactor = cfg.refactor;
     let started = Instant::now();
-    let out = model.solve(&SolveOptions {
-        mip,
-        rule: cfg.rule,
-        seed_incumbent: cfg.seed_incumbent,
-    })?;
+    let out = model.solve(&cfg.solve)?;
     let seconds = started.elapsed().as_secs_f64();
     let timed_out = matches!(out.status, MipStatus::TimeLimit | MipStatus::NodeLimit);
     let (feasible, cost) = match out.status {
@@ -234,8 +204,8 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
         partitions_used,
         nodes: out.stats.nodes,
         lp_iterations: out.stats.lp_iterations,
-        rule: cfg.rule,
-        pricing: cfg.pricing,
+        rule: cfg.solve.rule,
+        pricing: cfg.solve.mip.lp.pricing,
         stats: out.stats,
     })
 }
@@ -243,33 +213,20 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphs::date98_device;
 
     #[test]
     fn row_runs_graph1() {
         // Small time budget: this is a smoke test of the row plumbing, not a
         // benchmark; debug-mode solves of graph 1 can take a while.
-        let row = run_row(&RowConfig {
-            graph_no: 1,
-            ams: (2, 2, 1),
-            config: ModelConfig::tightened(2, 3),
-            rule: RuleKind::Paper,
-            time_limit_secs: 10.0,
-            device: date98_device(),
-            seed_incumbent: true,
-            threads: 1,
-            portfolio: false,
-            pricing: Pricing::Dantzig,
-            profile: false,
-            cuts: false,
-            rins: false,
-            propagate: false,
-            branching: Branching::Rule,
-            basis_update: BasisUpdate::Eta,
-            refactor: RefactorSchedule::Fixed,
-            scale: 1,
-        })
-        .unwrap();
+        let mut cfg = RowConfig::new(
+            1,
+            (2, 2, 1),
+            ModelConfig::tightened(2, 3),
+            RuleKind::Paper,
+            10.0,
+        );
+        cfg.solve.seed_incumbent = true;
+        let row = run_row(&cfg).unwrap();
         assert_eq!(row.tasks, 5);
         assert_eq!(row.opers, 22);
         assert!(row.vars > 0 && row.consts > 0);

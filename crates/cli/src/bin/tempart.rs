@@ -4,7 +4,7 @@
 //! tempart solve <spec.json> [--partitions N] [--latency L] [--time-limit SECS]
 //!               [--node-limit N] [--threads T] [--portfolio]
 //!               [--pricing dantzig|devex|bland]
-//!               [--basis-update eta|ft|ft-markowitz] [--refactor fixed|dynamic]
+//!               [--basis-update eta|ft-markowitz]
 //!               [--cuts] [--rins] [--propagate] [--branching rule|pseudocost]
 //!               [--scale K] [--faults PLAN] [--stats] [--certify] [--json]
 //! tempart estimate <spec.json>
@@ -51,12 +51,11 @@
 //! optimum. `--stats` enables the solver profiling layer and prints a
 //! per-phase simplex time/count breakdown after the solve.
 //!
-//! `--basis-update` selects the simplex basis-maintenance kernel (`eta` is
-//! the pinned legacy product-form eta file, `ft` Forrest–Tomlin updates
-//! applied directly to the `U` factor, `ft-markowitz` the same updates over
-//! a Markowitz-ordered refactorization) and `--refactor` the
-//! refactorization schedule (`fixed` legacy interval or the `dynamic`
-//! fill-in/stability trigger); every combination proves the same optimum.
+//! `--basis-update` selects the simplex basis-maintenance kernel: `eta` is
+//! the pinned legacy product-form eta file, refactorized on a fixed
+//! interval; `ft-markowitz` applies Forrest–Tomlin updates to the `U`
+//! factor of a Markowitz-ordered factorization and refactorizes on fill-in
+//! growth or a failed stability test. Both prove the same optimum.
 //!
 //! `--scale K` replicates the specification's task graph `K` times,
 //! chaining each copy's sink tasks to the next copy's sources
@@ -93,9 +92,7 @@ use tempart_core::{
 };
 use tempart_graph::{scale_task_graph, task_graph_to_dot};
 use tempart_hls::{estimate_partitions, render_gantt, Mobility};
-use tempart_lp::{
-    BasisUpdate, Branching, FaultPlan, MipOptions, MipStatus, Pricing, RefactorSchedule,
-};
+use tempart_lp::{BasisUpdate, Branching, FaultPlan, MipOptions, MipStatus, Pricing};
 use tempart_sim::execute;
 
 /// Graceful Ctrl-C (`solve`/`simulate` only): the first SIGINT trips the
@@ -156,23 +153,12 @@ struct Args {
     spec_path: Option<String>,
     partitions: Option<u32>,
     latency: Option<u32>,
-    limit: f64,
-    node_limit: usize,
-    faults: Option<String>,
     json: bool,
     format: String,
-    threads: usize,
-    portfolio: bool,
-    pricing: Pricing,
-    stats: bool,
     certify: bool,
-    cuts: bool,
-    rins: bool,
-    propagate: bool,
-    branching: Branching,
-    basis_update: BasisUpdate,
-    refactor: RefactorSchedule,
     scale: usize,
+    /// The solver flags, parsed straight into the options they set.
+    mip: MipOptions,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -183,24 +169,17 @@ fn parse_args() -> Result<Args, String> {
         spec_path: None,
         partitions: None,
         latency: None,
-        limit: 600.0,
-        node_limit: usize::MAX,
-        faults: None,
         json: false,
         format: "lp".to_string(),
-        threads: 1,
-        portfolio: false,
-        pricing: Pricing::default(),
-        stats: false,
         certify: false,
-        cuts: false,
-        rins: false,
-        propagate: false,
-        branching: Branching::default(),
-        basis_update: BasisUpdate::default(),
-        refactor: RefactorSchedule::default(),
         scale: 1,
+        mip: MipOptions {
+            time_limit_secs: 600.0,
+            max_nodes: usize::MAX,
+            ..MipOptions::default()
+        },
     };
+    let mip = &mut args.mip;
     while let Some(a) = it.next() {
         match a.as_str() {
             "--partitions" | "-n" => {
@@ -218,63 +197,57 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--limit" | "--time-limit" => {
-                args.limit = it
+                mip.time_limit_secs = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--time-limit takes seconds")?
             }
             "--node-limit" => {
-                args.node_limit = it
+                mip.max_nodes = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--node-limit takes a node count")?
             }
             "--faults" => {
-                args.faults = Some(it.next().ok_or("--faults takes a fault plan")?);
+                let plan = it.next().ok_or("--faults takes a fault plan")?;
+                mip.lp.faults = Some(std::sync::Arc::new(FaultPlan::parse(&plan)?));
             }
             "--json" => args.json = true,
             "--format" => {
                 args.format = it.next().ok_or("--format takes lp or mps")?;
             }
             "--threads" | "-j" => {
-                args.threads = it
+                mip.threads = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--threads takes a worker count (0 = all CPUs)")?
             }
-            "--portfolio" => args.portfolio = true,
+            "--portfolio" => mip.portfolio = true,
             "--pricing" => {
-                args.pricing = it
+                mip.lp.pricing = it
                     .next()
                     .as_deref()
                     .and_then(Pricing::parse)
                     .ok_or("--pricing takes dantzig, devex, or bland")?
             }
-            "--stats" => args.stats = true,
+            "--stats" => mip.lp.profile = true,
             "--certify" => args.certify = true,
-            "--cuts" => args.cuts = true,
-            "--rins" => args.rins = true,
-            "--propagate" => args.propagate = true,
+            "--cuts" => mip.cuts = true,
+            "--rins" => mip.rins = true,
+            "--propagate" => mip.propagate = true,
             "--branching" => {
-                args.branching = it
+                mip.branching = it
                     .next()
                     .as_deref()
                     .and_then(Branching::parse)
                     .ok_or("--branching takes rule or pseudocost")?
             }
             "--basis-update" => {
-                args.basis_update = it
+                mip.lp.basis_update = it
                     .next()
                     .as_deref()
                     .and_then(BasisUpdate::parse)
-                    .ok_or("--basis-update takes eta, ft, or ft-markowitz")?
-            }
-            "--refactor" => {
-                args.refactor = it
-                    .next()
-                    .as_deref()
-                    .and_then(RefactorSchedule::parse)
-                    .ok_or("--refactor takes fixed or dynamic")?
+                    .ok_or("--basis-update takes eta or ft-markowitz")?
             }
             "--scale" => {
                 args.scale = it
@@ -459,24 +432,7 @@ fn run() -> Result<(), String> {
                 spec.build_instance().map_err(|e| e.to_string())?,
                 args.scale,
             )?;
-            let mut mip = MipOptions {
-                time_limit_secs: args.limit,
-                max_nodes: args.node_limit,
-                threads: args.threads,
-                portfolio: args.portfolio,
-                cuts: args.cuts,
-                rins: args.rins,
-                propagate: args.propagate,
-                branching: args.branching,
-                ..MipOptions::default()
-            };
-            mip.lp.pricing = args.pricing;
-            mip.lp.profile = args.stats;
-            mip.lp.basis_update = args.basis_update;
-            mip.lp.refactor = args.refactor;
-            if let Some(plan) = &args.faults {
-                mip.lp.faults = Some(std::sync::Arc::new(FaultPlan::parse(plan)?));
-            }
+            let mut mip = args.mip.clone();
             // Pre-build the whole-command budget and attach it so every
             // search layer (serial, work-stealing, portfolio arms) shares
             // its cooperative stop flag; Ctrl-C trips it for a graceful
@@ -484,8 +440,8 @@ fn run() -> Result<(), String> {
             // hence `--time-limit` — now covers the whole sweep rather
             // than each attempt separately.
             let budget = std::sync::Arc::new(tempart_lp::Budget::new(
-                args.limit,
-                args.node_limit,
+                mip.time_limit_secs,
+                mip.max_nodes,
                 usize::MAX,
             ));
             mip.lp.budget = Some(std::sync::Arc::clone(&budget));
@@ -570,7 +526,7 @@ fn run() -> Result<(), String> {
                             out.stats.contention.report()
                         );
                     }
-                    if args.stats {
+                    if args.mip.lp.profile {
                         println!("{}", out.stats.simplex.report());
                         if !out.stats.scale.is_empty() {
                             println!("{}", out.stats.scale.report());
@@ -640,7 +596,7 @@ fn run() -> Result<(), String> {
                     if let Some(w) = &result.mip_stats().portfolio_winner {
                         println!("portfolio: winner {w}");
                     }
-                    if args.stats {
+                    if args.mip.lp.profile {
                         println!("{}", result.mip_stats().simplex.report());
                         if !result.mip_stats().scale.is_empty() {
                             println!("{}", result.mip_stats().scale.report());
@@ -705,7 +661,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: tempart <solve|estimate|simulate|dot|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--portfolio] [--pricing dantzig|devex|bland] [--basis-update eta|ft|ft-markowitz] [--refactor fixed|dynamic] [--cuts] [--rins] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--stats] [--certify] [--json]");
+            eprintln!("usage: tempart <solve|estimate|simulate|dot|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--portfolio] [--pricing dantzig|devex|bland] [--basis-update eta|ft-markowitz] [--cuts] [--rins] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--stats] [--certify] [--json]");
             ExitCode::FAILURE
         }
     }

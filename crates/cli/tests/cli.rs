@@ -1,19 +1,41 @@
 //! End-to-end tests of the `tempart` binary.
 
+use std::ffi::OsStr;
+use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn tempart() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tempart"))
 }
 
-fn example_spec_path() -> std::path::PathBuf {
+/// The example spec in a file of its own, deleted on drop. Tests run in
+/// parallel (and several test processes may share the temp dir), so a
+/// shared file could be read while another test is rewriting it.
+struct ExampleSpec(PathBuf);
+
+impl AsRef<OsStr> for ExampleSpec {
+    fn as_ref(&self) -> &OsStr {
+        self.0.as_os_str()
+    }
+}
+
+impl Drop for ExampleSpec {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn example_spec_path() -> ExampleSpec {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join("tempart-cli-tests");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("example.json");
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("example-{}-{n}.json", std::process::id()));
     let out = tempart().arg("example").output().expect("run example");
     assert!(out.status.success());
     std::fs::write(&path, &out.stdout).expect("write spec");
-    path
+    ExampleSpec(path)
 }
 
 #[test]
@@ -147,6 +169,53 @@ fn solve_scale_flags_prove_the_same_optimum() {
         stderr.contains("--branching takes rule or pseudocost"),
         "{stderr}"
     );
+}
+
+#[test]
+fn basis_update_flag_takes_the_surviving_kernels() {
+    let spec = example_spec_path();
+    let out = tempart()
+        .arg("solve")
+        .arg(&spec)
+        .args(["--partitions", "2", "--latency", "1"])
+        .args(["--basis-update", "ft-markowitz", "--json"])
+        .output()
+        .expect("run solve --basis-update ft-markowitz");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.trim();
+    assert!(line.contains("\"status\":\"optimal\""), "{line}");
+    assert!(line.contains("\"objective\":0"), "{line}");
+
+    // `ft` is not a kernel and `--refactor` not a flag: each is a usage
+    // error whose usage line names the kernels there are.
+    for (flag, value, error) in [
+        (
+            "--basis-update",
+            "ft",
+            "--basis-update takes eta or ft-markowitz",
+        ),
+        ("--refactor", "dynamic", "unexpected argument `--refactor`"),
+    ] {
+        let out = tempart()
+            .arg("solve")
+            .arg(&spec)
+            .args(["--partitions", "2", flag, value])
+            .output()
+            .expect("run solve with a removed kernel option");
+        assert!(!out.status.success(), "{flag} {value} accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(error), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.contains("usage: ") && stderr.contains("[--basis-update eta|ft-markowitz]"),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(!stderr.contains("[--refactor"), "{flag} {value}: {stderr}");
+    }
 }
 
 #[test]

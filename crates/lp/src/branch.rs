@@ -392,7 +392,7 @@ impl<'a> BranchAndBound<'a> {
 }
 
 /// The whole-search [`Budget`]: a caller-supplied one
-/// ([`LpOptions::budget`]) when present — so an outside owner (the
+/// ([`LpOptions::budget`](crate::LpOptions::budget)) when present — so an outside owner (the
 /// `tempart-server` drain path, the CLI's Ctrl-C handler) can
 /// [`Budget::request_stop`] the search — otherwise a fresh budget built
 /// from the [`MipOptions`] limits, which nothing else holds, keeping the
@@ -518,20 +518,9 @@ pub(crate) fn solve_serial(
             let mut lp_opts = opts.lp.clone();
             lp_opts.time_limit_secs = lp_opts.time_limit_secs.min(remaining);
             lp_opts.budget = Some(Arc::clone(&budget));
-            // audit: allow(nondet) — per-node timer for BB_TRACE diagnostics only.
-            let node_start = Instant::now();
             let solved = solve_node_resilient(&core, &lower, &upper, node.warm.as_ref(), &lp_opts);
-            if std::env::var("BB_TRACE").is_ok() {
-                eprintln!(
-                    "node {} cold={:?} iters={:?} in {:?}",
-                    stats.nodes,
-                    solved.as_ref().map(|(_, cold)| *cold).ok(),
-                    solved.as_ref().map(|(o, _)| o.iterations).ok(),
-                    node_start.elapsed()
-                );
-            }
             let outcome = match solved {
-                Ok((o, _)) => o,
+                Ok(o) => o,
                 Err(LpError::Timeout) => {
                     status = MipStatus::TimeLimit;
                     stack.push(node);

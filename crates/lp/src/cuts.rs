@@ -241,9 +241,9 @@ pub fn separate_clique_cuts(problem: &Problem, x: &[f64], min_violation: f64) ->
 
 /// A managed cut pool: deduplicates incoming cuts, tracks each cut's
 /// activity at the most recent LP point, and evicts cuts that have been
-/// slack for [`CutPool::max_age`] consecutive rounds. Evicted cuts leave
-/// the dedup set, so a later round may legitimately re-separate them
-/// (activity-based re-separation).
+/// slack for `max_age` consecutive rounds (see [`CutPool::new`]). Evicted
+/// cuts leave the dedup set, so a later round may legitimately
+/// re-separate them (activity-based re-separation).
 #[derive(Debug)]
 pub struct CutPool {
     entries: Vec<PoolEntry>,

@@ -33,17 +33,16 @@
 //!
 //! `update` is read-only until the transformed diagonal `d` is known; if
 //! `d` fails [`crate::tol::ft_pivot_ok`] the factors are left untouched
-//! and the caller refactorizes. With the `Markowitz` variant the
-//! refactorization itself pivots by (static Markowitz count × relative
-//! stability) instead of pure partial pivoting, trading a bounded loss
-//! of growth protection for markedly less fill on the wide, slack-heavy
-//! bases this workload produces.
+//! and the caller refactorizes. The factorization itself pivots by
+//! (static Markowitz count × relative stability) instead of pure partial
+//! pivoting, trading a bounded loss of growth protection for markedly
+//! less fill on the wide, slack-heavy bases this workload produces.
 #![allow(clippy::needless_range_loop)] // dense kernels index several arrays in lockstep
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::lu::{LuFactors, LuScratch};
+use crate::lu::LuScratch;
 use crate::sparse::CscMatrix;
 use crate::tol::{ft_pivot_ok, is_nonzero};
 use crate::LpError;
@@ -74,7 +73,7 @@ pub(crate) struct FtFactors {
     pivot_pos: Vec<usize>,
     /// Column `s` of `L` below the diagonal: `(original_row, multiplier)`.
     l_cols: Vec<Vec<(usize, f64)>>,
-    /// Reverse adjacency of `Lᵀ` (see [`LuFactors`]). Frozen.
+    /// Reverse adjacency of `Lᵀ` (see [`crate::lu::LuFactors`]). Frozen.
     l_deps: Vec<Vec<usize>>,
     /// Live `U`, column-wise: `ucol[s]` holds `(t, U[t,s])` for the
     /// above-diagonal entries of column `s` (`pos[t] < pos[s]`).
@@ -116,48 +115,6 @@ pub(crate) struct FtFactors {
 }
 
 impl FtFactors {
-    /// Wraps a partial-pivot factorization for Forrest–Tomlin
-    /// maintenance. Solves are bit-identical to the wrapped
-    /// [`LuFactors`] until the first accepted update.
-    pub(crate) fn from_lu(lu: LuFactors) -> Self {
-        let m = lu.m;
-        let mut urow: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for (s, u_col) in lu.u_cols.iter().enumerate() {
-            for &(t, v) in u_col {
-                urow[t].push((s, v));
-            }
-        }
-        let base_nnz = lu.nnz();
-        let l_nnz = lu.l_cols.iter().map(Vec::len).sum();
-        let u_nnz = lu.u_cols.iter().map(Vec::len).sum();
-        Self {
-            m,
-            pivot_row: lu.pivot_row,
-            pivot_pos: lu.pivot_pos,
-            l_cols: lu.l_cols,
-            l_deps: lu.l_deps,
-            ucol: lu.u_cols,
-            urow,
-            diag: lu.u_diag,
-            order: (0..m).collect(),
-            pos: (0..m).collect(),
-            col_of_slot: (0..m).collect(),
-            slot_of_col: (0..m).collect(),
-            etas: Vec::new(),
-            num_updates: 0,
-            base_nnz,
-            l_nnz,
-            u_nnz,
-            eta_nnz: 0,
-            work_v: vec![0.0; m],
-            work_in_v: vec![false; m],
-            work_vpat: Vec::new(),
-            work_acc: vec![0.0; m],
-            work_in_acc: vec![false; m],
-            work_heap: BinaryHeap::new(),
-        }
-    }
-
     /// Factorizes columns `basis` of `a` with Markowitz pivoting: columns
     /// are processed in ascending static nonzero count, and within each
     /// column the pivot row minimizes the static row count among rows
@@ -412,7 +369,7 @@ impl FtFactors {
 
     /// Hypersparse [`ftran`](Self::ftran): only slots reachable from the
     /// nonzeros of `b` are visited. Same contract as
-    /// [`LuFactors::ftran_sparse`].
+    /// [`LuFactors::ftran_sparse`](crate::lu::LuFactors::ftran_sparse).
     pub(crate) fn ftran_sparse(
         &self,
         buf: &mut [f64],
@@ -491,7 +448,7 @@ impl FtFactors {
     }
 
     /// Hypersparse [`btran`](Self::btran). Same contract as
-    /// [`LuFactors::btran_sparse`].
+    /// [`LuFactors::btran_sparse`](crate::lu::LuFactors::btran_sparse).
     pub(crate) fn btran_sparse(
         &self,
         buf: &mut [f64],
@@ -748,6 +705,7 @@ impl FtFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lu::LuFactors;
     use proptest::prelude::*;
 
     /// Dense reference solve via Gaussian elimination, partial pivoting.
@@ -879,30 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn from_lu_matches_wrapped_factors() {
-        let a = CscMatrix::from_triplets(
-            3,
-            5,
-            vec![
-                (0, 0, 2.0),
-                (1, 0, 1.0),
-                (0, 1, 1.0),
-                (2, 1, 3.0),
-                (1, 2, 4.0),
-                (2, 2, 1.0),
-                (0, 3, 1.0),
-                (1, 4, 1.0),
-            ],
-        );
-        for basis in [[0usize, 1, 2], [3, 1, 2], [0, 4, 1]] {
-            let ft = FtFactors::from_lu(LuFactors::factorize(&a, &basis, 1e-10).unwrap());
-            assert_eq!(ft.updates_len(), 0);
-            assert!((ft.fill_ratio() - 1.0).abs() < 1e-15);
-            check_all_solves(&ft, &a, &basis, 1e-8);
-        }
-    }
-
-    #[test]
     fn markowitz_matches_dense() {
         let a = CscMatrix::from_triplets(
             4,
@@ -954,7 +888,7 @@ mod tests {
             ],
         );
         let mut basis = vec![0usize, 1, 2];
-        let mut ft = FtFactors::from_lu(LuFactors::factorize(&a, &basis, 1e-10).unwrap());
+        let mut ft = FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap();
         for (step, (c, new_col)) in [(0usize, 3usize), (2, 4), (1, 5), (0, 2)]
             .into_iter()
             .enumerate()
@@ -980,7 +914,7 @@ mod tests {
             vec![(0, 0, 2.0), (1, 0, 1.0), (1, 1, 3.0), (1, 2, 3.0)],
         );
         let basis = [0usize, 1];
-        let mut ft = FtFactors::from_lu(LuFactors::factorize(&a, &basis, 1e-10).unwrap());
+        let mut ft = FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap();
         let w = ftran_col(&ft, &a, 2);
         assert!(!ft.update(0, &w, None, 1e-10), "singular update accepted");
         assert_eq!(ft.updates_len(), 0);
@@ -1036,9 +970,7 @@ mod tests {
             }
             let a = CscMatrix::from_triplets(m, 2 * m, trips);
             let mut basis: Vec<usize> = (0..m).collect();
-            let mut ft = FtFactors::from_lu(
-                LuFactors::factorize(&a, &basis, 1e-10).unwrap(),
-            );
+            let mut ft = FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap();
             let mut scratch = LuScratch::default();
             let mut accepted = 0usize;
             for &(c, new_col, sparse) in &plan.steps {
@@ -1076,19 +1008,17 @@ mod tests {
                     "ftran drifted at {} after {} updates: {} vs {}",
                     i, accepted, got[i], want[i]);
             }
-            // Forced refactorization (both pivot rules) reproduces the
-            // same solution from scratch.
-            for markowitz in [false, true] {
-                let fresh = if markowitz {
-                    FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap()
-                } else {
-                    FtFactors::from_lu(LuFactors::factorize(&a, &basis, 1e-10).unwrap())
-                };
-                let mut refreshed = b.clone();
-                fresh.ftran(&mut refreshed);
+            // A forced refactorization under either pivot rule (Markowitz,
+            // or the eta file's partial pivoting) reproduces the same
+            // solution from scratch.
+            let mut markowitz = b.clone();
+            FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap().ftran(&mut markowitz);
+            let mut partial = b.clone();
+            LuFactors::factorize(&a, &basis, 1e-10).unwrap().ftran(&mut partial);
+            for (rule, refreshed) in [("markowitz", &markowitz), ("partial", &partial)] {
                 for i in 0..m {
                     prop_assert!((refreshed[i] - got[i]).abs() < 1e-6 * got[i].abs().max(1.0),
-                        "refactorization disagrees at {} (markowitz={})", i, markowitz);
+                        "{} refactorization disagrees at {}", rule, i);
                 }
             }
             check_all_solves(&ft, &a, &basis, 1e-5);

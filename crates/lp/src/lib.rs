@@ -20,8 +20,6 @@
 //!   [`BranchingRule`]s: most-fractional, lowest-index (a deterministic
 //!   stand-in for an unguided solver default), and priority-ordered with
 //!   preferred directions (the paper's heuristic).
-//! * [`presolve`] — optional, reversible problem reductions (singleton
-//!   rows, redundant/forcing rows, fixed-variable elimination).
 //! * [`write_lp_format`] / [`write_mps`] — exports for external solvers.
 //!
 //! ## Example
@@ -54,7 +52,6 @@ mod mps;
 mod options;
 mod parallel;
 mod portfolio;
-mod presolve;
 mod problem;
 mod profile;
 mod progress;
@@ -79,8 +76,7 @@ pub use cuts::{
 };
 pub use faults::{Budget, BudgetExceeded, FaultPlan, FaultSite};
 pub use mps::write_mps;
-pub use options::{BasisUpdate, Branching, LpOptions, MipOptions, Pricing, RefactorSchedule};
-pub use presolve::{presolve, PresolveResult, Presolved};
+pub use options::{BasisUpdate, Branching, LpOptions, MipOptions, Pricing};
 pub use problem::{LpError, Problem, RowId, RowView, Sense, VarId, VarKind};
 pub use profile::{ContentionProfile, ScaleProfile, SimplexProfile};
 pub use progress::Progress;

@@ -18,27 +18,27 @@ use crate::LpError;
 /// pivot.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
-    pub(crate) m: usize,
+    m: usize,
     /// `pivot_row[j]` = original row index of pivot `j`.
-    pub(crate) pivot_row: Vec<usize>,
+    pivot_row: Vec<usize>,
     /// `pivot_pos[r]` = pivot position of original row `r`.
-    pub(crate) pivot_pos: Vec<usize>,
+    pivot_pos: Vec<usize>,
     /// Column `j` of `L` below the diagonal: `(original_row, multiplier)`.
-    pub(crate) l_cols: Vec<Vec<(usize, f64)>>,
+    l_cols: Vec<Vec<(usize, f64)>>,
     /// Column `j` of `U` above the diagonal: `(pivot_pos k < j, value)`.
-    pub(crate) u_cols: Vec<Vec<(usize, f64)>>,
+    u_cols: Vec<Vec<(usize, f64)>>,
     /// Diagonal of `U`.
-    pub(crate) u_diag: Vec<f64>,
+    u_diag: Vec<f64>,
     /// Row-wise copy of `U` in one array: row `k` (see
     /// [`u_row`](Self::u_row)) holds `(column j > k, u_kj)`, columns
     /// ascending. Drives the hypersparse `Uᵀ` solve, which pushes each
     /// nonzero `z_k` along its row.
-    pub(crate) u_rows: Vec<(usize, f64)>,
+    u_rows: Vec<(usize, f64)>,
     /// Row `k` of `U` is `u_rows[u_row_start[k]..u_row_start[k + 1]]`.
-    pub(crate) u_row_start: Vec<usize>,
+    u_row_start: Vec<usize>,
     /// Reverse adjacency of `Lᵀ`: pivot `k` → pivots `j < k` whose `L`
     /// column touches a row pivoted at `k`. Drives hypersparse BTRAN.
-    pub(crate) l_deps: Vec<Vec<usize>>,
+    l_deps: Vec<Vec<usize>>,
 }
 
 /// Reusable workspace for the hypersparse (pattern-tracked) triangular
@@ -273,15 +273,6 @@ impl LuFactors {
     #[allow(dead_code)] // part of the module's natural API surface
     pub fn dim(&self) -> usize {
         self.m
-    }
-
-    /// Stored nonzeros across both factors (`L` off-diagonals, `U`
-    /// off-diagonals, and the `U` diagonal) — the baseline the dynamic
-    /// refactorization trigger measures update fill-in against.
-    pub fn nnz(&self) -> usize {
-        self.m
-            + self.l_cols.iter().map(Vec::len).sum::<usize>()
-            + self.u_cols.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Solves `B w = b` in place: on entry `buf` holds `b` (indexed by
@@ -762,18 +753,6 @@ mod tests {
         assert!(scratch.queued.iter().all(|&q| !q));
         assert!(scratch.bits.iter().all(|&b| b == 0));
         assert!(scratch.z.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn lu_nnz_counts_all_stored_entries() {
-        let a = CscMatrix::from_triplets(
-            2,
-            2,
-            vec![(0, 0, 2.0), (1, 0, 1.0), (0, 1, 1.0), (1, 1, 3.0)],
-        );
-        let lu = LuFactors::factorize(&a, &[0, 1], 1e-10).unwrap();
-        // Dense 2x2: 1 L off-diagonal + 1 U off-diagonal + 2 diagonals.
-        assert_eq!(lu.nnz(), 4);
     }
 
     #[test]

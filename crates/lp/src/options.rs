@@ -54,24 +54,25 @@ impl std::fmt::Display for Pricing {
     }
 }
 
-/// Basis-maintenance strategy between refactorizations.
+/// Basis-maintenance strategy between refactorizations. Each
+/// representation carries its own refactorization trigger (DESIGN.md §5h).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BasisUpdate {
     /// Product-form eta file: every pivot appends an eta matrix that FTRAN/
-    /// BTRAN apply on top of the last LU factorization. This is the *legacy
-    /// engine* — its arithmetic is part of the pinned golden pivot
-    /// sequence, so it is the default.
+    /// BTRAN apply on top of the last LU factorization, and the basis is
+    /// refactorized after every [`LpOptions::refactor_every`] updates. This
+    /// is the *legacy engine* — its arithmetic is part of the pinned golden
+    /// pivot sequence, so it is the default.
     #[default]
     Eta,
-    /// Forrest–Tomlin updates applied directly to the `U` factor: each pivot
-    /// replaces a `U` column with the spike and eliminates the spiked row
-    /// into a short row eta, so solve cost tracks the (slowly growing) `U`
-    /// fill instead of the eta-file length. Same optima, different float
-    /// rounding, hence opt-in.
-    Ft,
-    /// Forrest–Tomlin updates over a Markowitz-ordered refactorization
-    /// (pivots chosen by fill-in × stability instead of pure partial
-    /// pivoting), minimizing the `U` fill the updates have to drag along.
+    /// Forrest–Tomlin updates over a Markowitz-ordered factorization: each
+    /// pivot replaces a `U` column with the spike and eliminates the spiked
+    /// row into a short row eta, so solve cost tracks the (slowly growing)
+    /// `U` fill instead of the eta-file length, and the Markowitz pivot
+    /// order (fill-in × stability) keeps that fill small. The basis is
+    /// refactorized when the measured fill doubles, when an update fails
+    /// the stability test, or after `4 ×` [`LpOptions::refactor_every`]
+    /// updates. Same optima, different float rounding, hence opt-in.
     FtMarkowitz,
 }
 
@@ -80,7 +81,6 @@ impl BasisUpdate {
     pub fn as_str(self) -> &'static str {
         match self {
             BasisUpdate::Eta => "eta",
-            BasisUpdate::Ft => "ft",
             BasisUpdate::FtMarkowitz => "ft-markowitz",
         }
     }
@@ -89,7 +89,6 @@ impl BasisUpdate {
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "eta" => Some(BasisUpdate::Eta),
-            "ft" => Some(BasisUpdate::Ft),
             "ft-markowitz" => Some(BasisUpdate::FtMarkowitz),
             _ => None,
         }
@@ -97,47 +96,6 @@ impl BasisUpdate {
 }
 
 impl std::fmt::Display for BasisUpdate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// When to refactorize the basis from scratch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefactorSchedule {
-    /// Refactorize after exactly [`LpOptions::refactor_every`] updates —
-    /// the legacy fixed schedule. Its refactorization points are part of
-    /// the pinned golden arithmetic, so it is the default.
-    #[default]
-    Fixed,
-    /// Refactorize when the measured update fill-in has grown past a
-    /// multiple of the factored nonzeros, when an update reports a
-    /// stability concern, or at a hard update cap — whichever comes first.
-    /// Cheap bases run much longer between refactorizations; ill-behaved
-    /// ones refactorize sooner than the fixed schedule would.
-    Dynamic,
-}
-
-impl RefactorSchedule {
-    /// Stable lower-case name (CLI flag values, JSON reports).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RefactorSchedule::Fixed => "fixed",
-            RefactorSchedule::Dynamic => "dynamic",
-        }
-    }
-
-    /// Parses a CLI-style name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "fixed" => Some(RefactorSchedule::Fixed),
-            "dynamic" => Some(RefactorSchedule::Dynamic),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for RefactorSchedule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
@@ -196,16 +154,13 @@ pub struct LpOptions {
     pub pivot_tol: f64,
     /// Hard iteration cap across both phases.
     pub max_iterations: usize,
-    /// Refactorize the basis after this many eta updates (the
-    /// [`RefactorSchedule::Fixed`] interval; the dynamic schedule uses it
-    /// only as a scale for its hard cap).
+    /// Refactorize an eta-file basis after this many updates; a
+    /// Forrest–Tomlin basis is refactorized after at most `4 ×` this many
+    /// (see [`BasisUpdate`]). The numerical retry ladder lowers it.
     pub refactor_every: usize,
     /// Basis-maintenance strategy between refactorizations (see
     /// [`BasisUpdate`]). The default eta file is the pinned legacy engine.
     pub basis_update: BasisUpdate,
-    /// Refactorization schedule (see [`RefactorSchedule`]). The default
-    /// fixed interval is part of the pinned legacy arithmetic.
-    pub refactor: RefactorSchedule,
     /// Wall-clock limit in seconds for one solve (`f64::INFINITY` to
     /// disable); exceeding it raises [`LpError::Timeout`](crate::LpError).
     pub time_limit_secs: f64,
@@ -240,7 +195,6 @@ impl Default for LpOptions {
             max_iterations: 200_000,
             refactor_every: 64,
             basis_update: BasisUpdate::Eta,
-            refactor: RefactorSchedule::Fixed,
             time_limit_secs: f64::INFINITY,
             dual_iteration_cap: 2_000,
             pricing: Pricing::Dantzig,
@@ -364,11 +318,6 @@ mod tests {
             BasisUpdate::Eta,
             "legacy eta file by default — the pins depend on it"
         );
-        assert_eq!(
-            lp.refactor,
-            RefactorSchedule::Fixed,
-            "legacy fixed schedule by default — the pins depend on it"
-        );
         assert!(!lp.profile, "timers are opt-in");
         let mip = MipOptions::default();
         assert!(mip.int_tol >= lp.feas_tol);
@@ -401,22 +350,13 @@ mod tests {
 
     #[test]
     fn basis_update_names_roundtrip() {
-        for b in [BasisUpdate::Eta, BasisUpdate::Ft, BasisUpdate::FtMarkowitz] {
+        for b in [BasisUpdate::Eta, BasisUpdate::FtMarkowitz] {
             assert_eq!(BasisUpdate::parse(b.as_str()), Some(b));
             assert_eq!(BasisUpdate::parse(&b.as_str().to_uppercase()), Some(b));
             assert_eq!(format!("{b}"), b.as_str());
         }
         assert_eq!(BasisUpdate::parse("bartels-golub"), None);
-    }
-
-    #[test]
-    fn refactor_schedule_names_roundtrip() {
-        for r in [RefactorSchedule::Fixed, RefactorSchedule::Dynamic] {
-            assert_eq!(RefactorSchedule::parse(r.as_str()), Some(r));
-            assert_eq!(RefactorSchedule::parse(&r.as_str().to_uppercase()), Some(r));
-            assert_eq!(format!("{r}"), r.as_str());
-        }
-        assert_eq!(RefactorSchedule::parse("never"), None);
+        assert_eq!(BasisUpdate::parse("ft"), None);
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //!   copy-on-first-mutation point, counted as `cow_clones` while the
 //!   sibling still shares the `Arc`.
 //! * **Seqlock incumbent exchange** — the incumbent objective lives in an
-//!   `AtomicU64` ([`bound_key`] encoding) read wait-free by the pruning
-//!   path; the solution vector sits in an [`IncumbentCell`] slot that
-//!   writers claim with a CAS (retries counted as `incumbent_retries`).
+//!   `AtomicU64` ([`bound_key`](crate::worksteal::bound_key) encoding)
+//!   read wait-free by the pruning path; the solution vector sits in an
+//!   [`IncumbentCell`] slot that writers claim with a CAS (retries counted
+//!   as `incumbent_retries`).
 //!   No mutex anywhere on the incumbent path, and improvements publish
 //!   promptly — stale-incumbent node blowup is bounded by tests.
 //! * **Cooperative cancellation** — deadline and node-limit breaches set an
@@ -558,7 +559,7 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
             }
         };
         let outcome = match solved {
-            Ok((o, _)) => o,
+            Ok(o) => o,
             Err(LpError::Timeout) => {
                 shared.flag_limit(MipStatus::TimeLimit);
                 shared.abort(Some(node), &mut local);

@@ -12,8 +12,9 @@
 //! bootstraps the most fractional candidates with *strong-branching*
 //! probes ([`reliability_init`]): both children solved to optimality under
 //! an iteration cap, warm-started from the root basis. With no history at
-//! all the caller falls back to the static [`BranchingRule`]
-//! (`crate::BranchingRule`), so the feature degrades gracefully.
+//! all the caller falls back to the static
+//! [`BranchingRule`](crate::BranchingRule), so the feature degrades
+//! gracefully.
 //!
 //! Determinism: observations arrive in node-visit order, selection
 //! tie-breaks on the variable index, and no wall-clock or hashing enters
@@ -202,7 +203,7 @@ pub(crate) fn reliability_init(
             lo[v.index()] = val;
             hi[v.index()] = val;
             match solve_node_resilient(core, &lo, &hi, Some(snapshot), &probe_opts) {
-                Ok((out, _)) => {
+                Ok(out) => {
                     solves += 1;
                     iters += out.iterations;
                     match out.status {

@@ -3,11 +3,13 @@
 //!
 //! The basis is maintained behind [`BasisRepr`]: either a sparse LU
 //! factorization ([`crate::lu::LuFactors`]) plus a product-form eta file
-//! (the pinned legacy default), or Forrest–Tomlin-updated factors
-//! ([`crate::ft::FtFactors`], [`BasisUpdate::Ft`]/[`BasisUpdate::FtMarkowitz`]).
-//! The factorization is rebuilt every [`LpOptions::refactor_every`] pivots
-//! under the fixed schedule, or when measured fill-in growth crosses a
-//! threshold under [`RefactorSchedule::Dynamic`].
+//! (the pinned legacy default), or Markowitz-ordered Forrest–Tomlin factors
+//! ([`crate::ft::FtFactors`], [`BasisUpdate::FtMarkowitz`]). The
+//! representation picks the refactorization trigger: the eta file is
+//! rebuilt every [`LpOptions::refactor_every`] pivots, the Forrest–Tomlin
+//! factors when their measured fill-in doubles ([`DYNAMIC_FILL_LIMIT`]),
+//! when an update fails its stability test, or at an update cap
+//! ([`DYNAMIC_UPDATE_CAP`]).
 //!
 //! Style note: the numerical kernels iterate dense work arrays by index on
 //! purpose (several arrays are updated in lockstep); the iterator forms
@@ -19,7 +21,7 @@ use std::time::Instant;
 use crate::ft::FtFactors;
 use crate::internal::CoreLp;
 use crate::lu::{LuFactors, LuScratch};
-use crate::options::{BasisUpdate, LpOptions, Pricing, RefactorSchedule};
+use crate::options::{BasisUpdate, LpOptions, Pricing};
 use crate::problem::{LpError, Problem};
 use crate::profile::{tick, tock, SimplexProfile};
 use crate::sparse::CsrMatrix;
@@ -84,8 +86,8 @@ struct Eta {
 /// The `Eta` variant is the legacy product-form scheme whose pivot
 /// sequence the golden tests pin; its arithmetic is bit-identical to the
 /// pre-[`FtFactors`] solver. The `Ft` variant applies Forrest–Tomlin
-/// updates directly to the U factor instead of appending etas, which keeps
-/// FTRAN/BTRAN cost flat as pivots accumulate.
+/// updates directly to a Markowitz-ordered U factor instead of appending
+/// etas, which keeps FTRAN/BTRAN cost flat as pivots accumulate.
 // One instance lives per solve (never in a collection), so the size gap
 // between variants costs nothing; boxing would tax every FTRAN/BTRAN.
 #[allow(clippy::large_enum_variant)]
@@ -102,20 +104,6 @@ impl BasisRepr {
             BasisRepr::Ft(ft) => ft.updates_len(),
         }
     }
-
-    /// Stored nonzeros now relative to the factorization baseline — the
-    /// dynamic refactorization trigger's fill-growth measure (`1.0` right
-    /// after a refactorization).
-    fn fill_ratio(&self) -> f64 {
-        match self {
-            BasisRepr::Eta { lu, etas } => {
-                let base = lu.nnz();
-                let eta_nnz: usize = etas.iter().map(|e| e.entries.len() + 1).sum();
-                (base + eta_nnz) as f64 / base.max(1) as f64
-            }
-            BasisRepr::Ft(ft) => ft.fill_ratio(),
-        }
-    }
 }
 
 /// Builds the configured basis representation from a factorization of the
@@ -126,11 +114,6 @@ fn build_basis(core: &CoreLp, basic: &[usize], opts: &LpOptions) -> Result<Basis
             lu: LuFactors::factorize(&core.a, basic, opts.pivot_tol)?,
             etas: Vec::new(),
         },
-        BasisUpdate::Ft => BasisRepr::Ft(FtFactors::from_lu(LuFactors::factorize(
-            &core.a,
-            basic,
-            opts.pivot_tol,
-        )?)),
         BasisUpdate::FtMarkowitz => BasisRepr::Ft(FtFactors::factorize_markowitz(
             &core.a,
             basic,
@@ -139,14 +122,14 @@ fn build_basis(core: &CoreLp, basic: &[usize], opts: &LpOptions) -> Result<Basis
     })
 }
 
-/// Dynamic refactorization: rebuild once the factors hold this many times
-/// the nonzeros they started with. Below it, an aging factorization is
-/// still cheaper to apply than a rebuild is to run.
+/// Dynamic (Forrest–Tomlin) refactorization: rebuild once the factors hold
+/// this many times the nonzeros they started with. Below it, an aging
+/// factorization is still cheaper to apply than a rebuild is to run.
 const DYNAMIC_FILL_LIMIT: f64 = 2.0;
 
-/// Dynamic refactorization: hard cap on recorded updates, as a multiple of
-/// [`LpOptions::refactor_every`], so slowly-filling factorizations still
-/// retire before roundoff accumulates.
+/// Dynamic (Forrest–Tomlin) refactorization: hard cap on recorded updates,
+/// as a multiple of [`LpOptions::refactor_every`], so slowly-filling
+/// factorizations still retire before roundoff accumulates.
 const DYNAMIC_UPDATE_CAP: usize = 4;
 
 /// Preallocated per-solve work vectors, so no simplex iteration allocates.
@@ -641,19 +624,19 @@ impl<'a> Simplex<'a> {
 
     /// Whether the basis representation is due for a rebuild.
     ///
-    /// [`RefactorSchedule::Fixed`] reproduces the legacy schedule exactly:
-    /// rebuild after [`LpOptions::refactor_every`] recorded updates.
-    /// [`RefactorSchedule::Dynamic`] rebuilds on measured fill-in growth
-    /// ([`DYNAMIC_FILL_LIMIT`]) with an update-count backstop
-    /// ([`DYNAMIC_UPDATE_CAP`]); the stability half of the trigger is the
-    /// Forrest–Tomlin pivot test itself, whose rejection refactorizes
-    /// immediately in [`update_basis`](Self::update_basis).
+    /// The eta file keeps the legacy schedule exactly: rebuild after
+    /// [`LpOptions::refactor_every`] recorded updates, because every
+    /// FTRAN/BTRAN replays the whole file. Forrest–Tomlin factors rebuild
+    /// on measured fill-in growth ([`DYNAMIC_FILL_LIMIT`]) with an update-count
+    /// backstop ([`DYNAMIC_UPDATE_CAP`]); the stability half of their trigger
+    /// is the pivot test itself, whose rejection refactorizes immediately
+    /// in [`update_basis`](Self::update_basis).
     fn should_refactor(&self) -> bool {
-        match self.opts.refactor {
-            RefactorSchedule::Fixed => self.basis.updates_len() >= self.opts.refactor_every,
-            RefactorSchedule::Dynamic => {
-                self.basis.fill_ratio() > DYNAMIC_FILL_LIMIT
-                    || self.basis.updates_len() >= DYNAMIC_UPDATE_CAP * self.opts.refactor_every
+        match &self.basis {
+            BasisRepr::Eta { etas, .. } => etas.len() >= self.opts.refactor_every,
+            BasisRepr::Ft(ft) => {
+                ft.fill_ratio() > DYNAMIC_FILL_LIMIT
+                    || ft.updates_len() >= DYNAMIC_UPDATE_CAP * self.opts.refactor_every
             }
         }
     }
@@ -990,18 +973,6 @@ impl<'a> Simplex<'a> {
                 if reached {
                     return Ok(LpStatus::Optimal);
                 }
-            }
-            if self.iterations.is_multiple_of(1000) && std::env::var("SIMPLEX_TRACE").is_ok() {
-                let obj: f64 = self
-                    .basic
-                    .iter()
-                    .zip(&self.xb)
-                    .map(|(&c, &v)| costs[c] * v)
-                    .sum();
-                eprintln!(
-                    "iter {} obj {:.6} degen_streak {}",
-                    self.iterations, obj, self.degen_streak
-                );
             }
             let bland = self.degen_streak > 40;
             let Some((q, dq)) = self.price_dantzig(costs, bland) else {
@@ -2065,30 +2036,29 @@ pub(crate) fn solve_core_cold(
 /// a warm dual start when a snapshot is available, a cold fallback when
 /// the warm solve is abandoned (dual-infeasible start, degenerate dual
 /// exceeding its cap, or a recoverable numerical failure), and the cold
-/// retry ladder of [`solve_core_cold`] underneath. The returned flag
-/// reports whether the node fell back to a cold solve; fallbacks are
-/// counted in [`SimplexProfile::warm_fallbacks`].
+/// retry ladder of [`solve_core_cold`] underneath. Fallbacks to a cold
+/// solve are counted in [`SimplexProfile::warm_fallbacks`].
 pub(crate) fn solve_node_resilient(
     core: &CoreLp,
     lower: &[f64],
     upper: &[f64],
     warm: Option<&BasisSnapshot>,
     opts: &LpOptions,
-) -> Result<(CoreOutcome, bool), LpError> {
+) -> Result<CoreOutcome, LpError> {
     if let Some(snapshot) = warm {
         match solve_core_warm(core, lower, upper, snapshot, opts) {
-            Ok(out) => return Ok((out, false)),
+            Ok(out) => return Ok(out),
             Err(WarmFail::NotDualFeasible)
             | Err(WarmFail::Error(LpError::SingularBasis))
             | Err(WarmFail::Error(LpError::IterationLimit)) => {
                 let mut out = solve_core_cold(core, lower, upper, opts)?;
                 out.profile.warm_fallbacks += 1;
-                return Ok((out, true));
+                return Ok(out);
             }
             Err(WarmFail::Error(e)) => return Err(e),
         }
     }
-    Ok((solve_core_cold(core, lower, upper, opts)?, false))
+    solve_core_cold(core, lower, upper, opts)
 }
 
 fn solve_core_cold_once(

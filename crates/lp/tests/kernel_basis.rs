@@ -1,12 +1,12 @@
-//! Basis-kernel integration tests: the Forrest–Tomlin representations and
-//! refactorization schedules must agree with the legacy eta file through
-//! the public API, and the per-phase profile timers must account for the
+//! Basis-kernel integration tests: the Forrest–Tomlin representation must
+//! agree with the legacy eta file through the public API, also across its
+//! refactorizations, and the per-phase profile timers must account for the
 //! solve wall clock.
 
 use proptest::prelude::*;
 use tempart_lp::{
     solve_lp, BasisUpdate, BranchAndBound, LpOptions, LpStatus, MipOptions, MipStatus, Pricing,
-    Problem, RefactorSchedule, Sense, SimplexProfile, VarKind,
+    Problem, Sense, SimplexProfile, VarKind,
 };
 
 /// Exhaustive 0-1 reference optimum.
@@ -71,76 +71,91 @@ fn build(mip: &RandomMip) -> Problem {
     p
 }
 
-/// The basis representation × schedule combinations that must all agree
-/// with the legacy default. `refactor_every = 2` forces frequent
-/// refactorizations (and FT update chains spanning them) even on tiny
-/// instances.
-const COMBOS: [(BasisUpdate, RefactorSchedule); 4] = [
-    (BasisUpdate::Ft, RefactorSchedule::Fixed),
-    (BasisUpdate::Ft, RefactorSchedule::Dynamic),
-    (BasisUpdate::FtMarkowitz, RefactorSchedule::Fixed),
-    (BasisUpdate::FtMarkowitz, RefactorSchedule::Dynamic),
-];
+/// The Forrest–Tomlin kernel under test. `refactor_every = 2` caps its
+/// update chains at 8, so refactorizations (and chains spanning them)
+/// happen even on small instances.
+fn ft_options(pricing: Pricing) -> LpOptions {
+    LpOptions {
+        pricing,
+        basis_update: BasisUpdate::FtMarkowitz,
+        refactor_every: 2,
+        ..LpOptions::default()
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every basis representation and refactorization schedule proves the
-    /// same LP relaxation as the legacy eta file, under both pricing
-    /// engines.
+    /// The Forrest–Tomlin kernel proves the same LP relaxation as the
+    /// legacy eta file, under both pricing engines.
     #[test]
     fn basis_kernels_agree_on_lp_objective(mip in random_mip()) {
         let p = build(&mip);
         for pricing in [Pricing::Dantzig, Pricing::Devex] {
             let base_opts = LpOptions { pricing, ..LpOptions::default() };
             let base = solve_lp(&p, &base_opts).expect("eta lp");
-            for (basis_update, refactor) in COMBOS {
-                let opts = LpOptions {
-                    pricing,
-                    basis_update,
-                    refactor,
-                    refactor_every: 2,
-                    ..LpOptions::default()
-                };
-                let out = solve_lp(&p, &opts).expect("ft lp");
-                prop_assert_eq!(out.status, base.status,
-                    "{} / {} / {}", pricing, basis_update, refactor);
-                if base.status == LpStatus::Optimal {
-                    prop_assert!((out.objective - base.objective).abs() < 1e-6,
-                        "{} / {} / {}: got {} want {}",
-                        pricing, basis_update, refactor, out.objective, base.objective);
-                    prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
-                }
+            let out = solve_lp(&p, &ft_options(pricing)).expect("ft lp");
+            prop_assert_eq!(out.status, base.status, "{}", pricing);
+            if base.status == LpStatus::Optimal {
+                prop_assert!((out.objective - base.objective).abs() < 1e-6,
+                    "{}: got {} want {}", pricing, out.objective, base.objective);
+                prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
             }
         }
     }
 
     /// Full branch-and-bound (cold primal + warm dual restarts) proves the
-    /// brute-force 0-1 optimum under every basis kernel.
+    /// brute-force 0-1 optimum under the Forrest–Tomlin kernel.
     #[test]
     fn basis_kernels_agree_on_mip_objective(mip in random_mip()) {
         let p = build(&mip);
         let reference = brute_force(&p);
-        for (basis_update, refactor) in COMBOS {
-            let mut opts = MipOptions::default();
-            opts.lp.basis_update = basis_update;
-            opts.lp.refactor = refactor;
-            opts.lp.refactor_every = 2;
-            let out = BranchAndBound::new(&p)
-                .options(opts)
-                .solve()
-                .expect("solver must not error");
-            match reference {
-                Some(bobj) => {
-                    prop_assert_eq!(out.status, MipStatus::Optimal,
-                        "{} / {}", basis_update, refactor);
-                    prop_assert!((out.objective - bobj).abs() < 1e-5,
-                        "{} / {}: got {} want {}", basis_update, refactor, out.objective, bobj);
-                    prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
-                }
-                None => prop_assert_eq!(out.status, MipStatus::Infeasible,
-                    "{} / {}", basis_update, refactor),
+        let opts = MipOptions { lp: ft_options(Pricing::Dantzig), ..MipOptions::default() };
+        let out = BranchAndBound::new(&p)
+            .options(opts)
+            .solve()
+            .expect("solver must not error");
+        match reference {
+            Some(bobj) => {
+                prop_assert_eq!(out.status, MipStatus::Optimal);
+                prop_assert!((out.objective - bobj).abs() < 1e-5,
+                    "got {} want {}", out.objective, bobj);
+                prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
             }
+            None => prop_assert_eq!(out.status, MipStatus::Infeasible),
+        }
+    }
+}
+
+/// Forrest–Tomlin update chains that cross refactorizations (the update
+/// cap of [`ft_options`], fill growth, or a rejected update) still prove
+/// the eta file's LP optimum, under both pricing engines.
+#[test]
+fn ft_update_chains_cross_refactorizations() {
+    for p in [timing_problem(8, 8), timing_problem(4, 12)] {
+        for pricing in [Pricing::Dantzig, Pricing::Devex] {
+            let base_opts = LpOptions {
+                pricing,
+                ..LpOptions::default()
+            };
+            let base = solve_lp(&p, &base_opts).expect("eta lp");
+            let out = solve_lp(&p, &ft_options(pricing)).expect("ft lp");
+            assert_eq!(base.status, LpStatus::Optimal, "{} / {pricing}", p.name());
+            assert_eq!(out.status, LpStatus::Optimal, "{} / {pricing}", p.name());
+            assert!(
+                out.profile.refactors > 0,
+                "{} / {pricing}: {} pivots without a refactorization",
+                p.name(),
+                out.iterations
+            );
+            assert!(
+                (out.objective - base.objective).abs() < 1e-6 * base.objective.abs().max(1.0),
+                "{} / {pricing}: got {} want {}",
+                p.name(),
+                out.objective,
+                base.objective
+            );
+            assert!(p.first_violated(&out.x, 1e-5).is_none());
         }
     }
 }
@@ -231,15 +246,14 @@ fn hypersparse_timing_problem(rows: usize) -> Problem {
 fn profile_sections_account_for_lp_time() {
     let dense = timing_problem(24, 24);
     let hypersparse = hypersparse_timing_problem(1500);
-    for (p, basis_update, refactor) in [
-        (&dense, BasisUpdate::Eta, RefactorSchedule::Fixed),
-        (&dense, BasisUpdate::Ft, RefactorSchedule::Dynamic),
-        (&hypersparse, BasisUpdate::Eta, RefactorSchedule::Fixed),
+    for (p, basis_update) in [
+        (&dense, BasisUpdate::Eta),
+        (&dense, BasisUpdate::FtMarkowitz),
+        (&hypersparse, BasisUpdate::Eta),
     ] {
         let opts = LpOptions {
             profile: true,
             basis_update,
-            refactor,
             ..LpOptions::default()
         };
         let mut total = SimplexProfile::default();
@@ -252,7 +266,7 @@ fn profile_sections_account_for_lp_time() {
         let coverage = total.timed_secs() / total.lp_secs;
         assert!(
             (0.95..=1.01).contains(&coverage),
-            "{}, {basis_update}/{refactor}: section timers cover {:.1}% of lp time \
+            "{}, {basis_update}: section timers cover {:.1}% of lp time \
              (pricing {:.1} ftran {:.1} btran {:.1} ratio {:.1} refactor {:.1} \
              update {:.1} other {:.1} vs lp {:.1} ms)",
             p.name(),

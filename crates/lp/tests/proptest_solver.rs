@@ -3,9 +3,8 @@
 
 use proptest::prelude::*;
 use tempart_lp::{
-    presolve, separate_cuts, solve_lp, BranchAndBound, Branching, FirstIndexRule, LpOptions,
-    LpStatus, MipOptions, MipStatus, MostFractionalRule, Presolved, Pricing, Problem, Sense,
-    VarKind,
+    separate_cuts, solve_lp, BranchAndBound, Branching, FirstIndexRule, LpOptions, LpStatus,
+    MipOptions, MipStatus, MostFractionalRule, Pricing, Problem, Sense, VarKind,
 };
 
 /// Exhaustive 0-1 reference optimum.
@@ -99,32 +98,6 @@ proptest! {
                     }
                 }
                 None => prop_assert_eq!(out.status, MipStatus::Infeasible),
-            }
-        }
-    }
-
-    /// Presolve → solve → restore agrees with the direct solve: same
-    /// status, same objective, and the restored point is feasible in the
-    /// original problem.
-    #[test]
-    fn presolve_preserves_the_optimum(mip in random_mip()) {
-        let p = build(&mip);
-        let direct = BranchAndBound::new(&p).solve().expect("direct solve");
-        match presolve(&p).expect("presolve") {
-            Presolved::Infeasible => {
-                prop_assert_eq!(direct.status, MipStatus::Infeasible);
-            }
-            Presolved::Reduced(r) => {
-                let reduced = BranchAndBound::new(&r.problem).solve().expect("reduced solve");
-                prop_assert_eq!(direct.status, reduced.status);
-                if direct.status == MipStatus::Optimal {
-                    let total = reduced.objective + r.objective_offset;
-                    prop_assert!((total - direct.objective).abs() < 1e-5,
-                        "reduced {} + offset {} vs direct {}",
-                        reduced.objective, r.objective_offset, direct.objective);
-                    let restored = r.restore(&reduced.x);
-                    prop_assert!(p.first_violated(&restored, 1e-5).is_none());
-                }
             }
         }
     }

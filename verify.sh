@@ -18,6 +18,9 @@ cargo fmt --check
 echo "== lint: clippy =="
 cargo clippy --workspace -- -D warnings
 
+echo "== lint: rustdoc links (tempart-lp, private items included) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p tempart-lp --document-private-items
+
 echo "== tier-1: build =="
 cargo build --release
 
