@@ -14,7 +14,7 @@
 //! | `no-panic` | `crates/lp/src`, `crates/core/src`, `crates/graph/src/scale.rs` | no `unwrap`/`expect`/`panic!`/`todo!` in non-test code |
 //! | `float-eq` | `crates/lp/src`, `crates/core/src` | no exact float `==`/`!=` outside `crates/lp/src/tol.rs` |
 //! | `nondet` | `crates/lp/src` except `faults.rs`, `profile.rs`; `crates/graph/src/scale.rs` | no `Instant::now`/`SystemTime`/`HashMap` in solver decision paths |
-//! | `lock-order` | `crates/lp/src/{parallel,worksteal,portfolio,pseudocost}.rs` | `lock(…)` acquisitions follow the `// lock-order: N` declarations |
+//! | `lock-order` | `crates/lp/src/{parallel,worksteal,pseudocost}.rs` | `lock(…)` acquisitions follow the `// lock-order: N` declarations |
 //! | `atomic-ordering` | `crates/{lp,server,cli}/src` (bins included) | every atomic `Ordering` site matches a file-scoped `// hb:` declaration |
 //!
 //! L4 deliberately does not track atomics: the work-stealing scheduler's
@@ -83,7 +83,6 @@ pub fn lints_for_path(path: &str) -> FileLints {
             path,
             "crates/lp/src/parallel.rs"
                 | "crates/lp/src/worksteal.rs"
-                | "crates/lp/src/portfolio.rs"
                 | "crates/lp/src/pseudocost.rs"
                 | "crates/server/src/lib.rs"
                 | "crates/server/src/queue.rs"
@@ -176,8 +175,6 @@ mod tests {
 
         let ws = lints_for_path("crates/lp/src/worksteal.rs");
         assert!(ws.lock_order, "the deque locks are L4-ordered");
-        let pf = lints_for_path("crates/lp/src/portfolio.rs");
-        assert!(pf.lock_order);
         let pc = lints_for_path("crates/lp/src/pseudocost.rs");
         assert!(
             pc.lock_order && pc.no_panic && pc.float_eq && pc.nondet,

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Experiments: `table1`, `table2`, `table3`, `table4`, `ablation`,
-//! `simulate`, `parallel`, `portfolio`, `simplex`, `kernel`, `resilience`,
+//! `simulate`, `parallel`, `simplex`, `kernel`, `resilience`,
 //! `scale`, `service`, `all` (plus `scale-smoke` and `kernel-smoke`, the
 //! budgeted CI variants of `scale` and `kernel`). The `service` experiment drives the solve server's
 //! load-generator sweep (`service-bench` in the server crate) and writes
@@ -20,14 +20,13 @@
 //! gap-vs-deadline curve to `BENCH_resilience.json`.
 //!
 //! `--threads T` runs every table row on `T` branch-and-bound workers
-//! (`0` = one per CPU; default `1`, the faithful serial solver). The
+//! (`0` = one per CPU; default `1`, the deterministic one-worker search).
+//! The
 //! `parallel` experiment ignores it and sweeps its own thread counts over
 //! the work-stealing scheduler, writing the measurements — per-node
 //! wall-clock, per-worker busy time, and the contention counters — plus a
-//! pinned acceptance bar to `BENCH_parallel.json`. The `portfolio`
-//! experiment races the configuration portfolio against each arm run
-//! standalone on the flagship unguided row and writes
-//! `BENCH_portfolio.json`. The `simplex` experiment sweeps the pricing
+//! pinned acceptance bar to `BENCH_parallel.json`. The `simplex`
+//! experiment sweeps the pricing
 //! rules (Dantzig / devex / Bland) over the same instances and writes
 //! `BENCH_simplex.json`. The `kernel` experiment compares the two
 //! basis-maintenance engines (the eta file vs Markowitz-pivoted
@@ -76,7 +75,6 @@ fn main() {
             "ablation" => ablation(limit, threads),
             "simulate" => simulate(threads),
             "parallel" => parallel(limit),
-            "portfolio" => portfolio(limit),
             "simplex" => simplex(limit),
             "kernel" => kernel(limit, false),
             "kernel-smoke" => kernel(limit, true),
@@ -93,7 +91,6 @@ fn main() {
                 ablation(limit, threads);
                 simulate(threads);
                 parallel(limit);
-                portfolio(limit);
                 simplex(limit);
                 kernel(limit, false);
                 resilience(limit);
@@ -101,7 +98,7 @@ fn main() {
                 service(limit);
             }
             other => eprintln!(
-                "unknown experiment `{other}` (try table1..4, ablation, simulate, parallel, portfolio, simplex, kernel, kernel-smoke, resilience, scale, scale-smoke, service, race, all)"
+                "unknown experiment `{other}` (try table1..4, ablation, simulate, parallel, simplex, kernel, kernel-smoke, resilience, scale, scale-smoke, service, race, all)"
             ),
         }
     }
@@ -562,135 +559,6 @@ fn parallel(limit: f64) {
     match std::fs::write("BENCH_parallel.json", &json) {
         Ok(()) => println!("wrote BENCH_parallel.json ({} rows)", json_rows.len()),
         Err(e) => eprintln!("cannot write BENCH_parallel.json: {e}"),
-    }
-    println!();
-}
-
-/// Portfolio-racing study on the flagship unguided instance (g1, N=3, L=1,
-/// first-index rule — the configuration the race is designed to rescue):
-/// each racing arm is first run standalone and serial, then the portfolio
-/// races them all, one thread per arm, first conclusive finisher wins. The
-/// pinned bar: the race beats the *worst* single configuration — that is
-/// the whole point of a portfolio, insurance against picking the bad
-/// configuration, and it holds even on a 1-CPU host where the arms
-/// timeshare. Results go to stdout and `BENCH_portfolio.json`.
-fn portfolio(limit: f64) {
-    // The standalone arms, mirroring what `MipOptions::portfolio` races for
-    // a first-index caller (its Dantzig arm doubles as the unguided arm).
-    type Arm = (&'static str, RuleKind, Pricing);
-    let singles: [Arm; 3] = [
-        (
-            "first-index-dantzig",
-            RuleKind::FirstIndex,
-            Pricing::Dantzig,
-        ),
-        ("first-index-devex", RuleKind::FirstIndex, Pricing::Devex),
-        (
-            "most-fractional-devex",
-            RuleKind::MostFractional,
-            Pricing::Devex,
-        ),
-    ];
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("Portfolio racing: g1-N3-L1 unguided, single arms vs the race");
-    println!(
-        "(host has {host_cpus} CPU{}; on 1 CPU the racing arms timeshare)",
-        if host_cpus == 1 { "" } else { "s" }
-    );
-    println!(
-        "{:<28} {:>9} {:>7} {:>5} {:>9}",
-        "configuration", "wall(ms)", "nodes", "cost", "winner"
-    );
-    let base = |rule: RuleKind, pricing: Pricing, portfolio: bool| {
-        let mut cfg = RowConfig::new(1, (2, 2, 1), ModelConfig::tightened(3, 1), rule, limit);
-        cfg.solve.mip.lp.pricing = pricing;
-        cfg.solve.mip.portfolio = portfolio;
-        cfg
-    };
-    let mut json_rows: Vec<String> = Vec::new();
-    let mut worst_single: Option<(f64, &'static str)> = None;
-    for (name, rule, pricing) in singles {
-        match run_row(&base(rule, pricing, false)) {
-            Ok(row) => {
-                let wall_ms = row.seconds * 1e3;
-                if worst_single.is_none_or(|(w, _)| wall_ms > w) {
-                    worst_single = Some((wall_ms, name));
-                }
-                println!(
-                    "{:<28} {:>9.1} {:>7} {:>5} {:>9}",
-                    name,
-                    wall_ms,
-                    row.nodes,
-                    row.cost.map_or("-".to_string(), |c| c.to_string()),
-                    "-",
-                );
-                json_rows.push(format!(
-                    "  {{\"configuration\": \"{name}\", \"mode\": \"single\", \
-                     \"host_cpus\": {host_cpus}, \"wall_ms\": {:.3}, \"nodes\": {}, \
-                     \"lp_iterations\": {}, \"cost\": {}}}",
-                    wall_ms,
-                    row.nodes,
-                    row.lp_iterations,
-                    row.cost.map_or("null".to_string(), |c| c.to_string()),
-                ));
-            }
-            Err(e) => eprintln!("portfolio single {name} failed: {e}"),
-        }
-    }
-    match run_row(&base(RuleKind::FirstIndex, Pricing::Dantzig, true)) {
-        Ok(row) => {
-            let wall_ms = row.seconds * 1e3;
-            let winner = row
-                .stats
-                .portfolio_winner
-                .clone()
-                .unwrap_or_else(|| "-".to_string());
-            println!(
-                "{:<28} {:>9.1} {:>7} {:>5} {:>9}",
-                "portfolio (race)",
-                wall_ms,
-                row.nodes,
-                row.cost.map_or("-".to_string(), |c| c.to_string()),
-                winner,
-            );
-            let arm_nodes: Vec<String> = row
-                .stats
-                .per_worker_nodes
-                .iter()
-                .map(usize::to_string)
-                .collect();
-            json_rows.push(format!(
-                "  {{\"configuration\": \"portfolio\", \"mode\": \"race\", \
-                 \"host_cpus\": {host_cpus}, \"wall_ms\": {:.3}, \"nodes\": {}, \
-                 \"lp_iterations\": {}, \"cost\": {}, \"winner\": \"{winner}\", \
-                 \"arm_nodes\": [{}]}}",
-                wall_ms,
-                row.nodes,
-                row.lp_iterations,
-                row.cost.map_or("null".to_string(), |c| c.to_string()),
-                arm_nodes.join(", "),
-            ));
-            // Pinned bar: the race beats the worst single configuration.
-            if let Some((worst_ms, worst_name)) = worst_single {
-                let pass = wall_ms < worst_ms;
-                println!(
-                    "acceptance [{}]: race {wall_ms:.0} ms vs worst single \
-                     {worst_name} {worst_ms:.0} ms",
-                    if pass { "PASS" } else { "FAIL" }
-                );
-                json_rows.push(format!(
-                    "  {{\"acceptance\": \"race_beats_worst_single\", \
-                     \"worst_single\": \"{worst_name}\", \"worst_ms\": {worst_ms:.3}, \
-                     \"race_ms\": {wall_ms:.3}, \"pass\": {pass}}}"
-                ));
-            }
-        }
-        Err(e) => eprintln!("portfolio race failed: {e}"),
-    }
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_portfolio.json", &json) {
-        Ok(()) => println!("wrote BENCH_portfolio.json ({} rows)", json_rows.len()),
-        Err(e) => eprintln!("cannot write BENCH_portfolio.json: {e}"),
     }
     println!();
 }
@@ -1348,8 +1216,8 @@ fn resilience(limit: f64) {
 }
 
 /// Scale-layer study: the flagship unguided row (graph 1, N=3, L=1,
-/// first-index rule, unseeded — the ~10.7k-node tree the cut-and-heuristic
-/// layer exists to shrink) re-solved under each scale feature alone and
+/// first-index rule, unseeded — the ~10.7k-node tree the scale layer
+/// exists to shrink) re-solved under each scale feature alone and
 /// under the full stack. Every variant must prove the same optimum
 /// (cost 13); the headline acceptance bar is the full stack exploring at
 /// most 70% of the baseline's nodes. `smoke` runs only the baseline and
@@ -1357,14 +1225,13 @@ fn resilience(limit: f64) {
 /// `BENCH_scale.json` (written via `BENCH_scale.json.tmp` and renamed, so
 /// an interrupted run never leaves a truncated artifact).
 fn scale(limit: f64, smoke: bool) {
-    type Variant = (&'static str, bool, bool, bool, Branching);
-    let all: [Variant; 6] = [
-        ("baseline", false, false, false, Branching::Rule),
-        ("cuts", true, false, false, Branching::Rule),
-        ("propagate", false, false, true, Branching::Rule),
-        ("rins", false, true, false, Branching::Rule),
-        ("pseudocost", false, false, false, Branching::Pseudocost),
-        ("full-stack", true, true, true, Branching::Pseudocost),
+    type Variant = (&'static str, bool, bool, Branching);
+    let all: [Variant; 5] = [
+        ("baseline", false, false, Branching::Rule),
+        ("cuts", true, false, Branching::Rule),
+        ("propagate", false, true, Branching::Rule),
+        ("pseudocost", false, false, Branching::Pseudocost),
+        ("full-stack", true, true, Branching::Pseudocost),
     ];
     let variants: Vec<Variant> = if smoke {
         all.iter()
@@ -1375,21 +1242,20 @@ fn scale(limit: f64, smoke: bool) {
         all.to_vec()
     };
     println!(
-        "Scale layer: g1-N3-L1 unguided under the cut-and-heuristic stack{}",
+        "Scale layer: g1-N3-L1 unguided under the scale stack{}",
         if smoke { " (smoke)" } else { "" }
     );
     println!(
-        "{:<12} {:>9} {:>7} {:>9} {:>5} {:>6} {:>5} {:>5} {:>5} {:>7}",
-        "variant", "wall(ms)", "nodes", "lp-iters", "cost", "cuts", "prop", "rins", "sb", "vs-base"
+        "{:<12} {:>9} {:>7} {:>9} {:>5} {:>6} {:>5} {:>5} {:>7}",
+        "variant", "wall(ms)", "nodes", "lp-iters", "cost", "cuts", "prop", "sb", "vs-base"
     );
     let mut json_rows: Vec<String> = Vec::new();
     let mut baseline: Option<(usize, Option<u64>)> = None;
     let mut full: Option<(usize, Option<u64>)> = None;
-    for (name, cuts, rins, propagate, branching) in variants {
+    for (name, cuts, propagate, branching) in variants {
         let config = ModelConfig::tightened(3, 1);
         let mut cfg = RowConfig::new(1, (2, 2, 1), config, RuleKind::FirstIndex, limit);
         cfg.solve.mip.cuts = cuts;
-        cfg.solve.mip.rins = rins;
         cfg.solve.mip.propagate = propagate;
         cfg.solve.mip.branching = branching;
         let row = match run_row(&cfg) {
@@ -1411,7 +1277,7 @@ fn scale(limit: f64, smoke: bool) {
             .map(|(b, _)| row.nodes as f64 / b as f64);
         let s = row.stats.scale;
         println!(
-            "{:<12} {:>9.1} {:>7} {:>9} {:>5} {:>6} {:>5} {:>5} {:>5} {:>7}",
+            "{:<12} {:>9.1} {:>7} {:>9} {:>5} {:>6} {:>5} {:>5} {:>7}",
             name,
             wall_ms,
             row.nodes,
@@ -1419,18 +1285,16 @@ fn scale(limit: f64, smoke: bool) {
             row.cost.map_or("-".to_string(), |c| c.to_string()),
             s.cuts_applied,
             s.propagation_fixings + s.propagation_infeasible,
-            s.rins_incumbents,
             s.strong_branch_solves,
             vs_base.map_or("-".to_string(), |r| format!("{:.0}%", r * 100.0)),
         );
         json_rows.push(format!(
             "  {{\"variant\": \"{name}\", \"instance\": \"g1-N3-L1-unguided\", \
-             \"cuts\": {cuts}, \"rins\": {rins}, \"propagate\": {propagate}, \
+             \"cuts\": {cuts}, \"propagate\": {propagate}, \
              \"branching\": \"{}\", \"wall_ms\": {:.3}, \"nodes\": {}, \
              \"lp_iterations\": {}, \"cost\": {}, \
              \"cuts_separated\": {}, \"cuts_applied\": {}, \"cut_rounds\": {}, \
              \"propagation_fixings\": {}, \"propagation_infeasible\": {}, \
-             \"rins_runs\": {}, \"rins_incumbents\": {}, \"rins_nodes\": {}, \
              \"pseudocost_updates\": {}, \"strong_branch_solves\": {}, \
              \"nodes_vs_baseline\": {}}}",
             branching.as_str(),
@@ -1443,9 +1307,6 @@ fn scale(limit: f64, smoke: bool) {
             s.cut_rounds,
             s.propagation_fixings,
             s.propagation_infeasible,
-            s.rins_runs,
-            s.rins_incumbents,
-            s.rins_nodes,
             s.pseudocost_updates,
             s.strong_branch_solves,
             vs_base.map_or("null".to_string(), |r| format!("{r:.4}")),
@@ -1534,14 +1395,10 @@ fn race() {
     use tempart_lp::race_models;
     use tempart_race::explore::{Config, Report};
 
-    let scenarios: [(&str, fn(Config) -> Report); 5] = [
+    let scenarios: [(&str, fn(Config) -> Report); 4] = [
         ("deque_no_lost_items", race_models::deque_no_lost_items),
         ("seqlock_keeps_minimum", race_models::seqlock_keeps_minimum),
         ("rendezvous_terminates", race_models::rendezvous_terminates),
-        (
-            "stopflag_single_winner",
-            race_models::stopflag_single_winner,
-        ),
         (
             "proof_incomplete_join_edge",
             race_models::proof_incomplete_join_edge,

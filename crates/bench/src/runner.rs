@@ -102,8 +102,8 @@ pub struct ExperimentRow {
     pub pricing: Pricing,
     /// Full solver statistics: the merged simplex profile (timers populated
     /// only when [`LpOptions::profile`](tempart_lp::LpOptions::profile) was
-    /// set), the parallel scheduler's contention counters, per-worker
-    /// node/busy-time vectors, and the portfolio winner.
+    /// set), the work-stealing scheduler's contention counters, and the
+    /// per-worker node/busy-time vectors.
     pub stats: MipStats,
 }
 

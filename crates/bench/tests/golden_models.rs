@@ -5,7 +5,7 @@
 
 use tempart_bench::{date98_device, date98_instance, paper_graph};
 use tempart_core::{IlpModel, ModelConfig, SolveOptions};
-use tempart_lp::{MipStatus, Pricing};
+use tempart_lp::{Branching, MipStatus, Pricing};
 
 #[test]
 fn paper_graph_shapes_are_stable() {
@@ -57,11 +57,11 @@ fn table_row_model_sizes_are_stable() {
 #[test]
 fn serial_search_node_counts_pinned() {
     // Exact node and LP-iteration counts of the `threads = 1` search on
-    // graph 1's Table 3 rows. The serial visit order is part of the
-    // reproducibility contract (DESIGN.md §5b): the multi-threaded solver
-    // must leave this path bit-identical, so any movement here is a solver
-    // change, not run-to-run noise. Update together with EXPERIMENTS.md if
-    // intentional.
+    // graph 1's Table 3 rows. One worker visits nodes in a fixed
+    // depth-first order, and that order is part of the reproducibility
+    // contract (DESIGN.md §5b): any movement here is a solver change, not
+    // run-to-run noise, so each row is solved twice and both runs must
+    // agree. Update together with EXPERIMENTS.md if intentional.
     // The refactorization counts pin the legacy fixed schedule (eta file,
     // refactor every 64 updates): the FT/dynamic machinery must leave the
     // default engine's arithmetic — and therefore its refactor cadence —
@@ -76,30 +76,68 @@ fn serial_search_node_counts_pinned() {
     for ((n, l), status, nodes, lp_iters, refactors, cost) in expected {
         let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
         let model = IlpModel::build(inst, ModelConfig::tightened(n, l)).unwrap();
-        let out = model.solve(&SolveOptions::default()).unwrap();
-        assert_eq!(out.status, status, "N{n} L{l} status");
-        assert_eq!(out.stats.nodes, nodes, "N{n} L{l} nodes");
-        assert_eq!(out.stats.lp_iterations, lp_iters, "N{n} L{l} lp iterations");
-        assert_eq!(
-            out.stats.simplex.refactors, refactors,
-            "N{n} L{l} refactorizations (legacy fixed schedule)"
-        );
-        assert_eq!(
-            out.solution.as_ref().map(|s| s.communication_cost()),
-            cost,
-            "N{n} L{l} objective"
-        );
-        assert_eq!(
-            out.stats.per_worker_nodes,
-            vec![nodes],
-            "N{n} L{l} serial worker vec"
-        );
-        assert_eq!(
-            out.stats.contention,
-            Default::default(),
-            "N{n} L{l} serial contention"
-        );
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let out = model.solve(&SolveOptions::default()).unwrap();
+            assert_eq!(out.status, status, "N{n} L{l} status");
+            assert_eq!(out.stats.nodes, nodes, "N{n} L{l} nodes");
+            assert_eq!(out.stats.lp_iterations, lp_iters, "N{n} L{l} lp iterations");
+            assert_eq!(
+                out.stats.simplex.refactors, refactors,
+                "N{n} L{l} refactorizations (legacy fixed schedule)"
+            );
+            assert_eq!(
+                out.solution.as_ref().map(|s| s.communication_cost()),
+                cost,
+                "N{n} L{l} objective"
+            );
+            assert_eq!(
+                out.stats.per_worker_nodes,
+                vec![nodes],
+                "N{n} L{l} one-worker vec"
+            );
+            let c = &out.stats.contention;
+            assert_eq!(
+                (
+                    c.steals,
+                    c.steal_failures,
+                    c.lock_waits,
+                    c.incumbent_retries
+                ),
+                (0, 0, 0, 0),
+                "N{n} L{l}: one worker never contends"
+            );
+            runs.push((
+                out.stats.nodes,
+                out.stats.lp_iterations,
+                out.stats.pruned_by_bound,
+                out.stats.pruned_infeasible,
+                out.stats.incumbent_updates,
+            ));
+        }
+        assert_eq!(runs[0], runs[1], "N{n} L{l}: two runs, one search");
     }
+}
+
+#[test]
+fn pseudocost_bootstrap_pinned_at_one_worker() {
+    // Pseudo-cost branching starts from an empty history, so the root runs
+    // strong-branching probes (up to 8 candidates, both directions) before
+    // the first pseudo-cost selection. On graph 1's N2 L3 row the root LP
+    // is already integral after the probes: one node, 16 probes.
+    let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
+    let model = IlpModel::build(inst, ModelConfig::tightened(2, 3)).unwrap();
+    let mut opts = SolveOptions::default();
+    opts.mip.branching = Branching::Pseudocost;
+    let out = model.solve(&opts).unwrap();
+    assert_eq!(out.status, MipStatus::Optimal);
+    assert_eq!(out.stats.nodes, 1, "nodes");
+    assert_eq!(out.stats.lp_iterations, 733, "lp iterations");
+    assert_eq!(out.stats.scale.strong_branch_solves, 16, "probes");
+    assert_eq!(
+        out.solution.as_ref().map(|s| s.communication_cost()),
+        Some(0)
+    );
 }
 
 #[test]
@@ -220,39 +258,6 @@ fn parallel_node_counts_stay_bounded_on_paper_rows() {
             "threads {threads}: {} nodes vs {serial} serial — stale incumbent?",
             out.stats.nodes
         );
-    }
-}
-
-#[test]
-fn portfolio_race_agrees_on_paper_rows() {
-    // Racing the configuration portfolio decides each row exactly as the
-    // serial pins above — including proving infeasibility — and names the
-    // winning arm. The Paper-rule caller races five arms (guided ×
-    // Dantzig/devex, unguided Dantzig, most-fractional devex, and the
-    // guided Dantzig arm again under the scale layer's root cuts).
-    type Pin = ((u32, u32), MipStatus, Option<u64>);
-    let rows: [Pin; 3] = [
-        ((3, 0), MipStatus::Infeasible, None),
-        ((2, 2), MipStatus::Optimal, Some(5)),
-        ((2, 3), MipStatus::Optimal, Some(0)),
-    ];
-    for ((n, l), status, cost) in rows {
-        let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
-        let model = IlpModel::build(inst, ModelConfig::tightened(n, l)).unwrap();
-        let mut opts = SolveOptions::default();
-        opts.mip.portfolio = true;
-        let out = model.solve(&opts).unwrap();
-        assert_eq!(out.status, status, "N{n} L{l} status");
-        assert_eq!(
-            out.solution.as_ref().map(|s| s.communication_cost()),
-            cost,
-            "N{n} L{l} objective"
-        );
-        assert!(
-            out.stats.portfolio_winner.is_some(),
-            "N{n} L{l}: race must name a winner"
-        );
-        assert_eq!(out.stats.per_worker_nodes.len(), 5, "N{n} L{l} arm count");
     }
 }
 

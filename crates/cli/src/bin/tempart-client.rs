@@ -4,7 +4,7 @@
 //! tempart-client <host:port> solve <spec.json>
 //!                [--partitions N] [--latency L]
 //!                [--time-limit SECS] [--node-limit N] [--pivot-limit P]
-//!                [--threads T] [--portfolio] [--cuts] [--propagate] [--rins]
+//!                [--threads T] [--cuts] [--propagate]
 //!                [--branching rule|pseudocost]
 //!                [--progress] [--warm-start] [--json]
 //! tempart-client <host:port> ping
@@ -92,10 +92,8 @@ fn parse_args() -> Result<Args, String> {
                         .ok_or("--threads takes a worker count")?,
                 )
             }
-            "--portfolio" => args.params.portfolio = true,
-            "--cuts" => args.params.cuts = true,
-            "--propagate" => args.params.propagate = true,
-            "--rins" => args.params.rins = true,
+            "--cuts" => args.params.cuts = Some(true),
+            "--propagate" => args.params.propagate = Some(true),
             "--branching" => {
                 args.params.branching =
                     Some(it.next().ok_or("--branching takes rule or pseudocost")?)
@@ -218,7 +216,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: tempart-client <host:port> <solve|ping|shutdown> [spec.json] \
                  [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] \
-                 [--pivot-limit P] [--threads T] [--portfolio] [--cuts] [--propagate] [--rins] \
+                 [--pivot-limit P] [--threads T] [--cuts] [--propagate] \
                  [--branching rule|pseudocost] [--progress] [--warm-start] [--json]"
             );
             ExitCode::FAILURE

@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! tempart solve <spec.json> [--partitions N] [--latency L] [--time-limit SECS]
-//!               [--node-limit N] [--threads T] [--portfolio]
+//!               [--node-limit N] [--threads T]
 //!               [--pricing dantzig|devex|bland]
 //!               [--basis-update eta|ft-markowitz]
-//!               [--cuts] [--rins] [--propagate] [--branching rule|pseudocost]
+//!               [--cuts] [--propagate] [--branching rule|pseudocost]
 //!               [--scale K] [--faults PLAN] [--stats] [--certify] [--json]
 //! tempart estimate <spec.json>
 //! tempart simulate <spec.json> [--partitions N] [--latency L] [--threads T]
@@ -14,17 +14,12 @@
 //! tempart example
 //! ```
 //!
-//! `--threads T` runs the branch-and-bound node search on `T` worker
-//! threads (`0` = one per CPU) over a work-stealing scheduler. The default
-//! `1` is the exact serial solver with deterministic node counts; any `T`
+//! `--threads T` runs the branch-and-bound node search on `T` workers
+//! (`0` = one per CPU) of a work-stealing scheduler. The default `1` runs
+//! one worker on the main thread with deterministic node counts; any `T`
 //! proves the same optimum. Multi-worker runs print per-worker node counts
 //! and the scheduler's contention counters (steals, lock waits,
 //! copy-on-write basis clones, incumbent-exchange retries).
-//!
-//! `--portfolio` races complete solver configurations instead (the paper's
-//! guided rule plus unguided/diving rules, under both pricing engines),
-//! one serial solve per thread; the first conclusive finisher cancels the
-//! rest and is reported as the winner. Takes precedence over `--threads`.
 //!
 //! `--time-limit SECS` (alias `--limit`) and `--node-limit N` bound the
 //! search with anytime semantics: on expiry the best feasible answer found
@@ -32,7 +27,9 @@
 //! search has no incumbent yet the Figure-2 list-scheduling heuristic
 //! solution is reported instead (`source: heuristic`). `--json` prints a
 //! machine-readable summary (`status`, `gap`, `source`, `objective`,
-//! `nodes`) instead of the human-readable report.
+//! `nodes`) instead of the human-readable report. The time limit covers the
+//! whole command, an automatic latency sweep included; the node limit
+//! applies to each solve of the sweep on its own.
 //!
 //! `--faults PLAN` injects deterministic solver faults
 //! (`site@occurrence[,...]`, sites `singular|itercap|panic|skew`) to
@@ -66,12 +63,14 @@
 //! The scale layer is opt-in and off by default (the defaults preserve the
 //! pinned node counts bit for bit): `--cuts` runs root cover/clique cut
 //! separation (cut-and-branch), `--propagate` turns on node bound
-//! propagation, `--rins` seeds and runs the scheduler-driven RINS primal
-//! heuristic, and `--branching pseudocost` switches variable selection to
+//! propagation, and `--branching pseudocost` switches variable selection to
 //! pseudo-cost branching with strong-branching reliability initialization.
 //! Every combination proves the same optimum; `--stats` prints the scale
-//! counters (cuts, fixings, RINS runs, pseudo-cost updates) when any
-//! feature fired.
+//! counters (cuts, fixings, pseudo-cost updates) when any feature fired.
+//!
+//! An argument error (an unknown command or flag, a bad or missing value,
+//! no spec file) prints the usage line after the message; a command that
+//! fails for another reason prints only its error. Both exit nonzero.
 //!
 //! * `solve` — run the full Figure-2 pipeline and print the optimal
 //!   partitioning, schedule, and solver statistics.
@@ -222,7 +221,6 @@ fn parse_args() -> Result<Args, String> {
                     .and_then(|v| v.parse().ok())
                     .ok_or("--threads takes a worker count (0 = all CPUs)")?
             }
-            "--portfolio" => mip.portfolio = true,
             "--pricing" => {
                 mip.lp.pricing = it
                     .next()
@@ -233,7 +231,6 @@ fn parse_args() -> Result<Args, String> {
             "--stats" => mip.lp.profile = true,
             "--certify" => args.certify = true,
             "--cuts" => mip.cuts = true,
-            "--rins" => mip.rins = true,
             "--propagate" => mip.propagate = true,
             "--branching" => {
                 mip.branching = it
@@ -293,15 +290,12 @@ fn json_summary(
         format!(
             ",\"scale\":{{\"cuts_separated\":{},\"cuts_applied\":{},\"cut_rounds\":{},\
              \"propagation_fixings\":{},\"propagation_infeasible\":{},\
-             \"rins_runs\":{},\"rins_incumbents\":{},\
              \"pseudocost_updates\":{},\"strong_branch_solves\":{}}}",
             s.cuts_separated,
             s.cuts_applied,
             s.cut_rounds,
             s.propagation_fixings,
             s.propagation_infeasible,
-            s.rins_runs,
-            s.rins_incumbents,
             s.pseudocost_updates,
             s.strong_branch_solves,
         )
@@ -346,10 +340,33 @@ fn certify_claim(
     ))
 }
 
-fn load(path: &Option<String>) -> Result<SpecFile, String> {
-    let path = path.as_ref().ok_or("missing <spec.json> argument")?;
+/// Why a command failed.
+enum Failure {
+    /// Bad or missing arguments: reported with the usage line.
+    Usage(String),
+    /// Anything else (unreadable spec, no feasible partitioning, a rejected
+    /// certificate): reported on its own.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Run(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Self {
+        Failure::Run(e.to_string())
+    }
+}
+
+fn load(path: &Option<String>) -> Result<SpecFile, Failure> {
+    let path = path
+        .as_ref()
+        .ok_or_else(|| Failure::Usage("missing <spec.json> argument".to_string()))?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    SpecFile::from_json(&text).map_err(|e| e.to_string())
+    Ok(SpecFile::from_json(&text).map_err(|e| e.to_string())?)
 }
 
 /// Applies `--scale K`: replicate-and-chain the instance's task graph `K`
@@ -366,8 +383,8 @@ fn apply_scale(
         .map_err(|e| e.to_string())
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
+fn run() -> Result<(), Failure> {
+    let args = parse_args().map_err(Failure::Usage)?;
     match args.command.as_str() {
         "example" => {
             println!("{}", SpecFile::example().to_json());
@@ -391,7 +408,11 @@ fn run() -> Result<(), String> {
             match args.format.as_str() {
                 "lp" => println!("{}", tempart_lp::write_lp_format(model.problem())),
                 "mps" => println!("{}", tempart_lp::write_mps(model.problem())),
-                other => return Err(format!("unknown format `{other}` (lp or mps)")),
+                other => {
+                    return Err(Failure::Usage(format!(
+                        "unknown format `{other}` (lp or mps)"
+                    )))
+                }
             }
             Ok(())
         }
@@ -433,15 +454,14 @@ fn run() -> Result<(), String> {
                 args.scale,
             )?;
             let mut mip = args.mip.clone();
-            // Pre-build the whole-command budget and attach it so every
-            // search layer (serial, work-stealing, portfolio arms) shares
-            // its cooperative stop flag; Ctrl-C trips it for a graceful
-            // anytime exit. On an automatic latency sweep the budget — and
-            // hence `--time-limit` — now covers the whole sweep rather
-            // than each attempt separately.
+            // Pre-build the whole-command budget and attach it: every solve
+            // runs under it, so Ctrl-C trips one cooperative stop flag for
+            // a graceful anytime exit, and on an automatic latency sweep
+            // `--time-limit` covers the whole sweep. The node limit stays
+            // per solve (`mip.max_nodes`).
             let budget = std::sync::Arc::new(tempart_lp::Budget::new(
                 mip.time_limit_secs,
-                mip.max_nodes,
+                usize::MAX,
                 usize::MAX,
             ));
             mip.lp.budget = Some(std::sync::Arc::clone(&budget));
@@ -514,12 +534,7 @@ fn run() -> Result<(), String> {
                             }
                         );
                     }
-                    if let Some(w) = &out.stats.portfolio_winner {
-                        println!(
-                            "portfolio: winner {w}; arms {:?} nodes",
-                            out.stats.per_worker_nodes
-                        );
-                    } else if out.stats.per_worker_nodes.len() > 1 {
+                    if out.stats.per_worker_nodes.len() > 1 {
                         println!(
                             "workers: {:?} nodes; {}",
                             out.stats.per_worker_nodes,
@@ -593,9 +608,6 @@ fn run() -> Result<(), String> {
                             result.source().as_str()
                         );
                     }
-                    if let Some(w) = &result.mip_stats().portfolio_winner {
-                        println!("portfolio: winner {w}");
-                    }
                     if args.mip.lp.profile {
                         println!("{}", result.mip_stats().simplex.report());
                         if !result.mip_stats().scale.is_empty() {
@@ -650,18 +662,22 @@ fn run() -> Result<(), String> {
             let _ = config;
             Ok(())
         }
-        other => Err(format!(
+        other => Err(Failure::Usage(format!(
             "unknown command `{other}` (try solve, estimate, simulate, dot, export, example)"
-        )),
+        ))),
     }
 }
 
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Run(e)) => {
             eprintln!("error: {e}");
-            eprintln!("usage: tempart <solve|estimate|simulate|dot|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--portfolio] [--pricing dantzig|devex|bland] [--basis-update eta|ft-markowitz] [--cuts] [--rins] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--stats] [--certify] [--json]");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Usage(e)) => {
+            eprintln!("error: {e}");
+            eprintln!("usage: tempart <solve|estimate|simulate|dot|export|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--pricing dantzig|devex|bland] [--basis-update eta|ft-markowitz] [--cuts] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--format lp|mps] [--stats] [--certify] [--json]");
             ExitCode::FAILURE
         }
     }

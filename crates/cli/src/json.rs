@@ -59,6 +59,14 @@ impl Value {
         }
     }
 
+    /// The value as a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
     /// The value as an array slice.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {

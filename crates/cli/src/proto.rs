@@ -17,7 +17,7 @@
 //!
 //! | `type` | fields |
 //! |---|---|
-//! | `solve` | `spec` (embedded specification object), optional `partitions` + `latency_relaxation` (explicit config; omitted → automatic estimate + sweep), optional `time_limit_secs` / `node_limit` / `pivot_limit` budget caps, option flags `threads`, `portfolio`, `cuts`, `propagate`, `rins`, `branching`, `progress` (stream progress frames), `warm_start` (consult the server cache) |
+//! | `solve` | `spec` (embedded specification object), optional `partitions` + `latency_relaxation` (explicit config; omitted → automatic estimate + sweep), optional `time_limit_secs` / `node_limit` / `pivot_limit` budget caps, option fields `threads`, `cuts`, `propagate` (each absent key keeps the solver library's default; `true` and `false` alike override it), `branching`, `progress` (stream progress frames), `warm_start` (consult the server cache); unknown keys are ignored |
 //! | `ping` | — |
 //! | `shutdown` | — (graceful drain: in-flight jobs finish on the anytime path) |
 //!
@@ -136,14 +136,12 @@ pub struct SolveParams {
     pub pivot_limit: Option<u64>,
     /// Worker threads inside the solve (server-clamped; default 1).
     pub threads: Option<u64>,
-    /// Portfolio racing (see `tempart solve --portfolio`).
-    pub portfolio: bool,
-    /// Root cutting planes.
-    pub cuts: bool,
-    /// Node bound propagation.
-    pub propagate: bool,
-    /// Scheduler-driven RINS.
-    pub rins: bool,
+    /// Root cutting planes; `None` keeps the library default
+    /// (`MipOptions::default().cuts`).
+    pub cuts: Option<bool>,
+    /// Node bound propagation; `None` keeps the library default
+    /// (`MipOptions::default().propagate`).
+    pub propagate: Option<bool>,
     /// Branching strategy name (`rule` / `pseudocost`).
     pub branching: Option<String>,
     /// Stream `progress` frames while the job runs.
@@ -266,7 +264,11 @@ fn get_u64(v: &Value, key: &str) -> Option<u64> {
 }
 
 fn get_bool(v: &Value, key: &str) -> bool {
-    matches!(v.get(key), Some(Value::Bool(true)))
+    get_opt_bool(v, key) == Some(true)
+}
+
+fn get_opt_bool(v: &Value, key: &str) -> Option<bool> {
+    v.get(key).and_then(Value::as_bool)
 }
 
 fn get_str(v: &Value, key: &str) -> Option<String> {
@@ -302,11 +304,12 @@ impl Request {
                         out.push_str(&format!(r#","{key}":{v}"#));
                     }
                 }
+                for (key, v) in [("cuts", params.cuts), ("propagate", params.propagate)] {
+                    if let Some(v) = v {
+                        out.push_str(&format!(r#","{key}":{v}"#));
+                    }
+                }
                 for (key, flag) in [
-                    ("portfolio", params.portfolio),
-                    ("cuts", params.cuts),
-                    ("propagate", params.propagate),
-                    ("rins", params.rins),
                     ("progress", params.progress),
                     ("warm_start", params.warm_start),
                 ] {
@@ -355,10 +358,8 @@ impl Request {
                     node_limit: get_u64(&v, "node_limit"),
                     pivot_limit: get_u64(&v, "pivot_limit"),
                     threads: get_u64(&v, "threads"),
-                    portfolio: get_bool(&v, "portfolio"),
-                    cuts: get_bool(&v, "cuts"),
-                    propagate: get_bool(&v, "propagate"),
-                    rins: get_bool(&v, "rins"),
+                    cuts: get_opt_bool(&v, "cuts"),
+                    propagate: get_opt_bool(&v, "propagate"),
                     branching: get_str(&v, "branching"),
                     progress: get_bool(&v, "progress"),
                     warm_start: get_bool(&v, "warm_start"),
@@ -568,10 +569,8 @@ mod tests {
                 node_limit: Some(1000),
                 pivot_limit: None,
                 threads: Some(2),
-                portfolio: true,
-                cuts: true,
-                propagate: false,
-                rins: false,
+                cuts: Some(true),
+                propagate: Some(false),
                 branching: Some("pseudocost".to_string()),
                 progress: true,
                 warm_start: true,
@@ -586,6 +585,11 @@ mod tests {
             unreachable!()
         };
         assert_eq!(params, sent);
+        assert_eq!(
+            params.propagate,
+            Some(false),
+            "an explicit false round-trips"
+        );
         assert!(matches!(
             Request::from_json(r#"{"type":"ping"}"#).unwrap(),
             Request::Ping
@@ -594,6 +598,24 @@ mod tests {
             Request::from_json(r#"{"type":"shutdown"}"#).unwrap(),
             Request::Shutdown
         ));
+    }
+
+    #[test]
+    fn absent_option_keys_parse_as_library_defaults() {
+        let spec = SpecFile::example().to_json();
+        let parse = |extra: &str| {
+            let text = format!(r#"{{"type":"solve","spec":{spec}{extra}}}"#);
+            match Request::from_json(&text).unwrap() {
+                Request::Solve { params, .. } => params,
+                _ => panic!("wrong variant"),
+            }
+        };
+        let params = parse("");
+        assert_eq!((params.cuts, params.propagate), (None, None));
+        // Keys of options the solver no longer has are ignored like any
+        // other unknown key.
+        let params = parse(r#","portfolio":true,"rins":true,"cuts":false"#);
+        assert_eq!((params.cuts, params.propagate), (Some(false), None));
     }
 
     #[test]

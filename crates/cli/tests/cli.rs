@@ -139,7 +139,6 @@ fn solve_scale_flags_prove_the_same_optimum() {
             "--latency",
             "1",
             "--cuts",
-            "--rins",
             "--propagate",
             "--branching",
             "pseudocost",
@@ -216,6 +215,65 @@ fn basis_update_flag_takes_the_surviving_kernels() {
         );
         assert!(!stderr.contains("[--refactor"), "{flag} {value}: {stderr}");
     }
+}
+
+#[test]
+fn removed_search_flags_are_unexpected_arguments() {
+    let spec = example_spec_path();
+    for flag in ["--portfolio", "--rins"] {
+        let out = tempart()
+            .arg("solve")
+            .arg(&spec)
+            .args(["--partitions", "2", flag])
+            .output()
+            .expect("run solve with a removed flag");
+        assert!(!out.status.success(), "{flag} accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unexpected argument `{flag}`")),
+            "{flag}: {stderr}"
+        );
+        assert!(stderr.contains("usage: "), "{flag}: {stderr}");
+        assert!(!stderr.contains(&format!("[{flag}]")), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn solve_failure_prints_no_usage_line() {
+    // A well-formed command that finds no partitioning is not a usage
+    // error: the error and the exit code stay, the usage line does not.
+    // The example's units need more area than a 100-unit device offers in
+    // one partition.
+    let spec = example_spec_path();
+    let text = std::fs::read_to_string(&spec.0).expect("read spec");
+    let small = text.replace("\"capacity\": 800", "\"capacity\": 100");
+    assert_ne!(small, text, "the example spec names its capacity");
+    std::fs::write(&spec.0, small).expect("write spec");
+    let out = tempart()
+        .arg("solve")
+        .arg(&spec)
+        .args(["--partitions", "1", "--latency", "0"])
+        .output()
+        .expect("run an infeasible solve");
+    assert!(!out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stdout.contains("status: infeasible"), "{stdout}");
+    assert!(
+        stderr.contains("error: no feasible partitioning"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("usage"), "{stderr}");
+
+    // A missing spec file is a usage error, and the usage line names
+    // every command.
+    let out = tempart().arg("solve").output().expect("run solve");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("usage: tempart <solve|estimate|simulate|dot|export|example>"),
+        "{stderr}"
+    );
 }
 
 #[test]

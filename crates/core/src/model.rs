@@ -317,15 +317,6 @@ impl IlpModel {
                 mip.initial_incumbent = self.encode_solution(&h);
             }
         }
-        if mip.rins && mip.rins_reference.is_none() {
-            // The Figure-2 list schedule drives the RINS neighborhood: the
-            // solver fixes the binaries where the LP relaxation agrees with
-            // this schedule and searches the rest. The reference is
-            // re-validated inside the solver, never trusted.
-            if let Some(h) = crate::heuristic::heuristic_solution(&self.instance, &self.config) {
-                mip.rins_reference = self.encode_solution(&h);
-            }
-        }
         let bb = BranchAndBound::new(&self.problem).options(mip);
         let bb = match options.rule {
             RuleKind::Paper => bb.rule(paper_rule(&self.vars, &self.problem)),

@@ -19,7 +19,7 @@ pub struct PartitionerOptions {
     /// swept from 0 to [`Self::max_latency_relaxation`] until feasible.
     pub config: Option<ModelConfig>,
     /// Solver options (branching rule, limits, worker threads, and the
-    /// configuration-portfolio race — `solve.mip.portfolio`).
+    /// scale-layer switches).
     pub solve: SolveOptions,
     /// Upper bound of the automatic latency sweep (ignored when `config` is
     /// set). Defaults to 3, the largest relaxation the paper explores.
@@ -263,41 +263,6 @@ mod tests {
         assert_eq!(result.config().num_partitions, 2);
         assert!(result.estimate().is_none());
         assert_eq!(result.solution().communication_cost(), 0);
-    }
-
-    #[test]
-    fn portfolio_race_through_the_pipeline() {
-        // `mip.portfolio = true` flows from the pipeline options down to the
-        // racing solver: same answer as the serial pipeline, plus a named
-        // winning arm and per-arm node tallies.
-        let inst = tiny_instance();
-        let mip = MipOptions {
-            portfolio: true,
-            ..Default::default()
-        };
-        let result = TemporalPartitioner::new(
-            inst.graph().clone(),
-            inst.fus().clone(),
-            inst.device().clone(),
-        )
-        .options(PartitionerOptions {
-            config: Some(ModelConfig::tightened(2, 1)),
-            solve: SolveOptions {
-                mip,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
-        .run()
-        .unwrap();
-        assert_eq!(result.solution().communication_cost(), 0);
-        let stats = result.mip_stats();
-        assert!(stats.portfolio_winner.is_some(), "race must name a winner");
-        assert_eq!(
-            stats.per_worker_nodes.len(),
-            stats.per_worker_busy_secs.len(),
-            "one busy-time entry per racing arm"
-        );
     }
 
     #[test]

@@ -6,18 +6,14 @@
 //! as a [`PriorityRule`] built by `tempart-core`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::cuts;
 use crate::faults::Budget;
 use crate::internal::CoreLp;
-use crate::options::{Branching, MipOptions};
+use crate::options::MipOptions;
 use crate::problem::{LpError, Problem, VarId, VarKind};
 use crate::profile::{ContentionProfile, ScaleProfile, SimplexProfile};
-use crate::propagate::{Propagation, Propagator};
-use crate::pseudocost::{reliability_init, PseudoCost};
-use crate::simplex::{solve_node_resilient, BasisSnapshot};
-use crate::status::{LpStatus, MipStatus};
+use crate::status::MipStatus;
 
 /// Which child to explore first when branching on a binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,17 +163,6 @@ pub(crate) fn is_fractional(v: f64, tol: f64) -> bool {
     (v - v.round()).abs() > tol
 }
 
-/// Observations per direction before a pseudo-cost estimate is trusted.
-pub(crate) const PSEUDOCOST_RELIABILITY: usize = 8;
-/// Strong-branching candidates bootstrapped at the root.
-const STRONG_BRANCH_TOP_K: usize = 8;
-/// Node cap on the RINS sub-MIP.
-const RINS_NODE_CAP: usize = 2_000;
-/// Pivot cap on the RINS sub-MIP.
-const RINS_ITER_CAP: usize = 50_000;
-/// Wall-clock cap (seconds) on the RINS sub-MIP.
-const RINS_TIME_CAP: f64 = 5.0;
-
 /// Statistics of a branch-and-bound run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MipStats {
@@ -194,27 +179,24 @@ pub struct MipStats {
     /// Wall-clock seconds.
     pub seconds: f64,
     /// Nodes solved by each worker (one entry per worker; a single entry
-    /// equal to `nodes` for the serial solver). In portfolio mode, nodes
-    /// solved by each racing arm.
+    /// equal to `nodes` at one thread).
     pub per_worker_nodes: Vec<usize>,
     /// Wall-clock seconds each worker spent processing nodes, as opposed to
-    /// hunting for work (one entry per worker; equal to `seconds` for the
-    /// serial solver). On a multi-core host the entries overlap in time, so
-    /// their sum exceeding `seconds` is the parallelism, not an error.
+    /// hunting for work (one entry per worker). On a multi-core host the
+    /// entries overlap in time, so their sum exceeding `seconds` is the
+    /// parallelism, not an error.
     pub per_worker_busy_secs: Vec<f64>,
-    /// Contention counters of the work-stealing parallel scheduler (all
-    /// zero for the serial solver); see [`ContentionProfile`].
+    /// Contention counters of the work-stealing scheduler; see
+    /// [`ContentionProfile`]. At one thread only `cow_clones` (shared warm
+    /// starts) can be nonzero.
     pub contention: ContentionProfile,
-    /// Name of the configuration that won a portfolio race (`None` unless
-    /// [`MipOptions::portfolio`](crate::MipOptions) was set).
-    pub portfolio_winner: Option<String>,
     /// Merged simplex profile of every node LP solved during the search
     /// (counters always; section timers only with
     /// [`LpOptions::profile`](crate::LpOptions::profile)).
     pub simplex: SimplexProfile,
-    /// Counters of the cut-and-heuristic scale layer (cut separation, node
-    /// propagation, RINS, pseudo-cost branching); all zero with the
-    /// features off. See [`ScaleProfile`].
+    /// Counters of the scale layer (cut separation, node propagation,
+    /// pseudo-cost branching); all zero with the features off. See
+    /// [`ScaleProfile`].
     pub scale: ScaleProfile,
 }
 
@@ -241,7 +223,8 @@ pub struct MipSolution {
 /// Nodes never mutate the shared [`Problem`] or the root [`CoreLp`] bound
 /// arrays; each node carries this overlay and workers apply it to their own
 /// scratch copies of the root bounds. That makes node state self-contained,
-/// which the parallel search relies on: any worker can pick up any node.
+/// which the work-stealing search relies on: any worker can pick up any
+/// node.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BoundOverlay {
     /// `(variable, lower, upper)` overrides, in fixing order (root-most
@@ -267,20 +250,6 @@ impl BoundOverlay {
             upper[var.index()] = hi;
         }
     }
-}
-
-struct Node {
-    /// Bound overrides relative to the root bounds.
-    overlay: BoundOverlay,
-    /// Basis of the parent's LP optimum, if available.
-    warm: Option<BasisSnapshot>,
-    /// Parent LP bound (for cheap pre-pruning).
-    parent_bound: f64,
-    /// The branching that created this node: `(variable, direction,
-    /// fractional part at the parent)` — the pseudo-cost engine's
-    /// observation context. `None` at the root. Carried unconditionally
-    /// (it is memory-only, so the features-off path is unchanged).
-    branched: Option<(VarId, BranchDirection, f64)>,
 }
 
 /// Depth-first 0-1 branch and bound over a [`Problem`].
@@ -336,381 +305,49 @@ impl<'a> BranchAndBound<'a> {
 
     /// Runs the search.
     ///
-    /// With [`MipOptions::portfolio`](crate::MipOptions) set, a small set of
-    /// solver configurations race as independent serial solves (see the
-    /// `portfolio` module docs). Otherwise, with [`MipOptions::threads`]
-    /// above one (or zero, meaning one worker per CPU) the node search runs
-    /// on a work-stealing worker team; the returned objective and status
-    /// are the same as the serial solver's, but node counts vary run to
-    /// run. See `parallel` module docs.
+    /// One driver serves every thread count: the work-stealing search of
+    /// the `parallel` module, with [`MipOptions::threads`] workers (`0`
+    /// means one per CPU). One worker runs on the calling thread and visits
+    /// nodes in a fixed depth-first order, so its node counts are
+    /// deterministic; more workers prove the same objective and status,
+    /// but node counts vary run to run. With [`MipOptions::cuts`] the root
+    /// cut loop runs first and the search covers the strengthened problem.
+    ///
+    /// The solve runs under its own [`Budget`] built from the
+    /// [`MipOptions`] limits and, when
+    /// [`LpOptions::budget`](crate::LpOptions::budget) is set, scoped under
+    /// that caller budget: the caller's stop request, deadline and pivot cap
+    /// end the solve, the [`MipOptions`] node and pivot caps count this
+    /// solve's work only, and a limit the solve hits never stops the
+    /// caller's budget.
     ///
     /// # Errors
     ///
     /// Propagates unrecoverable LP failures
     /// ([`LpError::IterationLimit`], [`LpError::SingularBasis`]).
     pub fn solve(&self) -> Result<MipSolution, LpError> {
-        if self.options.portfolio {
-            return crate::portfolio::solve_portfolio(
-                self.problem,
-                &self.options,
-                self.rule.as_ref(),
-            );
-        }
-        let workers = resolve_threads(self.options.threads);
-        if workers > 1 {
-            // Root preparation (cut loop + RINS) runs serially before the
-            // worker team spawns; the workers then search the strengthened
-            // problem. A no-op (features off) dispatches directly.
-            let budget = external_or_new_budget(&self.options);
-            return match prepare_root(self.problem, &self.options, &budget)? {
-                None => crate::parallel::solve_parallel(
-                    self.problem,
-                    &self.options,
-                    self.rule.as_ref(),
-                    workers,
-                ),
-                Some(prep) => {
-                    let mut sol = crate::parallel::solve_parallel(
-                        &prep.problem,
-                        &prep.opts,
-                        self.rule.as_ref(),
-                        workers,
-                    )?;
-                    sol.stats.lp_iterations += prep.lp_iterations;
-                    sol.stats.scale.absorb(&prep.scale);
-                    Ok(sol)
-                }
-            };
-        }
-        // One budget for the whole search: the wall-clock deadline and the
-        // LP-iteration cap are also checked *inside* the simplex pivot loop
-        // (via `LpOptions::budget`), so a single long node LP cannot blow
-        // through the global limits.
-        let budget = external_or_new_budget(&self.options);
-        solve_serial_prepared(self.problem, &self.options, self.rule.as_ref(), budget)
-    }
-}
-
-/// The whole-search [`Budget`]: a caller-supplied one
-/// ([`LpOptions::budget`](crate::LpOptions::budget)) when present — so an outside owner (the
-/// `tempart-server` drain path, the CLI's Ctrl-C handler) can
-/// [`Budget::request_stop`] the search — otherwise a fresh budget built
-/// from the [`MipOptions`] limits, which nothing else holds, keeping the
-/// stop check dead and the serial search bit-identical to the pins.
-pub(crate) fn external_or_new_budget(opts: &MipOptions) -> Arc<Budget> {
-    match &opts.lp.budget {
-        Some(b) => Arc::clone(b),
-        None => Arc::new(Budget::new(
+        let opts = &self.options;
+        let budget = Arc::new(Budget::scoped(
+            opts.lp.budget.clone(),
             opts.time_limit_secs,
             opts.max_nodes,
             opts.max_lp_iterations,
-        )),
-    }
-}
-
-/// The exact depth-first serial algorithm (`threads == 1`): node visit
-/// order, node counts, and the incumbent are fully deterministic.
-///
-/// The budget is injected so a portfolio race can cancel this solve
-/// cooperatively ([`Budget::request_stop`] surfaces as a truthful
-/// [`MipStatus::TimeLimit`]); a plain serial solve passes a budget nothing
-/// else holds, making the stop check dead and the search bit-identical to
-/// the pre-portfolio solver.
-pub(crate) fn solve_serial(
-    problem: &Problem,
-    opts: &MipOptions,
-    rule: &(dyn BranchingRule + Sync),
-    budget: Arc<Budget>,
-) -> Result<MipSolution, LpError> {
-    {
-        // audit: allow(nondet) — wall-clock start for the anytime time limit
-        // and reported runtime; node selection never reads it.
-        let start = Instant::now();
-        let core = CoreLp::from_problem(problem);
-        let ns = core.num_structs;
-        let mut stats = MipStats::default();
-
-        let mut incumbent = validate_incumbent(problem, opts, ns);
-        if incumbent.is_some() {
-            stats.incumbent_updates += 1;
+        ));
+        let workers = resolve_threads(opts.threads);
+        let rule = self.rule.as_ref();
+        if !opts.cuts {
+            return crate::parallel::solve_parallel(self.problem, opts, rule, workers, budget);
         }
-        // Live-progress board: publication sites are dead without one, so
-        // the default path stays bit-identical to the golden pins.
-        let progress = opts.progress.as_deref();
-        if let (Some(p), Some((_, obj))) = (progress, &incumbent) {
-            p.note_incumbent(*obj);
-        }
-        let mut stack: Vec<Node> = vec![Node {
-            overlay: BoundOverlay::default(),
-            warm: None,
-            parent_bound: f64::NEG_INFINITY,
-            branched: None,
-        }];
-        let mut status = MipStatus::Optimal;
-
-        let mut lower = core.lower.clone();
-        let mut upper = core.upper.clone();
-
-        // Optional scale-layer engines: a shared propagator (immutable after
-        // build) and a pseudo-cost history. Both are `None` with the
-        // features off, leaving the golden serial path untouched.
-        let propagator = opts
-            .propagate
-            .then(|| Propagator::build(problem, opts.lp.feas_tol));
-        let mut pseudo = (opts.branching == Branching::Pseudocost)
-            .then(|| PseudoCost::new(problem.num_vars(), PSEUDOCOST_RELIABILITY));
-
-        while let Some(node) = stack.pop() {
-            // Limit breaks push the in-flight node back so the epilogue's
-            // best-bound fold over the open stack stays a valid bound.
-            if stats.nodes >= opts.max_nodes {
-                status = MipStatus::NodeLimit;
-                stack.push(node);
-                break;
-            }
-            let remaining = opts.time_limit_secs - start.elapsed().as_secs_f64();
-            if remaining <= 0.0 {
-                status = MipStatus::TimeLimit;
-                stack.push(node);
-                break;
-            }
-            if stats.lp_iterations >= opts.max_lp_iterations {
-                // The deterministic work budget is spent: stop like a time
-                // limit, keeping the incumbent and the proven bound.
-                status = MipStatus::TimeLimit;
-                stack.push(node);
-                break;
-            }
-            if budget.stop_requested() {
-                // A portfolio peer finished first and cancelled this arm;
-                // stop truthfully as a limit, keeping the incumbent and the
-                // proven bound. Never taken outside a race: nothing else
-                // holds this solve's budget.
-                status = MipStatus::TimeLimit;
-                stack.push(node);
-                break;
-            }
-            // Pre-prune on the parent bound.
-            if let Some((_, inc_obj)) = &incumbent {
-                if prune_bound(node.parent_bound, *inc_obj, opts) {
-                    stats.pruned_by_bound += 1;
-                    continue;
-                }
-            }
-            // Apply node bounds.
-            node.overlay.apply(&core, &mut lower, &mut upper);
-            // Node presolve: bound propagation on the structural slices can
-            // fix binaries (tightening the child LP) or prove the node
-            // infeasible before any simplex work.
-            if let Some(prop) = &propagator {
-                match prop.propagate(&mut lower[..ns], &mut upper[..ns]) {
-                    Propagation::Infeasible => {
-                        stats.scale.propagation_infeasible += 1;
-                        stats.pruned_infeasible += 1;
-                        continue;
-                    }
-                    Propagation::Fixed(n) => stats.scale.propagation_fixings += n,
-                }
-            }
-            // Solve the node LP (warm dual first, cold fallback with the
-            // numerical retry ladder), bounded by the remaining wall-clock
-            // budget so one long LP cannot blow through the global limit.
-            let mut lp_opts = opts.lp.clone();
-            lp_opts.time_limit_secs = lp_opts.time_limit_secs.min(remaining);
-            lp_opts.budget = Some(Arc::clone(&budget));
-            let solved = solve_node_resilient(&core, &lower, &upper, node.warm.as_ref(), &lp_opts);
-            let outcome = match solved {
-                Ok(o) => o,
-                Err(LpError::Timeout) => {
-                    status = MipStatus::TimeLimit;
-                    stack.push(node);
-                    break;
-                }
-                Err(LpError::IterationLimit) | Err(LpError::SingularBasis) => {
-                    // The full retry ladder failed on this node: abandon the
-                    // proof, keep the incumbent (reported as a limit, not an
-                    // error).
-                    status = MipStatus::NodeLimit;
-                    stack.push(node);
-                    break;
-                }
-                Err(e) => return Err(e),
-            };
-            stats.nodes += 1;
-            stats.lp_iterations += outcome.iterations;
-            budget.note_node();
-            budget.add_lp_iterations(outcome.iterations);
-            stats.simplex.absorb(&outcome.profile);
-            match outcome.status {
-                LpStatus::Infeasible => {
-                    stats.pruned_infeasible += 1;
-                    continue;
-                }
-                LpStatus::Unbounded => {
-                    // The relaxation — and hence the model — is unbounded
-                    // below (possible only with unbounded continuous vars):
-                    // report it truthfully instead of faking an error.
-                    status = MipStatus::Unbounded;
-                    break;
-                }
-                LpStatus::Optimal => {
-                    // The root relaxation objective is a valid global lower
-                    // bound; publish it for pollers.
-                    if stats.nodes == 1 {
-                        if let Some(p) = progress {
-                            p.note_bound(outcome.objective);
-                        }
-                    }
-                }
-            }
-            // Pseudo-cost learning: the solved child reports the objective
-            // degradation of the branching that created it. Root nodes with
-            // no history bootstrap via strong-branching probes.
-            if let Some(pc) = &mut pseudo {
-                if let Some((v, dir, frac)) = node.branched {
-                    if node.parent_bound.is_finite() {
-                        let dist = match dir {
-                            BranchDirection::Up => 1.0 - frac,
-                            BranchDirection::Down => frac,
-                        };
-                        pc.observe(v, dir, dist, outcome.objective - node.parent_bound);
-                    }
-                } else if node.overlay.entries.is_empty() && !pc.has_data() {
-                    let (solves, iters) = reliability_init(
-                        &core,
-                        problem,
-                        &outcome.x[..ns],
-                        outcome.objective,
-                        &outcome.snapshot,
-                        &lower,
-                        &upper,
-                        &lp_opts,
-                        opts.int_tol,
-                        STRONG_BRANCH_TOP_K,
-                        pc,
-                    );
-                    stats.scale.strong_branch_solves += solves;
-                    stats.lp_iterations += iters;
-                    budget.add_lp_iterations(iters);
-                }
-            }
-            // Prune by bound.
-            if let Some((_, inc_obj)) = &incumbent {
-                if prune_bound(outcome.objective, *inc_obj, opts) {
-                    stats.pruned_by_bound += 1;
-                    continue;
-                }
-            }
-            let x = &outcome.x[..ns];
-            // Pseudo-cost selection once history exists; the static rule is
-            // the cold-start fallback (and the only path with the feature
-            // off).
-            let selected = match &pseudo {
-                Some(pc) if pc.has_data() => pc.select(problem, x, opts.int_tol),
-                _ => rule.select(problem, x, opts.int_tol),
-            };
-            match selected {
-                None => {
-                    // The rule sees no fractional binary; verify.
-                    debug_assert!(
-                        problem.var_ids().all(|v| {
-                            problem.var_kind(v) != VarKind::Binary
-                                || !is_fractional(x[v.index()], opts.int_tol * 10.0)
-                        }),
-                        "branching rule returned None on a fractional solution"
-                    );
-                    let obj = outcome.objective;
-                    if incumbent
-                        .as_ref()
-                        .is_none_or(|(_, b)| obj < b - opts.abs_gap)
-                    {
-                        incumbent = Some((x.to_vec(), obj));
-                        stats.incumbent_updates += 1;
-                        if let Some(p) = progress {
-                            p.note_incumbent(obj);
-                        }
-                    }
-                }
-                Some((v, dir)) => {
-                    let frac = x[v.index()].clamp(0.0, 1.0).fract();
-                    let fix = |val: f64, child_dir: BranchDirection| -> Node {
-                        Node {
-                            overlay: node.overlay.child(v, val, val),
-                            warm: Some(outcome.snapshot.clone()),
-                            parent_bound: outcome.objective,
-                            branched: Some((v, child_dir, frac)),
-                        }
-                    };
-                    let (first, second) = match dir {
-                        BranchDirection::Up => (
-                            fix(1.0, BranchDirection::Up),
-                            fix(0.0, BranchDirection::Down),
-                        ),
-                        BranchDirection::Down => (
-                            fix(0.0, BranchDirection::Down),
-                            fix(1.0, BranchDirection::Up),
-                        ),
-                    };
-                    // LIFO: push the second child first so the preferred
-                    // direction is explored first.
-                    stack.push(second);
-                    stack.push(first);
-                }
-            }
-        }
-        stats.seconds = start.elapsed().as_secs_f64();
-        stats.per_worker_nodes = vec![stats.nodes];
-        stats.per_worker_busy_secs = vec![stats.seconds];
-        if let Some(pc) = &pseudo {
-            stats.scale.pseudocost_updates = pc.updates();
-        }
-        let (x, objective, status) = if status == MipStatus::Unbounded {
-            // An unbounded relaxation makes the model's optimum −∞; an
-            // incumbent objective is meaningless as a bound, so none is
-            // reported ([`MipStatus::may_have_solution`] is false).
-            (Vec::new(), f64::NEG_INFINITY, status)
-        } else {
-            match incumbent {
-                Some((x, obj)) => (x, obj, status),
-                None => (
-                    Vec::new(),
-                    f64::INFINITY,
-                    if status == MipStatus::Optimal {
-                        MipStatus::Infeasible
-                    } else {
-                        status
-                    },
-                ),
-            }
-        };
-        // Lower bound: exact on completion; otherwise the weakest bound
-        // still open on the stack.
-        let best_bound = match status {
-            MipStatus::Optimal => objective,
-            MipStatus::Infeasible => f64::INFINITY,
-            MipStatus::Unbounded => f64::NEG_INFINITY,
-            _ => stack
-                .iter()
-                .map(|n| n.parent_bound)
-                .fold(f64::INFINITY, f64::min),
-        };
-        // Fold the exact terminal values into the board so a poller's last
-        // read agrees with the returned solution.
-        if let Some(p) = progress {
-            if objective.is_finite() {
-                p.note_incumbent(objective);
-            }
-            if best_bound.is_finite() {
-                p.note_bound(best_bound);
-            }
-        }
-        Ok(MipSolution {
-            status,
-            x,
-            objective,
-            best_bound,
-            stats,
-        })
+        // Cut-and-branch: the root cut loop adds `≤` rows only, so the
+        // variable space — and with it every incumbent — keeps its meaning,
+        // and its pivots count against this solve's cap.
+        let mut scale = ScaleProfile::default();
+        let root = cuts::root_cut_loop(self.problem, &opts.lp, opts.int_tol, &budget, &mut scale)?;
+        budget.add_lp_iterations(root.lp_iterations);
+        let mut sol = crate::parallel::solve_parallel(&root.problem, opts, rule, workers, budget)?;
+        sol.stats.lp_iterations += root.lp_iterations;
+        sol.stats.scale.absorb(&scale);
+        Ok(sol)
     }
 }
 
@@ -758,182 +395,10 @@ pub(crate) fn validate_incumbent(
     }
 }
 
-/// Root preparation artifacts: the (possibly cut-strengthened) problem and
-/// the options to search it with (possibly carrying a RINS incumbent), plus
-/// the accounting the caller must absorb into its stats.
-pub(crate) struct Prepared {
-    pub(crate) problem: Problem,
-    pub(crate) opts: MipOptions,
-    pub(crate) scale: ScaleProfile,
-    pub(crate) lp_iterations: usize,
-}
-
-/// Runs the root scale layer: the cutting-plane loop strengthens the
-/// relaxation (extra `≤` rows only — the variable space is unchanged, so
-/// solution vectors and incumbents keep their meaning), and the RINS
-/// heuristic turns the scheduler reference into a seeded incumbent via a
-/// budgeted sub-MIP.
-///
-/// Returns `None` fast when both features are off: the golden features-off
-/// path never even clones the problem.
-pub(crate) fn prepare_root(
-    problem: &Problem,
-    opts: &MipOptions,
-    budget: &Arc<Budget>,
-) -> Result<Option<Prepared>, LpError> {
-    if !opts.cuts && !opts.rins {
-        return Ok(None);
-    }
-    let mut scale = ScaleProfile::default();
-    let mut lp_iterations = 0usize;
-    let mut root_x: Option<Vec<f64>> = None;
-    let mut prepared = problem.clone();
-    if opts.cuts {
-        let res = cuts::root_cut_loop(problem, &opts.lp, opts.int_tol, budget, &mut scale)?;
-        prepared = res.problem;
-        root_x = res.root_x;
-        lp_iterations += res.lp_iterations;
-    }
-    let mut prep_opts = opts.clone();
-    if opts.rins {
-        lp_iterations += rins(&prepared, opts, &mut prep_opts, root_x, budget, &mut scale)?;
-    }
-    // Root work counts against the same global pivot budget as the search.
-    budget.add_lp_iterations(lp_iterations);
-    Ok(Some(Prepared {
-        problem: prepared,
-        opts: prep_opts,
-        scale,
-        lp_iterations,
-    }))
-}
-
-/// RINS: relaxation-induced neighborhood search driven by an external
-/// reference solution (the Figure-2 list schedule, encoded by the caller
-/// into [`MipOptions::rins_reference`]). Binaries where the root LP is
-/// integral *and* agrees with the reference are fixed; the remaining
-/// neighborhood is searched by a budgeted features-off sub-MIP seeded with
-/// the reference. The best point found becomes the main search's initial
-/// incumbent. Returns the LP iterations spent.
-fn rins(
-    prepared: &Problem,
-    opts: &MipOptions,
-    prep_opts: &mut MipOptions,
-    root_x: Option<Vec<f64>>,
-    budget: &Arc<Budget>,
-    scale: &mut ScaleProfile,
-) -> Result<usize, LpError> {
-    let mut iters = 0usize;
-    // Validate the reference exactly as the search validates an incumbent
-    // (against the *strengthened* problem: cuts keep every integer point).
-    let reference_opts = MipOptions {
-        initial_incumbent: opts.rins_reference.clone(),
-        ..opts.clone()
-    };
-    let Some((ref_x, ref_obj)) = validate_incumbent(prepared, &reference_opts, prepared.num_vars())
-    else {
-        return Ok(0); // no usable reference: RINS is a no-op
-    };
-    scale.rins_runs += 1;
-    // Root LP point: reuse the cut loop's, else solve one fresh.
-    let root = match root_x {
-        Some(x) => Some(x),
-        None => {
-            let mut lp_opts = opts.lp.clone();
-            lp_opts.budget = Some(Arc::clone(budget));
-            match crate::simplex::solve_lp(prepared, &lp_opts) {
-                Ok(out) => {
-                    iters += out.iterations;
-                    (out.status == LpStatus::Optimal).then_some(out.x)
-                }
-                Err(_) => None,
-            }
-        }
-    };
-    // Fix binaries where LP relaxation and reference agree on an integer.
-    let mut sub = prepared.clone();
-    let mut fixed = 0usize;
-    if let Some(root) = &root {
-        for v in prepared.var_ids() {
-            if prepared.var_kind(v) != VarKind::Binary {
-                continue;
-            }
-            let lp_val = root[v.index()];
-            if !is_fractional(lp_val, opts.int_tol)
-                && (lp_val.round() - ref_x[v.index()].round()).abs() < 0.5
-            {
-                let val = ref_x[v.index()].round();
-                sub.set_bounds(v, val, val)?;
-                fixed += 1;
-            }
-        }
-    }
-    let mut best = (ref_x.clone(), ref_obj);
-    if fixed > 0 {
-        let sub_opts = MipOptions {
-            cuts: false,
-            propagate: false,
-            rins: false,
-            rins_reference: None,
-            branching: Branching::Rule,
-            portfolio: false,
-            threads: 1,
-            initial_incumbent: Some(ref_x.clone()),
-            max_nodes: RINS_NODE_CAP,
-            max_lp_iterations: RINS_ITER_CAP,
-            time_limit_secs: RINS_TIME_CAP.min(budget.remaining_secs()),
-            ..opts.clone()
-        };
-        let sub_budget = Arc::new(Budget::new(
-            sub_opts.time_limit_secs,
-            sub_opts.max_nodes,
-            sub_opts.max_lp_iterations,
-        ));
-        if let Ok(sol) = solve_serial(&sub, &sub_opts, &MostFractionalRule, sub_budget) {
-            scale.rins_nodes += sol.stats.nodes;
-            iters += sol.stats.lp_iterations;
-            if sol.status.may_have_solution()
-                && !sol.x.is_empty()
-                && sol.objective < best.1 - opts.abs_gap
-            {
-                scale.rins_incumbents += 1;
-                best = (sol.x, sol.objective);
-            }
-        }
-    }
-    // Seed the main search, unless the caller's own incumbent already beats
-    // everything RINS produced.
-    let existing = validate_incumbent(prepared, opts, prepared.num_vars());
-    if existing.as_ref().is_none_or(|(_, obj)| best.1 < *obj) {
-        prep_opts.initial_incumbent = Some(best.0);
-    }
-    Ok(iters)
-}
-
-/// Serial solve behind root preparation: the cut loop and RINS run first
-/// (when enabled), then the exact serial search runs on the prepared
-/// problem. With the features off this is the unmodified [`solve_serial`] —
-/// the golden node/iteration pins are bit-identical.
-pub(crate) fn solve_serial_prepared(
-    problem: &Problem,
-    opts: &MipOptions,
-    rule: &(dyn BranchingRule + Sync),
-    budget: Arc<Budget>,
-) -> Result<MipSolution, LpError> {
-    match prepare_root(problem, opts, &budget)? {
-        None => solve_serial(problem, opts, rule, budget),
-        Some(prep) => {
-            let mut sol = solve_serial(&prep.problem, &prep.opts, rule, budget)?;
-            sol.stats.lp_iterations += prep.lp_iterations;
-            sol.stats.scale.absorb(&prep.scale);
-            Ok(sol)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::Branching;
     use crate::problem::Sense;
 
     /// Exhaustive reference solver for small 0-1 problems.
@@ -1262,8 +727,8 @@ mod tests {
 
     #[test]
     fn full_scale_stack_proves_the_same_optimum() {
-        // Cuts + propagation + RINS + pseudo-cost together must agree with
-        // the features-off solver and surface their work in the counters.
+        // Cuts + propagation + pseudo-cost together must agree with the
+        // features-off solver and surface their work in the counters.
         let p = knapsack(
             &[6.0, 5.0, 9.0, 7.0, 3.0, 4.0],
             &[2.0, 3.0, 4.0, 3.0, 1.0, 2.0],
@@ -1274,8 +739,6 @@ mod tests {
         let opts = MipOptions {
             cuts: true,
             propagate: true,
-            rins: true,
-            rins_reference: Some(vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0]),
             branching: Branching::Pseudocost,
             objective_is_integral: true,
             ..MipOptions::default()
@@ -1288,7 +751,7 @@ mod tests {
             out.objective,
             base.objective
         );
-        assert!(out.stats.scale.rins_runs >= 1, "{:?}", out.stats.scale);
+        assert!(out.stats.scale.cut_rounds >= 1, "{:?}", out.stats.scale);
     }
 
     #[test]
@@ -1305,33 +768,6 @@ mod tests {
         // The fractional knapsack root must trigger at least one round.
         assert!(out.stats.scale.cut_rounds >= 1, "{:?}", out.stats.scale);
         assert!(out.stats.scale.cuts_applied >= 1, "{:?}", out.stats.scale);
-    }
-
-    #[test]
-    fn rins_adopts_the_reference_as_incumbent() {
-        // Reference = the true optimum: RINS must install it, so the search
-        // starts with a seeded incumbent (visible as an extra update).
-        let p = knapsack(&[10.0, 13.0, 7.0, 8.0], &[3.0, 4.0, 2.0, 3.0], 7.0);
-        let opts = MipOptions {
-            rins: true,
-            rins_reference: Some(vec![1.0, 1.0, 0.0, 0.0]),
-            ..MipOptions::default()
-        };
-        let out = BranchAndBound::new(&p).options(opts).solve().unwrap();
-        assert_eq!(out.status, MipStatus::Optimal);
-        assert!((out.objective - (-23.0)).abs() < 1e-6);
-        assert_eq!(out.stats.scale.rins_runs, 1);
-        // An infeasible reference is ignored (weight 12 > 7): no crash, no
-        // bogus incumbent.
-        let opts = MipOptions {
-            rins: true,
-            rins_reference: Some(vec![1.0, 1.0, 1.0, 1.0]),
-            ..MipOptions::default()
-        };
-        let out = BranchAndBound::new(&p).options(opts).solve().unwrap();
-        assert_eq!(out.status, MipStatus::Optimal);
-        assert!((out.objective - (-23.0)).abs() < 1e-6);
-        assert_eq!(out.stats.scale.rins_runs, 0, "unusable reference skipped");
     }
 
     #[test]
@@ -1389,43 +825,71 @@ mod tests {
     }
 
     #[test]
-    fn scale_features_agree_across_drivers() {
-        // Serial, work-stealing parallel, and portfolio must all prove the
-        // same optimum with the scale stack enabled.
+    fn scale_features_agree_across_thread_counts() {
+        // One, two and four workers must prove the same optimum with the
+        // scale stack enabled.
         let p = knapsack(
             &[6.0, 5.0, 9.0, 7.0, 3.0, 4.0],
             &[2.0, 3.0, 4.0, 3.0, 1.0, 2.0],
             8.0,
         );
         let (_, bobj) = brute_force(&p).unwrap();
-        let base = MipOptions {
-            cuts: true,
-            propagate: true,
-            branching: Branching::Pseudocost,
-            ..MipOptions::default()
-        };
-        let serial = BranchAndBound::new(&p)
-            .options(base.clone())
-            .solve()
-            .unwrap();
-        let par = BranchAndBound::new(&p)
-            .options(MipOptions {
-                threads: 2,
-                ..base.clone()
-            })
-            .solve()
-            .unwrap();
-        let race = BranchAndBound::new(&p)
-            .options(MipOptions {
-                portfolio: true,
-                ..base
-            })
-            .solve()
-            .unwrap();
-        for out in [&serial, &par, &race] {
-            assert_eq!(out.status, MipStatus::Optimal);
-            assert!((out.objective - bobj).abs() < 1e-6);
+        for threads in [1, 2, 4] {
+            let out = BranchAndBound::new(&p)
+                .options(MipOptions {
+                    cuts: true,
+                    propagate: true,
+                    branching: Branching::Pseudocost,
+                    threads,
+                    ..MipOptions::default()
+                })
+                .solve()
+                .unwrap();
+            assert_eq!(out.status, MipStatus::Optimal, "threads {threads}");
+            assert!((out.objective - bobj).abs() < 1e-6, "threads {threads}");
+            assert_eq!(out.stats.per_worker_nodes.len(), threads);
         }
+    }
+
+    /// Records the thread of every branching decision.
+    struct ThreadRecorder(Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl BranchingRule for ThreadRecorder {
+        fn select(
+            &self,
+            problem: &Problem,
+            x: &[f64],
+            int_tol: f64,
+        ) -> Option<(VarId, BranchDirection)> {
+            self.0
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(std::thread::current().id());
+            FirstIndexRule.select(problem, x, int_tol)
+        }
+
+        fn name(&self) -> &str {
+            "thread-recorder"
+        }
+    }
+
+    #[test]
+    fn one_thread_searches_on_the_callers_thread() {
+        let p = knapsack(&[10.0, 13.0, 7.0, 8.0], &[3.0, 4.0, 2.0, 3.0], 7.0);
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let out = BranchAndBound::new(&p)
+            .options(MipOptions {
+                threads: 1,
+                ..MipOptions::default()
+            })
+            .rule(ThreadRecorder(Arc::clone(&seen)))
+            .solve()
+            .unwrap();
+        assert_eq!(out.status, MipStatus::Optimal);
+        let seen = seen.lock().unwrap().clone();
+        assert!(!seen.is_empty(), "the rule was consulted");
+        let me = std::thread::current().id();
+        assert!(seen.iter().all(|&t| t == me), "{seen:?} vs {me:?}");
     }
 
     #[test]

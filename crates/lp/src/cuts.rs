@@ -378,10 +378,6 @@ pub(crate) struct CutLoopResult {
     /// The problem strengthened by the surviving pool (identical variable
     /// set; extra `≤` rows only).
     pub(crate) problem: Problem,
-    /// Last root LP optimum over the structural variables (`None` when the
-    /// root LP did not solve to optimality — infeasible, unbounded, or an
-    /// LP error, all of which the main search re-discovers and reports).
-    pub(crate) root_x: Option<Vec<f64>>,
     /// Simplex iterations spent by the loop (root resolves + probe dives).
     pub(crate) lp_iterations: usize,
 }
@@ -445,7 +441,7 @@ pub(crate) fn root_cut_loop(
     }
 
     // Shallow probe dives: both children of the most fractional binary.
-    if let Some(x) = root_x.clone() {
+    if let Some(x) = root_x {
         if any_fractional(problem, &x, int_tol) {
             let probe_var = problem
                 .var_ids()
@@ -482,11 +478,11 @@ pub(crate) fn root_cut_loop(
                 }
                 if added > 0 {
                     current = apply_pool(problem, &pool)?;
+                    // Nothing reads this re-solve's point; its pivots are
+                    // part of the cuts-on golden pins, so it goes when those
+                    // are next re-pinned.
                     if let Ok(out) = solve_lp(&current, &opts) {
                         iters += out.iterations;
-                        if out.status == LpStatus::Optimal {
-                            root_x = Some(out.x);
-                        }
                     }
                 }
             }
@@ -496,7 +492,6 @@ pub(crate) fn root_cut_loop(
     scale.cuts_applied += pool.len();
     Ok(CutLoopResult {
         problem: current,
-        root_x,
         lp_iterations: iters,
     })
 }

@@ -3,12 +3,12 @@
 //! The resilience layer has two moving parts, both defined here:
 //!
 //! * [`Budget`] — one shared wall-clock / node / LP-iteration budget for a
-//!   whole branch-and-bound solve, checked between nodes by both search
-//!   drivers and *inside* the simplex pivot loop (piggybacking on the
+//!   whole branch-and-bound solve, checked between nodes by the search
+//!   driver and *inside* the simplex pivot loop (piggybacking on the
 //!   existing every-32-iterations deadline sample, so a solve without a
 //!   budget attached pivots exactly as before). A worker that detects a
-//!   limit raises the budget's stop flag, which cancels sibling workers
-//!   mid-LP instead of letting them finish their node first.
+//!   limit raises the solve budget's stop flag, which cancels sibling
+//!   workers mid-LP instead of letting them finish their node first.
 //! * [`FaultPlan`] — a scripted, deterministic fault injector. It is
 //!   compiled unconditionally but completely inert unless
 //!   [`LpOptions::faults`](crate::LpOptions) is set, so ordinary
@@ -26,7 +26,7 @@
 //! Solver sites: `singular` (a basis refactorization reports
 //! [`LpError::SingularBasis`](crate::LpError)), `itercap` (an LP solve
 //! attempt reports [`LpError::IterationLimit`](crate::LpError) on entry),
-//! `panic` (a parallel worker panics right before solving a node), `skew`
+//! `panic` (a search worker panics right before solving a node), `skew`
 //! (a pivot-loop deadline sample behaves as if the wall clock jumped past
 //! the deadline). Service sites, consulted only by `tempart-server`:
 //! `slowclient` (the event writer stalls), `tornframe` (a frame truncates
@@ -54,9 +54,9 @@ pub enum FaultSite {
     SingularBasis,
     /// An LP solve attempt reports an iteration limit on entry.
     IterationCap,
-    /// A parallel worker panics before solving a node (serial search never
-    /// consults this site). `tempart-server` consults the same site before
-    /// a pool worker starts a job, exercising its requeue-once recovery.
+    /// A search worker panics before solving a node (at any thread count).
+    /// `tempart-server` consults the same site before a pool worker starts
+    /// a job, exercising its requeue-once recovery.
     WorkerPanic,
     /// A deadline sample in the pivot loop reports expiry regardless of
     /// the actual clock — a deterministic stand-in for clock skew or a
@@ -137,7 +137,7 @@ impl FaultSite {
 ///
 /// Occurrence counters are interior-mutable so one plan can be shared via
 /// `Arc` by every worker of a parallel solve; counting is atomic, and with
-/// a deterministic solver (serial search, or scripted per-worker sites)
+/// a deterministic solver (a one-worker search, or scripted per-worker sites)
 /// the tripped occurrences are fully reproducible.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
@@ -246,13 +246,19 @@ pub enum BudgetExceeded {
 /// One shared wall-clock / node / LP-iteration budget for a whole
 /// branch-and-bound solve.
 ///
-/// Both search drivers check it at every node, and the simplex pivot loop
+/// The search driver checks it at every node, and the simplex pivot loop
 /// checks [`Budget::should_stop`] at its periodic deadline sample, so an
 /// expired budget interrupts even a single long-running LP. Expiry is
-/// never an error: the drivers translate it into
+/// never an error: the driver translates it into
 /// [`MipStatus::TimeLimit`](crate::MipStatus) /
 /// [`MipStatus::NodeLimit`](crate::MipStatus) with the best incumbent and
 /// proven bound found so far.
+///
+/// A caller that spans several solves with one budget (a latency sweep, a
+/// server job) attaches it through
+/// [`LpOptions::budget`](crate::LpOptions::budget); each solve then runs
+/// under a [`Budget::scoped`] child that carries that solve's own limits,
+/// so a limit one solve hits never stops the next.
 #[derive(Debug)]
 pub struct Budget {
     deadline: Option<Instant>,
@@ -260,41 +266,38 @@ pub struct Budget {
     max_lp_iterations: usize,
     // hb: relaxed-rmw -> relaxed-load (nodes) — monotone work tally; limit
     // checks tolerate staleness by up to one node per worker (documented in
-    // the parallel driver) and publish nothing through it.
+    // the search driver) and publish nothing through it.
     nodes: AtomicUsize,
     // hb: relaxed-rmw -> relaxed-load (lp_iterations) — same monotone-tally
     // contract as `nodes`, sampled inside the pivot loop.
     lp_iterations: AtomicUsize,
-    /// Shared so sibling budgets (the portfolio's per-arm budgets under one
-    /// caller budget) cancel together: tripping any of them trips all.
     // hb: relaxed-store -> relaxed-load (stop) — pure latch: observers act
     // on the flag itself (stop searching) and consume no data published
     // before it; terminal state is read after thread joins.
-    stop: Arc<AtomicBool>,
+    stop: AtomicBool,
+    /// The caller's budget this one runs under: its stop flag, deadline and
+    /// pivot cap stop this budget too, and every node and pivot counted here
+    /// is counted there as well. Stopping this budget leaves it untouched.
+    parent: Option<Arc<Budget>>,
 }
 
 impl Budget {
     /// Starts a budget now. `time_limit_secs` may be infinite and the
     /// counts `usize::MAX` to disable the respective dimension.
     pub fn new(time_limit_secs: f64, max_nodes: usize, max_lp_iterations: usize) -> Budget {
-        Budget::with_stop_flag(
-            time_limit_secs,
-            max_nodes,
-            max_lp_iterations,
-            Arc::new(AtomicBool::new(false)),
-        )
+        Budget::scoped(None, time_limit_secs, max_nodes, max_lp_iterations)
     }
 
-    /// Starts a budget now whose stop flag is the caller-supplied `stop` —
-    /// several budgets built over one flag cancel as a group
-    /// ([`Budget::request_stop`] on any of them stops them all). The
-    /// portfolio driver uses this to keep its per-arm budgets cancellable
-    /// by an outer caller budget (a server draining, a Ctrl-C handler).
-    pub fn with_stop_flag(
+    /// Starts a budget now with its own limits and stop flag under an
+    /// optional `parent` (see the `parent` field): the parent's stop
+    /// request, deadline and pivot cap reach this budget, this budget's
+    /// limits and [`Budget::request_stop`] never reach the parent. The
+    /// parent's node cap is its owner's to enforce.
+    pub fn scoped(
+        parent: Option<Arc<Budget>>,
         time_limit_secs: f64,
         max_nodes: usize,
         max_lp_iterations: usize,
-        stop: Arc<AtomicBool>,
     ) -> Budget {
         let deadline = if time_limit_secs.is_finite() {
             Some(Instant::now() + Duration::from_secs_f64(time_limit_secs.max(0.0)))
@@ -307,13 +310,9 @@ impl Budget {
             max_lp_iterations,
             nodes: AtomicUsize::new(0),
             lp_iterations: AtomicUsize::new(0),
-            stop,
+            stop: AtomicBool::new(false),
+            parent,
         }
-    }
-
-    /// The shared stop flag (see [`Budget::with_stop_flag`]).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
     }
 
     /// A budget with every dimension disabled.
@@ -326,92 +325,101 @@ impl Budget {
         self.max_nodes
     }
 
-    /// Counts one explored node; returns the new total.
+    /// Counts one explored node (here and in the parent); returns this
+    /// budget's new total.
     pub fn note_node(&self) -> usize {
+        if let Some(p) = &self.parent {
+            p.note_node();
+        }
         self.nodes.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Nodes counted so far.
+    /// Nodes counted by this budget so far.
     pub fn nodes(&self) -> usize {
         self.nodes.load(Ordering::Relaxed)
     }
 
-    /// Adds finished LP pivots; returns the new total.
+    /// Adds finished LP pivots (here and in the parent); returns this
+    /// budget's new total.
     pub fn add_lp_iterations(&self, n: usize) -> usize {
+        if let Some(p) = &self.parent {
+            p.add_lp_iterations(n);
+        }
         self.lp_iterations.fetch_add(n, Ordering::Relaxed) + n
     }
 
-    /// Seconds until the deadline (`f64::INFINITY` when none, clamped at
-    /// zero once passed).
+    /// Seconds until the earlier of this budget's and the parent's
+    /// deadlines (`f64::INFINITY` when neither has one, clamped at zero
+    /// once passed).
     pub fn remaining_secs(&self) -> f64 {
-        match self.deadline {
+        let own = match self.deadline {
             Some(d) => d
                 .checked_duration_since(Instant::now())
                 .map_or(0.0, |r| r.as_secs_f64()),
             None => f64::INFINITY,
-        }
+        };
+        self.parent
+            .as_ref()
+            .map_or(own, |p| own.min(p.remaining_secs()))
     }
 
     /// Which dimension (if any) is exhausted, counting `extra_lp` pivots
-    /// still in flight inside the current LP. Checks the cheap flag and
-    /// counters before sampling the clock.
+    /// still in flight inside the current LP: this budget's node cap, then
+    /// the stop flags, pivot caps and deadlines of this budget and its
+    /// parent. Checks the cheap flags and counters before sampling the
+    /// clock.
     pub fn exceeded(&self, extra_lp: usize) -> Option<BudgetExceeded> {
-        if self.stop.load(Ordering::Relaxed) {
-            return Some(BudgetExceeded::Time);
-        }
         if self.nodes.load(Ordering::Relaxed) >= self.max_nodes {
             return Some(BudgetExceeded::Nodes);
         }
-        if self
-            .lp_iterations
-            .load(Ordering::Relaxed)
-            .saturating_add(extra_lp)
-            >= self.max_lp_iterations
-        {
+        if self.stop_requested() {
+            return Some(BudgetExceeded::Time);
+        }
+        if self.lp_spent(extra_lp) {
             return Some(BudgetExceeded::LpIterations);
         }
-        match self.deadline {
-            Some(d) if Instant::now() > d => Some(BudgetExceeded::Time),
-            _ => None,
-        }
+        self.past_deadline().then_some(BudgetExceeded::Time)
     }
 
     /// Pivot-loop check: should the current LP abandon its solve?
     ///
-    /// Checks the stop flag, the LP-iteration budget (counting the
-    /// in-flight pivots) and the deadline — but *not* the node cap, which
-    /// the drivers enforce between nodes: a peer pushing the node count
+    /// Checks the stop flags, the LP-iteration budgets (counting the
+    /// in-flight pivots) and the deadlines — but *not* the node cap, which
+    /// the driver enforces between nodes: a peer pushing the node count
     /// past the cap mid-LP must not make this solve report a timeout
     /// (the first worker to see the cap raises the stop flag instead).
     pub fn should_stop(&self, in_flight_lp: usize) -> bool {
-        if self.stop.load(Ordering::Relaxed) {
-            return true;
-        }
-        if self
-            .lp_iterations
+        self.stop_requested() || self.lp_spent(in_flight_lp) || self.past_deadline()
+    }
+
+    /// Whether this budget's or the parent's pivot cap is reached with
+    /// `extra_lp` pivots still in flight.
+    fn lp_spent(&self, extra_lp: usize) -> bool {
+        self.lp_iterations
             .load(Ordering::Relaxed)
-            .saturating_add(in_flight_lp)
+            .saturating_add(extra_lp)
             >= self.max_lp_iterations
-        {
-            return true;
-        }
+            || self.parent.as_ref().is_some_and(|p| p.lp_spent(extra_lp))
+    }
+
+    /// Whether this budget's or the parent's deadline has passed.
+    fn past_deadline(&self) -> bool {
         matches!(self.deadline, Some(d) if Instant::now() > d)
+            || self.parent.as_ref().is_some_and(|p| p.past_deadline())
     }
 
-    /// Whether the LP-iteration budget is spent (committed pivots only).
-    pub fn lp_exhausted(&self) -> bool {
-        self.lp_iterations.load(Ordering::Relaxed) >= self.max_lp_iterations
-    }
-
-    /// Raises the stop flag so every worker's next budget check fails —
-    /// the cross-worker cancellation path.
+    /// Raises this budget's stop flag so every worker's next budget check
+    /// fails — the cross-worker cancellation path. The parent's flag is
+    /// left alone.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
 
-    /// Whether [`Budget::request_stop`] was called.
+    /// Whether [`Budget::request_stop`] was called on this budget or on
+    /// its parent.
     pub fn stop_requested(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
+            || self.parent.as_ref().is_some_and(|p| p.stop_requested())
     }
 }
 
@@ -545,11 +553,9 @@ mod tests {
         assert_eq!(b.exceeded(0), None);
         assert_eq!(b.exceeded(60), Some(BudgetExceeded::LpIterations));
         assert!(b.should_stop(60));
-        assert!(!b.lp_exhausted());
         b.add_lp_iterations(60);
         assert_eq!(b.exceeded(0), Some(BudgetExceeded::LpIterations));
         assert!(b.should_stop(0));
-        assert!(b.lp_exhausted());
     }
 
     #[test]
@@ -593,17 +599,34 @@ mod tests {
     }
 
     #[test]
-    fn faults_budgets_sharing_a_stop_flag_cancel_together() {
-        let outer = Budget::unlimited();
-        let inner = Budget::with_stop_flag(f64::INFINITY, 7, usize::MAX, outer.stop_flag());
-        assert!(!inner.stop_requested());
-        outer.request_stop();
-        assert!(inner.stop_requested(), "flag is shared");
-        assert_eq!(inner.exceeded(0), Some(BudgetExceeded::Time));
-        // Counters stay per-budget: only the flag is shared.
+    fn faults_scoped_budget_reads_the_parent_but_never_stops_it() {
+        let outer = Arc::new(Budget::new(f64::INFINITY, 1, 100));
+        let inner = Budget::scoped(Some(Arc::clone(&outer)), f64::INFINITY, 7, usize::MAX);
+        // Tallies reach the parent; the parent's node cap is not the
+        // child's.
         inner.note_node();
-        assert_eq!(outer.nodes(), 0);
+        inner.add_lp_iterations(40);
+        assert_eq!((outer.nodes(), inner.nodes()), (1, 1));
+        assert_eq!(outer.exceeded(0), Some(BudgetExceeded::Nodes));
+        assert_eq!(inner.exceeded(0), None);
         assert_eq!(inner.max_nodes(), 7);
+        // The parent's pivot cap does reach the child.
+        assert_eq!(inner.exceeded(60), Some(BudgetExceeded::LpIterations));
+        // A child stop ends the child only.
+        inner.request_stop();
+        assert!(inner.stop_requested());
+        assert!(!outer.stop_requested(), "the caller's budget never latches");
+        // A parent stop reaches every child.
+        let sibling = Budget::scoped(Some(Arc::clone(&outer)), f64::INFINITY, 7, usize::MAX);
+        assert!(!sibling.should_stop(0));
+        outer.request_stop();
+        assert!(sibling.stop_requested());
+        assert_eq!(sibling.exceeded(0), Some(BudgetExceeded::Time));
+        // So does a passed parent deadline.
+        let expired = Arc::new(Budget::new(0.0, usize::MAX, usize::MAX));
+        let child = Budget::scoped(Some(expired), f64::INFINITY, usize::MAX, usize::MAX);
+        assert!(child.should_stop(0));
+        assert_eq!(child.remaining_secs(), 0.0);
     }
 
     #[test]
@@ -613,7 +636,7 @@ mod tests {
         assert_eq!(b.exceeded(0), None);
         b.note_node();
         assert_eq!(b.exceeded(0), Some(BudgetExceeded::Nodes));
-        // The node cap never cancels an LP mid-solve; drivers enforce it
+        // The node cap never cancels an LP mid-solve; the driver enforces it
         // between nodes.
         assert!(!b.should_stop(0));
         assert_eq!(b.nodes(), 2);

@@ -16,7 +16,8 @@
 //!   refactorization, and an artificial-variable phase 1.
 //! * **Dual simplex** for warm-started re-solves after bound changes — the
 //!   workhorse of branch-and-bound node evaluation.
-//! * [`BranchAndBound`] — depth-first 0-1 branch and bound with pluggable
+//! * [`BranchAndBound`] — depth-first 0-1 branch and bound on a
+//!   work-stealing search (one worker by default) with pluggable
 //!   [`BranchingRule`]s: most-fractional, lowest-index (a deterministic
 //!   stand-in for an unguided solver default), and priority-ordered with
 //!   preferred directions (the paper's heuristic).
@@ -51,7 +52,6 @@ mod lu;
 mod mps;
 mod options;
 mod parallel;
-mod portfolio;
 mod problem;
 mod profile;
 mod progress;

@@ -179,10 +179,12 @@ pub struct LpOptions {
     /// default — leaves every injection site inert; tests set it to
     /// exercise the recovery paths deterministically.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Shared solve budget (see [`Budget`]). Branch and bound attaches one
-    /// so the pivot loop honours the whole-solve deadline, node cap, and
-    /// LP-iteration cap mid-LP; `None` (the default for standalone LP
-    /// solves) checks only [`LpOptions::time_limit_secs`].
+    /// Shared solve budget (see [`Budget`]). Branch and bound attaches its
+    /// solve budget so the pivot loop honours the deadline, LP-iteration cap
+    /// and stop requests mid-LP; a caller that sets it on
+    /// [`MipOptions::lp`] becomes that solve budget's parent. `None` (the
+    /// default for standalone LP solves) checks only
+    /// [`LpOptions::time_limit_secs`].
     pub budget: Option<Arc<Budget>>,
 }
 
@@ -233,22 +235,13 @@ pub struct MipOptions {
     /// against every constraint and the integrality of binaries before use;
     /// an invalid point is silently ignored.
     pub initial_incumbent: Option<Vec<f64>>,
-    /// Worker threads for the tree search. `1` (the default) runs the exact
-    /// serial algorithm with deterministic node counts; `0` means one worker
-    /// per available CPU. Any thread count returns the same proven optimal
-    /// objective — only node/steal counts and the incumbent's tie-broken
-    /// argmin may vary above one thread.
+    /// Workers of the work-stealing tree search. `1` (the default) runs one
+    /// worker on the calling thread, in a fixed depth-first order with
+    /// deterministic node counts; `0` means one worker per available CPU.
+    /// Any thread count returns the same proven optimal objective — only
+    /// node/steal counts and the incumbent's tie-broken argmin may vary
+    /// above one thread.
     pub threads: usize,
-    /// Portfolio racing mode: instead of parallelizing one tree search,
-    /// race a small set of solver configurations (the caller's branching
-    /// rule and the built-in unguided/diving rules, each under Dantzig and
-    /// devex pricing) as independent serial solves, one thread per arm.
-    /// The first arm to finish conclusively cancels the rest through its
-    /// peers' cooperative [`Budget`]s; losers stop with truthful
-    /// limit-style statuses. Every arm is the exact serial algorithm, so
-    /// the proven optimum is deterministic even though the winning arm is
-    /// a wall-clock race. Takes precedence over [`MipOptions::threads`].
-    pub portfolio: bool,
     /// Cut-and-branch: separate lifted cover and clique cuts from fractional
     /// LP points at the root (multi-round, with shallow probe dives) and
     /// solve the search over the cut-strengthened problem. Off by default —
@@ -258,17 +251,6 @@ pub struct MipOptions {
     /// fixing binaries and detecting infeasibility without a simplex solve.
     /// Off by default.
     pub propagate: bool,
-    /// RINS-style primal heuristic at the root: fix the binaries on which
-    /// the root LP relaxation and [`MipOptions::rins_reference`] agree,
-    /// solve the restricted sub-MIP under a small budget, and adopt an
-    /// improved incumbent. Off by default; a no-op without a reference.
-    pub rins: bool,
-    /// Integer-feasible reference point for RINS (full variable assignment
-    /// in problem order). The caller supplies it — for the temporal
-    /// partitioner this is the encoded Figure-2 list schedule, which lets
-    /// the scheduler *drive* incumbents even on unseeded runs. Validated
-    /// like [`MipOptions::initial_incumbent`]; an invalid point is ignored.
-    pub rins_reference: Option<Vec<f64>>,
     /// Branching-variable selection (see [`Branching`]). The default
     /// [`Branching::Rule`] is the pinned static-rule path.
     pub branching: Branching,
@@ -292,11 +274,8 @@ impl Default for MipOptions {
             abs_gap: 1e-9,
             initial_incumbent: None,
             threads: 1,
-            portfolio: false,
             cuts: false,
             propagate: false,
-            rins: false,
-            rins_reference: None,
             branching: Branching::Rule,
             progress: None,
         }
@@ -324,13 +303,11 @@ mod tests {
         assert!(!mip.objective_is_integral);
         assert!(mip.time_limit_secs.is_infinite());
         assert_eq!(mip.max_lp_iterations, usize::MAX, "pivot budget off");
-        assert_eq!(mip.threads, 1, "serial by default");
-        assert!(!mip.portfolio, "racing is opt-in");
+        assert_eq!(mip.threads, 1, "one worker by default");
         assert!(
-            !mip.cuts && !mip.propagate && !mip.rins,
+            !mip.cuts && !mip.propagate,
             "the scale features are opt-in — the pins depend on it"
         );
-        assert!(mip.rins_reference.is_none());
         assert_eq!(mip.branching, Branching::Rule, "pinned static rule");
         assert!(
             lp.faults.is_none() && lp.budget.is_none() && mip.progress.is_none(),

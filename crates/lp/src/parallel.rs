@@ -1,10 +1,12 @@
-//! Multi-worker branch and bound on a work-stealing scheduler.
+//! The branch-and-bound search: one work-stealing driver at every thread
+//! count.
 //!
-//! Entered from [`BranchAndBound::solve`](crate::BranchAndBound::solve) when
-//! [`MipOptions::threads`](crate::MipOptions::threads) resolves above one.
-//! Built on `std::thread` only. The search layer is contention-free on its
-//! hot path — a worker dispatching its own node and warm-starting from its
-//! parent touches no global lock:
+//! Entered from [`BranchAndBound::solve`](crate::BranchAndBound::solve)
+//! with the worker count that [`MipOptions::threads`](crate::MipOptions::threads)
+//! resolves to. One worker runs on the calling thread; more run on scoped
+//! `std::thread`s. The search layer is contention-free on its hot path — a
+//! worker dispatching its own node and warm-starting from its parent
+//! touches no global lock:
 //!
 //! * **Per-worker work-stealing deques** — every worker owns a
 //!   [`WorkDeque`]: it dives depth-first on the branching rule's preferred
@@ -12,8 +14,8 @@
 //!   publishes the sibling to its own deque with an uncontended `try_lock`
 //!   (misses count as `lock_waits`). Idle workers steal from the *front*
 //!   of a victim's deque — the root-most, typically best-bound node it has
-//!   on offer — so global search order stays close to the old best-bound
-//!   pool without any shared queue. Exhaustion is detected by an atomic
+//!   on offer — so global search order stays close to a best-bound pool
+//!   without any shared queue. Exhaustion is detected by an atomic
 //!   `outstanding` count; truly idle workers park on a condvar that
 //!   publishers only touch when a sleeper is registered.
 //! * **Copy-on-write warm starts** — a branched node's optimal basis is
@@ -29,12 +31,16 @@
 //!   as `incumbent_retries`).
 //!   No mutex anywhere on the incumbent path, and improvements publish
 //!   promptly — stale-incumbent node blowup is bounded by tests.
-//! * **Cooperative cancellation** — deadline and node-limit breaches set an
-//!   `AtomicBool` *and* raise the shared [`Budget`]'s stop flag, which the
+//! * **Per-solve budget** — node, pivot and wall-clock limits are checked
+//!   against a [`Budget`] scoped to this solve (a child of the caller's
+//!   budget, when one is attached). A limit that one worker detects sets
+//!   an `AtomicBool` *and* raises the solve budget's stop flag, which the
 //!   simplex pivot loop samples: a worker stuck in one long LP abandons it
-//!   mid-solve instead of finishing the node. Workers fold their in-flight
-//!   bounds into the shared open-bound so the reported `best_bound` stays
-//!   a valid lower bound, then exit.
+//!   mid-solve instead of finishing the node. The caller's budget is never
+//!   stopped, so a caller that spans several solves with it (a latency
+//!   sweep) gives each its own limits. Workers fold their in-flight bounds
+//!   into the shared open-bound so the reported `best_bound` stays a valid
+//!   lower bound, then exit.
 //! * **Panic isolation** — each node solve runs under `catch_unwind`; a
 //!   panicking solve is logged, its node requeued once, and the search
 //!   continues. A node that panics twice is abandoned and the final
@@ -44,10 +50,13 @@
 //! ## Determinism contract
 //!
 //! At any thread count the solver proves the same optimal objective (or the
-//! same infeasibility). Node visit order, node/steal counts, and which of
-//! several objective-tied optima becomes the incumbent are deterministic
-//! only at `threads == 1`; limit-terminated runs may also differ in their
-//! reported gap.
+//! same infeasibility). With one worker the search is fully deterministic:
+//! the worker pops its dive buffer, then the newest sibling in its own
+//! deque, which is exactly the depth-first order of a LIFO stack, so node
+//! visit order, node and pivot counts and the incumbent are pinned by the
+//! golden tests. Above one worker, node visit order, node/steal counts, and
+//! which of several objective-tied optima becomes the incumbent vary run to
+//! run; limit-terminated runs may also differ in their reported gap.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -58,30 +67,38 @@ use tempart_race::sync::Mutex;
 
 use crate::branch::{
     is_fractional, prune_bound, validate_incumbent, BoundOverlay, BranchDirection, BranchingRule,
-    MipSolution, MipStats, PSEUDOCOST_RELIABILITY,
+    MipSolution, MipStats,
 };
-use crate::faults::{Budget, FaultSite};
+use crate::faults::{Budget, BudgetExceeded, FaultSite};
 use crate::internal::CoreLp;
 use crate::options::{Branching, MipOptions};
 use crate::problem::{LpError, Problem, VarId, VarKind};
 use crate::profile::{ContentionProfile, ScaleProfile, SimplexProfile};
 use crate::propagate::{Propagation, Propagator};
-use crate::pseudocost::PseudoCost;
+use crate::pseudocost::{reliability_init, PseudoCost};
 use crate::rendezvous::Rendezvous;
 use crate::simplex::{solve_node_resilient, BasisSnapshot};
 use crate::status::{LpStatus, MipStatus};
 use crate::worksteal::{lock, IncumbentCell, StealFail, WorkDeque};
 
-struct ParNode {
+/// Observations per direction before a pseudo-cost estimate is trusted.
+const PSEUDOCOST_RELIABILITY: usize = 8;
+/// Strong-branching candidates bootstrapped at the root.
+const STRONG_BRANCH_TOP_K: usize = 8;
+
+struct Node {
+    /// Bound overrides relative to the root bounds.
     overlay: BoundOverlay,
     /// Parent basis, shared copy-on-write with the sibling.
     warm: Option<Arc<BasisSnapshot>>,
+    /// Parent LP bound (for cheap pre-pruning).
     parent_bound: f64,
     /// Whether a panicking solve already requeued this node once; a second
     /// panic abandons it instead of looping forever.
     requeued: bool,
-    /// The branching that created this node (see the serial `Node`);
-    /// context for the shared pseudo-cost engine.
+    /// The branching that created this node: `(variable, direction,
+    /// fractional part at the parent)` — the pseudo-cost engine's
+    /// observation context. `None` exactly at the root.
     branched: Option<(VarId, BranchDirection, f64)>,
 }
 
@@ -106,11 +123,10 @@ struct Shared<'a> {
     problem: &'a Problem,
     rule: &'a (dyn BranchingRule + Sync),
     opts: &'a MipOptions,
-    start: Instant,
     /// One work-stealing deque per worker (its internal lock is
     /// `lock-order: 1`; a thief holds at most one deque lock at a time and
     /// never another lock with it).
-    deques: Vec<WorkDeque<ParNode>>,
+    deques: Vec<WorkDeque<Node>>,
     /// Open-node accounting and the sleep/wake rendezvous (owns the idle
     /// mutex, `lock-order: 2`, and the `work_available` condvar). The
     /// model scenario `race_models::rendezvous_terminates` checks this
@@ -118,9 +134,10 @@ struct Shared<'a> {
     rv: Rendezvous,
     /// Seqlock incumbent slot + wait-free objective bound.
     incumbent: IncumbentCell,
-    /// Whole-solve budget: node count (node-limit enforcement), wall-clock
+    /// This solve's budget: node count (node-limit enforcement), wall-clock
     /// deadline, and LP-iteration cap, shared with every node LP so the
-    /// pivot loop honours it mid-solve.
+    /// pivot loop honours it mid-solve. Scoped to this solve, so raising
+    /// its stop flag never reaches the caller's budget.
     budget: Arc<Budget>,
     // hb: release-store -> acquire-load (cancel) — a worker observing the
     // flag may rely on the flagger's status/error mutex write being
@@ -131,10 +148,9 @@ struct Shared<'a> {
     /// worker), so a final `Optimal` must degrade to `NodeLimit`.
     ///
     /// Pure boolean verdict: stored by workers, read once in the epilogue
-    /// *after* `thread::scope` joined every worker — the join edge is the
-    /// synchronisation, so `Relaxed` suffices on both sides (the previous
-    /// `Release`/`Acquire` pair published nothing anyone consumed before
-    /// the join). Pinned by `race_models::proof_incomplete_join_edge`.
+    /// *after* every worker returned — the join edge (or, with one worker,
+    /// program order) is the synchronisation, so `Relaxed` suffices on both
+    /// sides. Pinned by `race_models::proof_incomplete_join_edge`.
     // hb: relaxed-store -> relaxed-load (proof_incomplete) — verdict flag
     // read only after the worker join; the join is the hb edge.
     proof_incomplete: AtomicBool,
@@ -155,15 +171,15 @@ struct Shared<'a> {
     /// Shared pseudo-cost history; `None` unless pseudo-cost branching is
     /// selected. A leaf lock: taken with no other lock held and released
     /// before any publish or incumbent call, so it cannot participate in a
-    /// cycle. Observation order varies run to run — exactly the
-    /// determinism contract the parallel search already has.
+    /// cycle. Above one worker, observation order varies run to run —
+    /// exactly the determinism contract the search already has.
     // lock-order: 6
     pseudo: Option<Mutex<PseudoCost>>,
 }
 
 impl Shared<'_> {
     /// Publishes a node to `id`'s own deque and wakes a sleeper if any.
-    fn publish(&self, id: usize, node: ParNode, contention: &mut ContentionProfile) {
+    fn publish(&self, id: usize, node: Node, contention: &mut ContentionProfile) {
         self.deques[id].push(node, &mut contention.lock_waits);
         self.rv.wake_if_sleepers();
     }
@@ -173,7 +189,7 @@ impl Shared<'_> {
     /// over the other workers' deques (oldest — their best bound on
     /// offer), then a parked sleep until someone publishes or the search
     /// ends. `None` means the search is over (exhausted or cancelled).
-    fn find_work(&self, id: usize, contention: &mut ContentionProfile) -> Option<ParNode> {
+    fn find_work(&self, id: usize, contention: &mut ContentionProfile) -> Option<Node> {
         let w = self.deques.len();
         loop {
             if self.rv.is_done() {
@@ -218,14 +234,14 @@ impl Shared<'_> {
 
     /// Gives a node whose solve panicked back to the scheduler for one
     /// more try (any worker may pick it up).
-    fn requeue(&self, id: usize, mut node: ParNode, contention: &mut ContentionProfile) {
+    fn requeue(&self, id: usize, mut node: Node, contention: &mut ContentionProfile) {
         node.requeued = true;
         self.publish(id, node, contention);
     }
 
     /// Abandons a node's subtree (second panic): its bound still counts
     /// toward `best_bound` and the final status degrades from `Optimal`.
-    fn abandon(&self, node: ParNode) {
+    fn abandon(&self, node: Node) {
         self.proof_incomplete.store(true, Ordering::Relaxed);
         self.fold_open_bound(node.parent_bound);
         self.rv.node_done();
@@ -234,7 +250,7 @@ impl Shared<'_> {
     /// Cancellation exit: folds the in-flight node and the private dive
     /// buffer into the open bound (keeping `best_bound` valid) and stops
     /// everyone.
-    fn abort(&self, inflight: Option<ParNode>, local: &mut Vec<ParNode>) {
+    fn abort(&self, inflight: Option<Node>, local: &mut Vec<Node>) {
         {
             let mut b = lock(&self.open_bound);
             for n in inflight.iter().chain(local.iter()) {
@@ -246,7 +262,8 @@ impl Shared<'_> {
     }
 
     /// Records a limit termination (first flag wins) and cancels, raising
-    /// the budget stop flag so peers mid-LP abandon their solves too.
+    /// the solve budget's stop flag so peers mid-LP abandon their solves
+    /// too.
     fn flag_limit(&self, s: MipStatus) {
         {
             let mut st = lock(&self.status);
@@ -282,16 +299,17 @@ impl Shared<'_> {
     }
 }
 
-/// Runs the parallel search with `workers ≥ 2` threads.
+/// Runs the search with `workers ≥ 1` workers under the solve budget
+/// `budget` (see [`BranchAndBound::solve`](crate::BranchAndBound::solve)).
 pub(crate) fn solve_parallel(
     problem: &Problem,
     opts: &MipOptions,
     rule: &(dyn BranchingRule + Sync),
     workers: usize,
+    budget: Arc<Budget>,
 ) -> Result<MipSolution, LpError> {
-    debug_assert!(workers >= 2);
-    // audit: allow(nondet) — wall-clock start for the anytime time limit and
-    // reported runtime; branching decisions never read it.
+    // audit: allow(nondet) — wall-clock start for the reported runtime;
+    // branching decisions never read it.
     let start = Instant::now();
     let core = CoreLp::from_problem(problem);
 
@@ -301,13 +319,11 @@ pub(crate) fn solve_parallel(
         p.note_incumbent(*obj);
     }
 
-    let budget = crate::branch::external_or_new_budget(opts);
     let mut shared = Shared {
         core: &core,
         problem,
         rule,
         opts,
-        start,
         deques: (0..workers).map(|_| WorkDeque::new()).collect(),
         rv: Rendezvous::new(1),
         incumbent: IncumbentCell::new(seeded),
@@ -325,7 +341,7 @@ pub(crate) fn solve_parallel(
     };
     // Seed worker 0's deque with the root; a faster peer may steal it.
     shared.deques[0].push(
-        ParNode {
+        Node {
             overlay: BoundOverlay::default(),
             warm: None,
             parent_bound: f64::NEG_INFINITY,
@@ -335,30 +351,23 @@ pub(crate) fn solve_parallel(
         &mut 0,
     );
 
-    let worker_stats: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|id| {
-                let shared = &shared;
-                scope.spawn(move || {
-                    // Node solves already run under their own catch_unwind;
-                    // this outer net catches everything else so one broken
-                    // worker degrades the result instead of aborting the
-                    // process.
-                    catch_unwind(AssertUnwindSafe(|| worker_loop(id, shared))).unwrap_or_else(
-                        |_| {
-                            eprintln!("tempart-lp: worker {id} crashed; degrading result");
-                            shared.worker_crashed();
-                            WorkerStats::default()
-                        },
-                    )
+    let worker_stats: Vec<WorkerStats> = if workers == 1 {
+        // One worker runs on the calling thread: no spawn, no second stack.
+        vec![run_worker(0, &shared)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|id| {
+                    let shared = &shared;
+                    scope.spawn(move || run_worker(id, shared))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_default())
+                .collect()
+        })
+    };
 
     if let Some(e) = lock(&shared.error).take() {
         return Err(e);
@@ -440,12 +449,22 @@ pub(crate) fn solve_parallel(
     })
 }
 
+/// Runs worker `id` to completion. Node solves already run under their own
+/// `catch_unwind`; this outer net catches everything else so one broken
+/// worker degrades the result instead of aborting the process.
+fn run_worker(id: usize, shared: &Shared<'_>) -> WorkerStats {
+    catch_unwind(AssertUnwindSafe(|| worker_loop(id, shared))).unwrap_or_else(|_| {
+        eprintln!("tempart-lp: worker {id} crashed; degrading result");
+        shared.worker_crashed();
+        WorkerStats::default()
+    })
+}
+
 fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
     let mut ws = WorkerStats::default();
     // Preferred child of the last expansion: the worker dives on it with no
-    // synchronization at all, preserving the serial solver's warm-start
-    // locality.
-    let mut local: Vec<ParNode> = Vec::new();
+    // synchronization at all, keeping depth-first warm-start locality.
+    let mut local: Vec<Node> = Vec::new();
     let mut lower = shared.core.lower.clone();
     let mut upper = shared.core.upper.clone();
     let opts = shared.opts;
@@ -474,23 +493,16 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
                 }
             }
         };
-        // Limit checks, mirroring the serial loop (the global node count is
-        // approximate by up to one node per worker).
-        if shared.budget.nodes() >= opts.max_nodes {
-            shared.flag_limit(MipStatus::NodeLimit);
-            shared.abort(Some(node), &mut local);
-            break;
-        }
-        let remaining = opts.time_limit_secs - shared.start.elapsed().as_secs_f64();
-        if remaining <= 0.0 {
-            shared.flag_limit(MipStatus::TimeLimit);
-            shared.abort(Some(node), &mut local);
-            break;
-        }
-        if shared.budget.lp_exhausted() {
-            // The LP-iteration budget is a deterministic stand-in for a
-            // wall-clock limit; report it the same way.
-            shared.flag_limit(MipStatus::TimeLimit);
+        // Limit checks against this solve's own node and pivot counts and
+        // deadline, plus a stop request from the caller (the global node
+        // count is approximate by up to one node per worker). The pivot
+        // cap is a deterministic stand-in for a wall-clock limit and is
+        // reported the same way.
+        if let Some(hit) = shared.budget.exceeded(0) {
+            shared.flag_limit(match hit {
+                BudgetExceeded::Nodes => MipStatus::NodeLimit,
+                BudgetExceeded::Time | BudgetExceeded::LpIterations => MipStatus::TimeLimit,
+            });
             shared.abort(Some(node), &mut local);
             break;
         }
@@ -516,8 +528,11 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
                 Propagation::Fixed(n) => ws.scale.propagation_fixings += n,
             }
         }
+        // Warm dual first, cold fallback with the numerical retry ladder,
+        // bounded by the remaining wall-clock budget so one long LP cannot
+        // blow through the global limit.
         let mut lp_opts = opts.lp.clone();
-        lp_opts.time_limit_secs = lp_opts.time_limit_secs.min(remaining);
+        lp_opts.time_limit_secs = lp_opts.time_limit_secs.min(shared.budget.remaining_secs());
         lp_opts.budget = Some(Arc::clone(&shared.budget));
         // Copy-on-write materialization point: the parent snapshot is
         // deep-copied into a working basis only here, and only counted
@@ -568,7 +583,7 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
             Err(LpError::IterationLimit) | Err(LpError::SingularBasis) => {
                 // Stalled or numerically wedged node LP even after the
                 // retry ladder: abandon the proof, keep the incumbent (a
-                // limit, not an error — as serial).
+                // limit, not an error).
                 shared.flag_limit(MipStatus::NodeLimit);
                 shared.abort(Some(node), &mut local);
                 break;
@@ -597,20 +612,50 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
                 shared.abort(None, &mut local);
                 break;
             }
-            LpStatus::Optimal => {}
+            LpStatus::Optimal => {
+                // The root relaxation objective is a valid global lower
+                // bound; publish it for pollers.
+                if node.branched.is_none() {
+                    if let Some(p) = opts.progress.as_deref() {
+                        p.note_bound(outcome.objective);
+                    }
+                }
+            }
         }
-        // Pseudo-cost learning from the solved child. The engine lock is a
-        // leaf (lock-order: 6): held only for the observation, nothing else
-        // acquired under it.
+        // Pseudo-cost learning: the solved child reports the objective
+        // degradation of the branching that created it, and the root
+        // bootstraps an empty history with strong-branching probes. The
+        // engine lock is a leaf (lock-order: 6): nothing else is acquired
+        // under it, and while the root is probed no other node is open.
         if let Some(pc) = &shared.pseudo {
-            if let Some((v, dir, frac)) = node.branched {
-                if node.parent_bound.is_finite() {
+            let mut pc = lock(pc);
+            match node.branched {
+                Some((v, dir, frac)) if node.parent_bound.is_finite() => {
                     let dist = match dir {
                         BranchDirection::Up => 1.0 - frac,
                         BranchDirection::Down => frac,
                     };
-                    lock(pc).observe(v, dir, dist, outcome.objective - node.parent_bound);
+                    pc.observe(v, dir, dist, outcome.objective - node.parent_bound);
                 }
+                None if !pc.has_data() => {
+                    let (solves, iters) = reliability_init(
+                        shared.core,
+                        shared.problem,
+                        &outcome.x[..ns],
+                        outcome.objective,
+                        &outcome.snapshot,
+                        &lower,
+                        &upper,
+                        &lp_opts,
+                        opts.int_tol,
+                        STRONG_BRANCH_TOP_K,
+                        &mut pc,
+                    );
+                    ws.scale.strong_branch_solves += solves;
+                    ws.lp_iterations += iters;
+                    shared.budget.add_lp_iterations(iters);
+                }
+                _ => {}
             }
         }
         let inc_obj = shared.incumbent.bound();
@@ -661,8 +706,8 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
                 // clones (copy-on-write).
                 let warm = Arc::new(outcome.snapshot);
                 let frac = x[v.index()].clamp(0.0, 1.0).fract();
-                let fix = |val: f64, child_dir: BranchDirection| -> ParNode {
-                    ParNode {
+                let fix = |val: f64, child_dir: BranchDirection| -> Node {
+                    Node {
                         overlay: node.overlay.child(v, val, val),
                         warm: Some(Arc::clone(&warm)),
                         parent_bound: outcome.objective,
@@ -774,14 +819,16 @@ mod tests {
     #[test]
     fn faults_panic_requeues_node_and_completes() {
         // The first node solve panics; the node is requeued once and the
-        // search still proves the optimum.
+        // search still proves the optimum — one worker included.
         let p = knapsack();
-        let out = BranchAndBound::new(&p)
-            .options(opts(2, "panic@1"))
-            .solve()
-            .unwrap();
-        assert_eq!(out.status, MipStatus::Optimal);
-        assert!((out.objective - (-23.0)).abs() < 1e-6);
+        for threads in [1, 2] {
+            let out = BranchAndBound::new(&p)
+                .options(opts(threads, "panic@1"))
+                .solve()
+                .unwrap();
+            assert_eq!(out.status, MipStatus::Optimal, "threads {threads}");
+            assert!((out.objective - (-23.0)).abs() < 1e-6);
+        }
     }
 
     #[test]
@@ -790,12 +837,14 @@ mod tests {
         // the seed survives, and the proof honestly degrades (the root
         // bound -inf makes the reported gap unbounded).
         let p = knapsack();
-        let mut o = opts(2, "panic@1,panic@2");
-        o.initial_incumbent = Some(vec![0.0, 1.0, 0.0, 1.0]);
-        let out = BranchAndBound::new(&p).options(o).solve().unwrap();
-        assert_eq!(out.status, MipStatus::NodeLimit);
-        assert_eq!(out.x, vec![0.0, 1.0, 0.0, 1.0], "seed kept");
-        assert_eq!(out.best_bound, f64::NEG_INFINITY);
+        for threads in [1, 2] {
+            let mut o = opts(threads, "panic@1,panic@2");
+            o.initial_incumbent = Some(vec![0.0, 1.0, 0.0, 1.0]);
+            let out = BranchAndBound::new(&p).options(o).solve().unwrap();
+            assert_eq!(out.status, MipStatus::NodeLimit, "threads {threads}");
+            assert_eq!(out.x, vec![0.0, 1.0, 0.0, 1.0], "seed kept");
+            assert_eq!(out.best_bound, f64::NEG_INFINITY);
+        }
     }
 
     #[test]
@@ -842,7 +891,7 @@ mod tests {
     #[test]
     fn random_mips_prove_serial_objective_at_any_thread_count() {
         // Pseudo-random 0-1 MIPs: every thread count must prove the same
-        // objective (or the same infeasibility) as the serial solver.
+        // objective (or the same infeasibility) as one worker.
         let mut seed = 0x5eed5eedu64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -888,7 +937,7 @@ mod tests {
     #[test]
     fn parallel_node_counts_stay_bounded_on_knapsack() {
         // The prompt seqlock incumbent keeps speculative exploration in
-        // check: the parallel tree may not dwarf the serial one.
+        // check: the parallel tree may not dwarf the one-worker tree.
         let p = knapsack();
         let serial = BranchAndBound::new(&p).solve().unwrap();
         for t in [2, 4] {

@@ -183,8 +183,8 @@ impl ContentionProfile {
     }
 }
 
-/// Counters of the cut-and-heuristic scale layer (cut separation, node
-/// propagation, the RINS primal heuristic, and pseudo-cost branching).
+/// Counters of the scale layer (cut separation, node propagation, and
+/// pseudo-cost branching).
 ///
 /// All zeros when the features are off — the features-off search leaves
 /// this untouched, which the golden pins rely on. Merged into
@@ -204,13 +204,6 @@ pub struct ScaleProfile {
     pub propagation_fixings: usize,
     /// Nodes proven infeasible by propagation alone (no LP solved).
     pub propagation_infeasible: usize,
-    /// RINS sub-MIP runs attempted.
-    pub rins_runs: usize,
-    /// RINS runs that produced/improved an incumbent.
-    pub rins_incumbents: usize,
-    /// Branch-and-bound nodes spent inside RINS sub-searches (not counted
-    /// in the main `nodes` total).
-    pub rins_nodes: usize,
     /// Pseudo-cost observations recorded (child-LP objective gains).
     pub pseudocost_updates: usize,
     /// Strong-branching probe LPs solved for reliability initialization.
@@ -226,9 +219,6 @@ impl ScaleProfile {
         self.cut_rounds += other.cut_rounds;
         self.propagation_fixings += other.propagation_fixings;
         self.propagation_infeasible += other.propagation_infeasible;
-        self.rins_runs += other.rins_runs;
-        self.rins_incumbents += other.rins_incumbents;
-        self.rins_nodes += other.rins_nodes;
         self.pseudocost_updates += other.pseudocost_updates;
         self.strong_branch_solves += other.strong_branch_solves;
     }
@@ -247,10 +237,6 @@ impl ScaleProfile {
         s.push_str(&format!(
             "\npropagation: {} fixings, {} nodes cut infeasible pre-LP",
             self.propagation_fixings, self.propagation_infeasible,
-        ));
-        s.push_str(&format!(
-            "\nrins: {} runs, {} incumbents, {} sub-search nodes",
-            self.rins_runs, self.rins_incumbents, self.rins_nodes,
         ));
         s.push_str(&format!(
             "\npseudo-cost: {} updates, {} strong-branch probes",
@@ -353,9 +339,6 @@ mod tests {
             cut_rounds: 2,
             propagation_fixings: 7,
             propagation_infeasible: 1,
-            rins_runs: 1,
-            rins_incumbents: 1,
-            rins_nodes: 40,
             pseudocost_updates: 9,
             strong_branch_solves: 4,
         };
@@ -365,7 +348,6 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.cuts_separated, 6);
         assert_eq!(a.propagation_fixings, 14);
-        assert_eq!(a.rins_nodes, 80);
         assert_eq!(a.strong_branch_solves, 8);
         let r = a.report();
         assert!(r.contains("6 separated over 4 rounds"), "{r}");

@@ -203,25 +203,16 @@ mod tests {
     }
 
     #[test]
-    fn progress_parallel_and_portfolio_publish_too() {
-        for portfolio in [false, true] {
-            let p = knapsack();
-            let board = Arc::new(Progress::new());
-            let mut opts = MipOptions {
-                progress: Some(Arc::clone(&board)),
-                ..MipOptions::default()
-            };
-            if portfolio {
-                opts.portfolio = true;
-            } else {
-                opts.threads = 2;
-            }
-            let out = BranchAndBound::new(&p).options(opts).solve().unwrap();
-            assert_eq!(out.status, MipStatus::Optimal);
-            assert!(
-                (board.incumbent() - (-23.0)).abs() < 1e-6,
-                "portfolio={portfolio}"
-            );
-        }
+    fn progress_parallel_publishes_too() {
+        let p = knapsack();
+        let board = Arc::new(Progress::new());
+        let opts = MipOptions {
+            progress: Some(Arc::clone(&board)),
+            threads: 2,
+            ..MipOptions::default()
+        };
+        let out = BranchAndBound::new(&p).options(opts).solve().unwrap();
+        assert_eq!(out.status, MipStatus::Optimal);
+        assert!((board.incumbent() - (-23.0)).abs() < 1e-6);
     }
 }

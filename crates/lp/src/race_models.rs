@@ -10,19 +10,16 @@
 //! violation includes a replayable schedule string.
 //!
 //! The scenarios double as pins for the deliberate ordering *relaxations*
-//! in this crate (`IncumbentCell::key`, the portfolio winner word, the
-//! `proof_incomplete` verdict flag): if someone later adds a consumer
+//! in this crate (`IncumbentCell::key` and the `proof_incomplete` verdict
+//! flag): if someone later adds a consumer
 //! that needs the stronger ordering, the corresponding model here is the
 //! test that starts failing.
 
-use std::sync::atomic::{AtomicUsize as PlainUsize, Ordering as PlainOrd};
-
 use tempart_race::explore::{check, Config, Report};
-use tempart_race::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use tempart_race::sync::atomic::{AtomicBool, Ordering};
 use tempart_race::sync::Arc;
 use tempart_race::thread;
 
-use crate::faults::Budget;
 use crate::rendezvous::Rendezvous;
 use crate::worksteal::{IncumbentCell, WorkDeque};
 
@@ -126,52 +123,6 @@ pub fn rendezvous_terminates(cfg: Config) -> Report {
         assert_eq!(got, 7, "the published node must be consumed");
         let mut waits = 0;
         assert_eq!(dq.pop(&mut waits), None, "deque drained");
-    })
-}
-
-/// The portfolio's claim-once winner word at `Relaxed` (the ordering
-/// relaxation this model pins): exactly one arm wins the CAS in every
-/// interleaving, and the winner's peer cancellation reaches the loser's
-/// budget stop flag.
-// hb: relaxed-cas -> relaxed-cas-fail -> relaxed-load (winner) — the model's
-// copy of the portfolio claim word, deliberately as weak as production.
-// hb: relaxed-rmw -> relaxed-load (wins) — plain tally read after joins.
-pub fn stopflag_single_winner(cfg: Config) -> Report {
-    const NO_WINNER: usize = usize::MAX;
-    check(cfg, || {
-        let winner = Arc::new(AtomicUsize::new(NO_WINNER));
-        let budgets = Arc::new([Budget::unlimited(), Budget::unlimited()]);
-        let wins = Arc::new(PlainUsize::new(0));
-        let arms: Vec<_> = (0..2)
-            .map(|idx| {
-                let winner = Arc::clone(&winner);
-                let budgets = Arc::clone(&budgets);
-                let wins = Arc::clone(&wins);
-                thread::spawn(move || {
-                    if winner
-                        .compare_exchange(NO_WINNER, idx, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        wins.fetch_add(1, PlainOrd::Relaxed);
-                        budgets[1 - idx].request_stop();
-                    }
-                })
-            })
-            .collect();
-        for t in arms {
-            t.join().unwrap();
-        }
-        assert_eq!(wins.load(PlainOrd::Relaxed), 1, "exactly one arm wins");
-        let w = winner.load(Ordering::Relaxed);
-        assert!(w < 2, "winner index installed");
-        assert!(
-            budgets[1 - w].stop_requested(),
-            "the loser's budget was stopped"
-        );
-        assert!(
-            !budgets[w].stop_requested(),
-            "the winner's own budget is untouched"
-        );
     })
 }
 

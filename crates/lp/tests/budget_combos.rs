@@ -4,10 +4,13 @@
 //! admission time and attached through [`LpOptions::budget`]; the whole
 //! solve — node loop *and* the pivot loop inside each node LP — must
 //! honour that deadline no matter which search features are switched on.
-//! These tests pin that contract for the combinations the service exposes:
-//! the scale stack (`cuts + propagate + pseudocost` branching) and the
-//! configuration portfolio, against a market-split feasibility instance
-//! hard enough that no configuration finishes inside the deadlines used.
+//! These tests pin that contract for the combinations the service exposes —
+//! the default search, the scale stack (`cuts + propagate + pseudocost`
+//! branching) and the work-stealing search — against a market-split
+//! feasibility instance hard enough that no configuration finishes inside
+//! the deadlines used. A caller budget may also span several solves (the
+//! CLI's and the server's latency sweeps); each solve then keeps its own
+//! node cap, and no solve's limit stops the next.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,14 +67,14 @@ fn combos() -> Vec<(&'static str, MipOptions)> {
         branching: Branching::Pseudocost,
         ..MipOptions::default()
     };
-    let portfolio = MipOptions {
-        portfolio: true,
+    let two_workers = MipOptions {
+        threads: 2,
         ..MipOptions::default()
     };
     vec![
         ("default", base),
         ("cuts+propagate+pseudocost", scale_stack),
-        ("portfolio", portfolio),
+        ("threads=2", two_workers),
     ]
 }
 
@@ -164,6 +167,57 @@ fn an_external_stop_request_unblocks_every_combination() {
         assert!(
             elapsed < Duration::from_secs(10),
             "{name}: stop request left the search running ({elapsed:?})"
+        );
+    }
+}
+
+#[test]
+fn one_caller_budget_gives_each_solve_its_own_node_cap() {
+    // Two consecutive solves under one caller budget whose node cap equals
+    // each solve's. Every solve must search under its own cap: a limit the
+    // first solve hits may neither use up the second's nodes nor stop the
+    // caller's budget.
+    const CAP: usize = 50;
+    let p = market_split(3, 18);
+    for threads in [1usize, 2, 4] {
+        let budget = Arc::new(Budget::new(f64::INFINITY, CAP, usize::MAX));
+        for solve in ["first", "second"] {
+            let mut opts = MipOptions {
+                max_nodes: CAP,
+                threads,
+                ..MipOptions::default()
+            };
+            opts.lp.budget = Some(Arc::clone(&budget));
+            let out = BranchAndBound::new(&p)
+                .options(opts)
+                .rule(FirstIndexRule)
+                .solve()
+                .expect("budgeted solve never errors");
+            assert!(
+                out.stats.nodes > 0,
+                "threads {threads}, {solve} solve: searched no node ({:?})",
+                out.status
+            );
+            assert_ne!(
+                out.status,
+                MipStatus::TimeLimit,
+                "threads {threads}, {solve} solve: stopped by an earlier limit"
+            );
+            if threads == 1 {
+                assert_eq!(
+                    (out.status, out.stats.nodes),
+                    (MipStatus::NodeLimit, CAP),
+                    "{solve} solve: one worker stops exactly at its own cap"
+                );
+            }
+        }
+        assert!(
+            !budget.stop_requested(),
+            "threads {threads}: a solve's limit latched the caller's budget"
+        );
+        assert!(
+            budget.nodes() >= 2,
+            "threads {threads}: tallies reach the caller"
         );
     }
 }

@@ -102,10 +102,10 @@ proptest! {
         }
     }
 
-    /// The parallel search is objective-deterministic: every thread count
-    /// proves the same optimum (or the same infeasibility) as the serial
-    /// solver, and the stats stay coherent (per-worker nodes sum to the
-    /// total; only multi-worker runs can steal).
+    /// The search is objective-deterministic: every thread count proves
+    /// the same optimum (or the same infeasibility), and the stats stay
+    /// coherent (per-worker nodes sum to the total; only multi-worker runs
+    /// can steal, wait on a lock, or retry an incumbent offer).
     #[test]
     fn thread_counts_agree_on_objective(mip in random_mip()) {
         let p = build(&mip);
@@ -126,11 +126,14 @@ proptest! {
                 }
                 None => prop_assert_eq!(out.status, MipStatus::Infeasible, "threads {}", threads),
             }
-            prop_assert_eq!(out.stats.per_worker_nodes.len(),
-                if threads == 1 { 1 } else { threads });
+            prop_assert_eq!(out.stats.per_worker_nodes.len(), threads);
             prop_assert_eq!(out.stats.per_worker_nodes.iter().sum::<usize>(), out.stats.nodes);
             if threads == 1 {
-                prop_assert_eq!(out.stats.contention, Default::default());
+                let c = &out.stats.contention;
+                prop_assert_eq!(
+                    (c.steals, c.steal_failures, c.lock_waits, c.incumbent_retries),
+                    (0, 0, 0, 0)
+                );
             }
         }
     }
@@ -211,9 +214,9 @@ proptest! {
         }
     }
 
-    /// The full scale stack — root cuts, node propagation, the RINS
-    /// neighborhood search, and pseudo-cost branching — still proves
-    /// exactly the brute-force optimum (or the same infeasibility).
+    /// The full scale stack — root cuts, node propagation, and pseudo-cost
+    /// branching — still proves exactly the brute-force optimum (or the
+    /// same infeasibility).
     #[test]
     fn scale_stack_matches_brute_force(mip in random_mip()) {
         let p = build(&mip);
@@ -221,7 +224,6 @@ proptest! {
         let opts = MipOptions {
             cuts: true,
             propagate: true,
-            rins: true,
             branching: Branching::Pseudocost,
             ..MipOptions::default()
         };

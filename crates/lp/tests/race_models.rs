@@ -47,13 +47,6 @@ fn rendezvous_terminates_all_interleavings() {
 }
 
 #[test]
-fn stopflag_single_winner_all_interleavings() {
-    let r = race_models::stopflag_single_winner(Config::ci_default());
-    assert_clean("stopflag_single_winner", &r);
-    assert!(r.schedules > 1, "CAS races must branch: {r:?}");
-}
-
-#[test]
 fn proof_incomplete_join_edge_all_interleavings() {
     let r = race_models::proof_incomplete_join_edge(Config::ci_default());
     assert_clean("proof_incomplete_join_edge", &r);

@@ -104,7 +104,9 @@ pub struct ServerConfig {
     pub max_time_limit_secs: f64,
     /// Wall-clock budget for jobs that do not request one.
     pub default_time_limit_secs: f64,
-    /// Cap on per-job solver threads (also bounds portfolio arms).
+    /// Cap on per-job solver threads: the workers of one job's
+    /// branch-and-bound search (`1` keeps the search on the pool worker's
+    /// own thread).
     pub max_threads: usize,
     /// Warm-start cache entries (0 disables the cache).
     pub cache_capacity: usize,

@@ -18,7 +18,7 @@ use tempart_lp::{FaultSite, MipOptions, MipStatus, Problem};
 
 use crate::cache::CacheEntry;
 use crate::queue::Job;
-use crate::Inner;
+use crate::{Inner, ServerConfig};
 
 /// Worker main loop. Exits when the queue closes and drains.
 pub(crate) fn run(inner: Arc<Inner>) {
@@ -81,24 +81,28 @@ fn warm_start_is_valid(problem: &Problem, entry: &CacheEntry) -> bool {
     certify(problem, &cert, &CertifyOptions::default()).is_ok()
 }
 
-/// Assembles the solver options an admitted job runs under. The budget
-/// created at admission rides in via `lp.budget`, so the simplex pivot
-/// loop enforces the deadline and a drain can stop the job mid-solve.
-fn mip_options(inner: &Inner, job: &Job) -> MipOptions {
+/// Assembles the solver options an admitted job runs under: the library
+/// defaults, overridden by the admitted limits and by each option the
+/// request carries. The budget created at admission rides in via
+/// `lp.budget`, so the simplex pivot loop enforces the deadline and a drain
+/// can stop the job mid-solve.
+fn mip_options(config: &ServerConfig, job: &Job) -> MipOptions {
     let mut mip = MipOptions {
         time_limit_secs: job.time_limit_secs,
         max_nodes: job.node_limit,
         max_lp_iterations: job.pivot_limit,
         threads: job.threads,
-        portfolio: job.params.portfolio,
-        cuts: job.params.cuts,
-        propagate: job.params.propagate,
-        rins: job.params.rins,
         branching: job.branching,
         progress: Some(Arc::clone(&job.progress)),
         ..MipOptions::default()
     };
-    mip.lp.faults = inner.config.faults.clone();
+    if let Some(cuts) = job.params.cuts {
+        mip.cuts = cuts;
+    }
+    if let Some(propagate) = job.params.propagate {
+        mip.propagate = propagate;
+    }
+    mip.lp.faults = config.faults.clone();
     mip.lp.budget = Some(Arc::clone(&job.budget));
     mip
 }
@@ -131,7 +135,7 @@ fn execute(inner: &Inner, job: &Job) -> SolveSummary {
         }
     };
 
-    let mut mip = mip_options(inner, job);
+    let mut mip = mip_options(&inner.config, job);
     match job.params.config {
         Some((n, l)) => {
             let config = ModelConfig::tightened(n, l);
@@ -213,4 +217,61 @@ fn execute(inner: &Inner, job: &Job) -> SolveSummary {
     }
     summary.seconds = job.submitted.elapsed().as_secs_f64();
     summary
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    use tempart_cli::proto::SolveParams;
+    use tempart_cli::SpecFile;
+    use tempart_lp::{Branching, Budget, Progress};
+
+    use super::*;
+
+    fn job(params: SolveParams) -> Job {
+        let (tx, _rx) = mpsc::channel();
+        Job {
+            id: 1,
+            spec: SpecFile::example(),
+            params,
+            fingerprint: None,
+            progress: Arc::new(Progress::new()),
+            budget: Arc::new(Budget::unlimited()),
+            tx,
+            requeued: false,
+            submitted: Instant::now(),
+            time_limit_secs: 5.0,
+            node_limit: 200,
+            pivot_limit: usize::MAX,
+            threads: 1,
+            branching: Branching::default(),
+        }
+    }
+
+    #[test]
+    fn absent_option_keys_keep_the_library_defaults() {
+        let defaults = MipOptions::default();
+        let mip = mip_options(&ServerConfig::default(), &job(SolveParams::default()));
+        assert_eq!(
+            (mip.cuts, mip.propagate, mip.branching),
+            (defaults.cuts, defaults.propagate, defaults.branching)
+        );
+        assert_eq!((mip.max_nodes, mip.threads), (200, 1), "admitted limits");
+        assert!(mip.lp.budget.is_some(), "the admission budget rides along");
+
+        // A carried key overrides the default either way.
+        for v in [true, false] {
+            let mip = mip_options(
+                &ServerConfig::default(),
+                &job(SolveParams {
+                    cuts: Some(v),
+                    propagate: Some(!v),
+                    ..SolveParams::default()
+                }),
+            );
+            assert_eq!((mip.cuts, mip.propagate), (v, !v));
+        }
+    }
 }
