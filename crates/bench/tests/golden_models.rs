@@ -62,18 +62,27 @@ fn serial_search_node_counts_pinned() {
     // contract (DESIGN.md §5b): any movement here is a solver change, not
     // run-to-run noise, so each row is solved twice and both runs must
     // agree. Update together with EXPERIMENTS.md if intentional.
-    // The refactorization counts pin the legacy fixed schedule (eta file,
-    // refactor every 64 updates): the FT/dynamic machinery must leave the
-    // default engine's arithmetic — and therefore its refactor cadence —
-    // bit-identical (DESIGN.md §5h).
-    type Pin = ((u32, u32), MipStatus, usize, usize, usize, Option<u64>);
+    // Each node solves one LP, which factors its starting basis once, so
+    // starting factorizations equal nodes.
+    // The mid-solve refactorization counts pin the legacy fixed schedule
+    // (eta file, refactor every 64 updates): the FT/dynamic machinery must
+    // leave the default engine's arithmetic — and therefore its refactor
+    // cadence — bit-identical (DESIGN.md §5h).
+    type Pin = (
+        (u32, u32),
+        MipStatus,
+        usize,
+        usize,
+        (usize, usize),
+        Option<u64>,
+    );
     let expected: [Pin; 4] = [
-        ((3, 0), MipStatus::Infeasible, 1, 135, 2, None),
-        ((3, 1), MipStatus::Optimal, 585, 10_958, 32, Some(13)),
-        ((2, 2), MipStatus::Optimal, 289, 9_157, 58, Some(5)),
-        ((2, 3), MipStatus::Optimal, 1, 166, 2, Some(0)),
+        ((3, 0), MipStatus::Infeasible, 1, 135, (1, 2), None),
+        ((3, 1), MipStatus::Optimal, 585, 10_958, (585, 32), Some(13)),
+        ((2, 2), MipStatus::Optimal, 289, 9_157, (289, 58), Some(5)),
+        ((2, 3), MipStatus::Optimal, 1, 166, (1, 2), Some(0)),
     ];
-    for ((n, l), status, nodes, lp_iters, refactors, cost) in expected {
+    for ((n, l), status, nodes, lp_iters, (factorizations, refactors), cost) in expected {
         let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
         let model = IlpModel::build(inst, ModelConfig::tightened(n, l)).unwrap();
         let mut runs = Vec::new();
@@ -82,9 +91,12 @@ fn serial_search_node_counts_pinned() {
             assert_eq!(out.status, status, "N{n} L{l} status");
             assert_eq!(out.stats.nodes, nodes, "N{n} L{l} nodes");
             assert_eq!(out.stats.lp_iterations, lp_iters, "N{n} L{l} lp iterations");
+            let simplex = &out.stats.simplex;
             assert_eq!(
-                out.stats.simplex.refactors, refactors,
-                "N{n} L{l} refactorizations (legacy fixed schedule)"
+                (simplex.factorizations, simplex.refactors),
+                (factorizations, refactors),
+                "N{n} L{l} starting factorizations and refactorizations \
+                 (legacy fixed schedule)"
             );
             assert_eq!(
                 out.solution.as_ref().map(|s| s.communication_cost()),

@@ -17,6 +17,12 @@
 //! `result` frame at the end. `--json` echoes the raw response payloads
 //! instead of the human-readable rendering, one JSON document per line.
 //!
+//! `--warm-start` (with `--partitions`) asks the server for its cached
+//! proven optimum of the same spec and configuration. A hit re-verifies
+//! it exactly and returns it without a search: `status optimal`,
+//! `0 nodes, 0 pivots`, `cache hit`. A miss, or an entry that fails the
+//! check (`cache stale`), solves cold.
+//!
 //! Exit code: 0 for any truthful terminal status (including `rejected` —
 //! the refusal *is* the answer under load shedding), 1 for transport or
 //! protocol failures.

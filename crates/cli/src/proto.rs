@@ -17,7 +17,7 @@
 //!
 //! | `type` | fields |
 //! |---|---|
-//! | `solve` | `spec` (embedded specification object), optional `partitions` + `latency_relaxation` (explicit config; omitted → automatic estimate + sweep), optional `time_limit_secs` / `node_limit` / `pivot_limit` budget caps, option fields `threads`, `cuts`, `propagate` (each absent key keeps the solver library's default; `true` and `false` alike override it), `branching`, `progress` (stream progress frames), `warm_start` (consult the server cache); unknown keys are ignored |
+//! | `solve` | `spec` (embedded specification object), optional `partitions` + `latency_relaxation` (explicit config; omitted → automatic estimate + sweep), optional `time_limit_secs` / `node_limit` / `pivot_limit` budget caps, option fields `threads`, `cuts`, `propagate` (each absent key keeps the solver library's default; `true` and `false` alike override it), `branching`, `progress` (stream progress frames), `warm_start` (answer from the server cache when it holds this job's proven optimum); unknown keys are ignored |
 //! | `ping` | — |
 //! | `shutdown` | — (graceful drain: in-flight jobs finish on the anytime path) |
 //!
@@ -146,7 +146,12 @@ pub struct SolveParams {
     pub branching: Option<String>,
     /// Stream `progress` frames while the job runs.
     pub progress: bool,
-    /// Consult the server's warm-start cache (validated on hit).
+    /// Consult the server's cache of proven optima (explicit-config jobs
+    /// only). A hit is re-verified in exact arithmetic against the freshly
+    /// built model and then answers the job without a search: `optimal`,
+    /// the exact objective as both `objective` and `best_bound`, and zero
+    /// nodes and pivots, whatever the job's own budget. An entry that fails
+    /// the check is evicted and the job solves cold (`cache: "stale"`).
     pub warm_start: bool,
 }
 
@@ -186,14 +191,17 @@ pub struct SolveSummary {
     /// Communication cost of the reported schedule (integer view of the
     /// objective).
     pub cost: Option<u64>,
-    /// Branch-and-bound nodes spent.
+    /// Branch-and-bound nodes spent; 0 on a cache hit, which runs no
+    /// search.
     pub nodes: u64,
-    /// Simplex pivots spent.
+    /// Simplex pivots spent; 0 on a cache hit.
     pub lp_iterations: u64,
     /// `exact` or `heuristic` (anytime degradation).
     pub source: String,
-    /// Warm-start cache disposition: `hit`, `stale` (entry failed
-    /// validation, degraded to a cold solve), `miss`, or `uncached`.
+    /// Cache disposition: `hit` (a stored optimum passed re-verification
+    /// and is the answer), `stale` (the entry failed it, was evicted, and
+    /// the job solved cold), `miss` (nothing stored; the job solved cold),
+    /// or `uncached` (no `warm_start`, or an automatic-sweep job).
     pub cache: String,
     /// True when the job crashed once and was requeued before finishing.
     pub requeued: bool,
@@ -470,9 +478,17 @@ impl Response {
     }
 }
 
-/// The warm-start cache key for an explicit-config job: the canonical
-/// (re-serialized) specification text plus the `(N, L)` configuration.
-/// Automatic-sweep jobs have no stable model shape and return `None`.
+/// The cache key for an explicit-config job: the canonical (re-serialized)
+/// specification text plus the `(N, L)` configuration. Automatic-sweep jobs
+/// have no stable model shape and return `None`.
+///
+/// A cache hit trusts the optimality proof of the solve that stored the
+/// entry, so two requests may share a key only when they build the same
+/// model. The server builds every explicit-config job as
+/// `ModelConfig::tightened(N, L)` over the spec, so equal keys give equal
+/// models. Options that cannot move the optimum stay out of the key:
+/// `threads`, `cuts`, `propagate`, `branching` and the budget caps. A new
+/// request field that changes the model must join the key.
 pub fn instance_fingerprint(spec: &SpecFile, params: &SolveParams) -> Option<String> {
     let (n, l) = params.config?;
     Some(format!("N{n}-L{l}:{}", spec.to_json()))

@@ -29,7 +29,16 @@ pub struct SimplexProfile {
     pub bound_flips: usize,
     /// Devex reference-framework resets (weights drifted too far).
     pub devex_resets: usize,
-    /// Basis refactorizations.
+    /// Starting factorizations: one per solve attempt that factors its
+    /// starting basis, the cold crash basis or a warm snapshot's basis.
+    /// Like the pivot counters and the timers, it covers the attempt that
+    /// returned: a warm start abandoned for a cold fallback, or a failed
+    /// retry rung, is not counted. Every solve factors its own starting
+    /// basis, so this equals [`solves`](Self::solves) unless a solve
+    /// starts from factors built elsewhere.
+    pub factorizations: usize,
+    /// Mid-solve basis refactorizations (the starting factorization of
+    /// each solve is counted in [`factorizations`](Self::factorizations)).
     pub refactors: usize,
     /// Warm dual solves abandoned for a cold primal solve (degenerate dual
     /// exceeded its cap, vanished-bound mismatch, or a numerical failure).
@@ -48,8 +57,8 @@ pub struct SimplexProfile {
     pub btran_secs: f64,
     /// Primal and dual ratio tests (incl. bound-flip breakpoint walks).
     pub ratio_secs: f64,
-    /// Basis factorization time: periodic refactorizations *and* the
-    /// initial factorization of every solve.
+    /// Basis factorization time: mid-solve refactorizations *and* the
+    /// starting factorization of every solve.
     pub refactor_secs: f64,
     /// Basis-update recording (eta push or Forrest–Tomlin U update).
     pub update_secs: f64,
@@ -74,6 +83,7 @@ impl SimplexProfile {
         self.dual_iterations += other.dual_iterations;
         self.bound_flips += other.bound_flips;
         self.devex_resets += other.devex_resets;
+        self.factorizations += other.factorizations;
         self.refactors += other.refactors;
         self.warm_fallbacks += other.warm_fallbacks;
         self.retries += other.retries;
@@ -102,11 +112,12 @@ impl SimplexProfile {
     pub fn report(&self) -> String {
         let mut s = format!(
             "simplex: {} solves, {} primal + {} dual pivots, {} bound flips, \
-             {} refactors, {} devex resets, {:.1} ms in LP",
+             {} factorizations + {} refactors, {} devex resets, {:.1} ms in LP",
             self.solves,
             self.primal_iterations,
             self.dual_iterations,
             self.bound_flips,
+            self.factorizations,
             self.refactors,
             self.devex_resets,
             self.lp_secs * 1e3,
@@ -274,6 +285,7 @@ mod tests {
             dual_iterations: 5,
             bound_flips: 3,
             devex_resets: 1,
+            factorizations: 3,
             refactors: 2,
             warm_fallbacks: 1,
             retries: 2,
@@ -291,6 +303,7 @@ mod tests {
         assert_eq!(a.solves, 2);
         assert_eq!(a.iterations(), 30);
         assert_eq!(a.bound_flips, 6);
+        assert_eq!((a.factorizations, a.refactors), (6, 4));
         assert_eq!(a.warm_fallbacks, 2);
         assert_eq!(a.retries, 4);
         assert!((a.lp_secs - 1.0).abs() < 1e-12);
@@ -306,6 +319,9 @@ mod tests {
             ..SimplexProfile::default()
         };
         assert!(!p.report().contains("breakdown"));
+        p.factorizations = 3;
+        p.refactors = 1;
+        assert!(p.report().contains("3 factorizations + 1 refactors"));
         p.ftran_secs = 0.25;
         assert!(p.report().contains("breakdown"));
         assert!(p.report().contains("ftran 250.0 ms"));

@@ -340,8 +340,9 @@ struct Simplex<'a> {
 
 impl<'a> Simplex<'a> {
     /// A solver over `core` at the basis `basic` (basic values `xb`), with
-    /// its factorization built (timed as a refactorization) and its work
-    /// vectors allocated (timed as other work).
+    /// its starting factorization built (counted in `factorizations`,
+    /// timed as a refactorization) and its work vectors allocated (timed as
+    /// other work).
     fn new(
         core: &'a CoreLp,
         opts: &'a LpOptions,
@@ -353,7 +354,10 @@ impl<'a> Simplex<'a> {
     ) -> Result<Self, LpError> {
         let tfac = tick(opts.profile);
         let basis = build_basis(core, &basic, opts)?;
-        let mut profile = SimplexProfile::default();
+        let mut profile = SimplexProfile {
+            factorizations: 1,
+            ..SimplexProfile::default()
+        };
         tock(tfac, &mut profile.refactor_secs);
         let talloc = tick(opts.profile);
         let mut scratch = Scratch::default();

@@ -9,7 +9,8 @@
 //!
 //! * **warm** jobs — the example specification at its pinned `(2, 1)`
 //!   configuration with the warm-start cache on: the throughput/cache
-//!   class (identical fingerprints, so every job after the first hits).
+//!   class (identical fingerprints, so every job after the first hits,
+//!   and a hit answers with the stored optimum without a search).
 //! * **deadline** jobs — the paper's graph-1 flagship (`g1-N3-L1`,
 //!   ~1 s serial) under a 0.75 s admission deadline: the budget *binds*
 //!   mid-search, so the job exercises the anytime path and the

@@ -1,20 +1,24 @@
-//! LRU warm-start cache with validation-on-hit.
+//! LRU cache of proven optima, validated on every hit.
 //!
 //! Entries map an instance fingerprint (see
-//! [`tempart_cli::proto::instance_fingerprint`]) to the raw 0-1 incumbent
-//! and objective of a previous *optimal* solve of the same model. A hit is
-//! only allowed to seed a solve after the worker re-verifies it with the
-//! audit crate's exact certificate checker — so a stale or corrupted entry
-//! (the `cachepoison` chaos site corrupts at store time) degrades to a
-//! cold solve and is evicted, and can never produce a wrong answer.
+//! [`tempart_cli::proto::instance_fingerprint`]) to the raw 0-1 solution
+//! and objective of a previous *optimal* solve of the same model. Nothing
+//! else is stored: limit results carry no proof, and infeasible results
+//! stay out until they carry a checkable certificate. On a hit the worker
+//! re-verifies the solution and objective in exact arithmetic against the
+//! freshly built model, then returns the entry as the job's answer without
+//! a search; the optimality claim rests on the solve that stored it. A
+//! stale or corrupted entry (the `cachepoison` chaos site corrupts at store
+//! time) fails that check, is evicted, and the job solves cold, so it can
+//! never produce a wrong answer.
 
 use crate::lock;
 use tempart_race::sync::Mutex;
 
-/// One cached warm start.
+/// One cached optimum.
 #[derive(Debug, Clone)]
 pub(crate) struct CacheEntry {
-    /// Raw incumbent in the model's variable order.
+    /// Raw optimal solution in the model's variable order.
     pub x: Vec<f64>,
     /// Its claimed objective (re-verified on hit).
     pub objective: f64,

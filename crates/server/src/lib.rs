@@ -35,11 +35,15 @@
 //!   real) is caught; the job is requeued once, and a second crash yields
 //!   a truthful `failed` terminal status. The panic never takes down the
 //!   server or another connection's job.
-//! * **Warm starts never lie** — the LRU cache keyed by
-//!   [`tempart_cli::proto::instance_fingerprint`] is validated on hit with
-//!   the audit crate's exact certificate checker; a stale or corrupted
-//!   entry degrades to a cold solve (`cache: "stale"`), it cannot seed a
-//!   wrong answer.
+//! * **Cache hits never lie** — the LRU cache keyed by
+//!   [`tempart_cli::proto::instance_fingerprint`] holds only proven optima.
+//!   A hit is re-verified against the freshly built model: the audit
+//!   crate's exact certificate checker recomputes feasibility and the
+//!   objective, and the schedule must extract and validate. It then
+//!   answers `optimal` with no search, on the optimality proof of the
+//!   solve that stored it (equal keys build equal models). A stale or
+//!   corrupted entry is evicted and the job solves cold
+//!   (`cache: "stale"`); it cannot produce a wrong answer.
 //!
 //! The [`FaultPlan`] service sites (`slowclient`, `tornframe`,
 //! `disconnect`, `panic`, `cachepoison`) are consulted at the matching

@@ -113,7 +113,8 @@ pub struct StatsSnapshot {
     pub torn_frames: u64,
     /// Client connections dropped by the `disconnect` site.
     pub disconnects: u64,
-    /// Warm-start cache hits that passed exact validation.
+    /// Warm-start cache hits that passed exact validation and were
+    /// answered from the cache without a search.
     pub cache_hits: u64,
     /// Cache hits that failed validation and degraded to cold solves.
     pub cache_stale: u64,

@@ -12,9 +12,10 @@ use std::sync::Arc;
 use tempart_audit::certify::{certify, Certificate, CertifyOptions};
 use tempart_cli::proto::{Response, SolveSummary};
 use tempart_core::{
-    IlpModel, ModelConfig, PartitionerOptions, RuleKind, SolveOptions, TemporalPartitioner,
+    IlpModel, ModelConfig, PartitionerOptions, RuleKind, SolutionSource, SolveOptions,
+    TemporalPartitioner,
 };
-use tempart_lp::{FaultSite, MipOptions, MipStatus, Problem};
+use tempart_lp::{FaultSite, MipOptions, MipStatus};
 
 use crate::cache::CacheEntry;
 use crate::queue::Job;
@@ -66,19 +67,39 @@ fn deliver(inner: &Inner, job: &Job, summary: SolveSummary) {
     });
 }
 
-/// Re-verifies a cached warm start against the freshly built model with
-/// the exact certificate checker: feasibility and the claimed objective
-/// are recomputed in exact arithmetic. Anything less than a full pass
-/// means the entry cannot seed the solve.
-fn warm_start_is_valid(problem: &Problem, entry: &CacheEntry) -> bool {
+/// The answer a cache entry holds, once re-verified.
+#[derive(Debug, PartialEq)]
+struct CachedOptimum {
+    /// The objective recomputed in exact arithmetic.
+    objective: f64,
+    /// The communication cost of the extracted schedule.
+    cost: u64,
+}
+
+/// Re-verifies a cache entry against the freshly built model: the audit
+/// crate's exact certificate checker recomputes feasibility and the
+/// objective, and the vector must extract to a schedule that passes
+/// semantic validation at the cost the checker found. The optimality
+/// claim is not re-proven: it rests on the solve that stored the entry,
+/// which searched this same model (see
+/// [`tempart_cli::proto::instance_fingerprint`]). `None` means the entry
+/// is stale or corrupt.
+fn verified_optimum(model: &IlpModel, entry: CacheEntry) -> Option<CachedOptimum> {
     let cert = Certificate {
-        x: entry.x.clone(),
+        x: entry.x,
         objective: entry.objective,
         best_bound: entry.objective,
         status: MipStatus::Optimal,
         objective_is_integral: true,
     };
-    certify(problem, &cert, &CertifyOptions::default()).is_ok()
+    let report = certify(model.problem(), &cert, &CertifyOptions::default()).ok()?;
+    let solution = model.extract_solution(&cert.x).ok()?;
+    solution.validate(model.instance(), model.config()).ok()?;
+    let cost = solution.communication_cost();
+    (cost as f64 == report.exact_objective).then_some(CachedOptimum {
+        objective: report.exact_objective,
+        cost,
+    })
 }
 
 /// Assembles the solver options an admitted job runs under: the library
@@ -135,7 +156,6 @@ fn execute(inner: &Inner, job: &Job) -> SolveSummary {
         }
     };
 
-    let mut mip = mip_options(&inner.config, job);
     match job.params.config {
         Some((n, l)) => {
             let config = ModelConfig::tightened(n, l);
@@ -151,19 +171,27 @@ fn execute(inner: &Inner, job: &Job) -> SolveSummary {
                 summary.cache = "miss".to_string();
                 if let Some(key) = &job.fingerprint {
                     if let Some(entry) = inner.cache.lookup(key) {
-                        if warm_start_is_valid(model.problem(), &entry) {
-                            mip.initial_incumbent = Some(entry.x);
+                        if let Some(hit) = verified_optimum(&model, entry) {
+                            // The stored proof answers the job: no search.
+                            job.progress.note_incumbent(hit.objective);
+                            job.progress.note_bound(hit.objective);
+                            summary.status = MipStatus::Optimal.as_str().to_string();
+                            summary.objective = Some(hit.objective);
+                            summary.best_bound = Some(hit.objective);
+                            summary.cost = Some(hit.cost);
+                            summary.source = SolutionSource::Exact.as_str().to_string();
                             summary.cache = "hit".to_string();
-                        } else {
-                            // Stale or poisoned: evict and solve cold.
-                            inner.cache.invalidate(key);
-                            summary.cache = "stale".to_string();
+                            summary.seconds = job.submitted.elapsed().as_secs_f64();
+                            return summary;
                         }
+                        // Stale or poisoned: evict and solve cold.
+                        inner.cache.invalidate(key);
+                        summary.cache = "stale".to_string();
                     }
                 }
             }
             let solve = SolveOptions {
-                mip,
+                mip: mip_options(&inner.config, job),
                 rule: RuleKind::Paper,
                 seed_incumbent: true,
             };
@@ -189,7 +217,7 @@ fn execute(inner: &Inner, job: &Job) -> SolveSummary {
             // Automatic estimate + latency sweep: no stable fingerprint,
             // so the cache is never consulted (`uncached`).
             let solve = SolveOptions {
-                mip,
+                mip: mip_options(&inner.config, job),
                 rule: RuleKind::Paper,
                 seed_incumbent: true,
             };
@@ -273,5 +301,36 @@ mod tests {
             );
             assert_eq!((mip.cuts, mip.propagate), (v, !v));
         }
+    }
+
+    #[test]
+    fn hit_check_accepts_a_solved_entry_and_rejects_a_tampered_one() {
+        let instance = SpecFile::example().build_instance().unwrap();
+        let model = IlpModel::build(instance, ModelConfig::tightened(2, 1)).unwrap();
+        let out = model.solve(&SolveOptions::default()).unwrap();
+        assert_eq!(out.status, MipStatus::Optimal);
+        let entry = CacheEntry {
+            x: out.raw_x.clone(),
+            objective: out.objective,
+        };
+        let cost = out.solution.as_ref().unwrap().communication_cost();
+        assert_eq!(
+            verified_optimum(&model, entry.clone()),
+            Some(CachedOptimum {
+                objective: cost as f64,
+                cost
+            })
+        );
+
+        let wrong_objective = CacheEntry {
+            objective: entry.objective + 1.0,
+            ..entry.clone()
+        };
+        assert_eq!(verified_optimum(&model, wrong_objective), None);
+
+        // The `cachepoison` site's corruption.
+        let mut poisoned = entry;
+        poisoned.x[0] += 0.5;
+        assert_eq!(verified_optimum(&model, poisoned), None);
     }
 }

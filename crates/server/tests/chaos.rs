@@ -59,12 +59,12 @@ fn poisoned_cache_entry_degrades_to_a_cold_solve_never_a_wrong_answer() {
     let run = |c: &mut std::net::TcpStream| {
         let frames = rpc(c, &solve_request(|p| p.warm_start = true));
         let s = summary(&frames);
-        (s.cache.clone(), s.objective, s.cost)
+        (s.cache.clone(), s.objective, s.cost, s.nodes)
     };
     // Store #1 is poisoned: the second job's hit fails exact validation,
     // evicts the entry, and solves cold — then re-stores a clean entry
-    // (store #2), so later jobs hit for real. Objectives must agree
-    // throughout.
+    // (store #2), so later jobs hit for real and answer from it without
+    // a search. Objectives must agree throughout.
     let a = run(&mut c);
     let b = run(&mut c);
     let d = run(&mut c);
@@ -73,6 +73,8 @@ fn poisoned_cache_entry_degrades_to_a_cold_solve_never_a_wrong_answer() {
         [a.0.as_str(), b.0.as_str(), d.0.as_str(), e.0.as_str()],
         ["miss", "stale", "hit", "hit"]
     );
+    assert!(b.3 >= 1, "the stale job solved cold");
+    assert_eq!((d.3, e.3), (0, 0), "clean hits run no search");
     for other in [&b, &d, &e] {
         assert_eq!(a.1, other.1, "every path reports the same objective");
         assert_eq!(a.2, other.2);

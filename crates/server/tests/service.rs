@@ -65,16 +65,57 @@ fn warm_cache_hits_on_the_second_identical_job() {
     let second = rpc(&mut c, &solve_request(|p| p.warm_start = true));
     let (a, b) = (summary(&first), summary(&second));
     assert_eq!(a.cache, "miss");
-    assert_eq!(b.cache, "hit", "identical fingerprint reuses the incumbent");
+    assert!(a.nodes >= 1, "the miss searched");
+    assert_eq!(b.cache, "hit", "identical fingerprint reuses the optimum");
+    assert_eq!(
+        (b.nodes, b.lp_iterations),
+        (0, 0),
+        "the hit answers from the cache without a search"
+    );
+    assert_eq!(b.status, "optimal");
+    assert_eq!(b.best_bound, b.objective, "a hit closes its gap");
+    assert_eq!(b.source, "exact");
     assert_eq!(
         a.objective, b.objective,
-        "warm start never changes the answer"
+        "the cache never changes the answer"
     );
     assert_eq!(a.cost, b.cost);
     drop(c);
     let stats = handle.shutdown();
     assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
     assert_eq!(stats.orphaned(), 0);
+}
+
+#[test]
+fn warm_hit_answers_optimal_even_when_its_budget_cannot_search() {
+    let handle = server(|_| {});
+    let mut c = connect(&handle);
+    let primed = rpc(&mut c, &solve_request(|p| p.warm_start = true));
+    assert_eq!(
+        summary(&primed).status,
+        "optimal",
+        "priming proves the optimum"
+    );
+    let starved = |warm_start: bool| {
+        solve_request(move |p| {
+            p.warm_start = warm_start;
+            p.time_limit_secs = Some(1e-6);
+        })
+    };
+    // The stored proof is the answer: the hit needs no budget of its own.
+    let hit = rpc(&mut c, &starved(true));
+    let hit = summary(&hit);
+    assert_eq!(hit.cache, "hit");
+    assert_eq!(hit.status, "optimal");
+    assert_eq!((hit.nodes, hit.lp_iterations), (0, 0));
+    assert_eq!(hit.cost, summary(&primed).cost);
+    // Without the cache the same budget stops the search at once.
+    let cold = rpc(&mut c, &starved(false));
+    let cold = summary(&cold);
+    assert_eq!(cold.cache, "uncached");
+    assert_eq!(cold.status, "time-limit");
+    drop(c);
+    assert_eq!(handle.shutdown().orphaned(), 0);
 }
 
 /// Linux's minimum delayed-ACK timeout. A frame held back by Nagle's
