@@ -189,7 +189,7 @@ mod tests {
         use tempart_lp::{MipOptions, MipStatus};
         let lib = ComponentLibrary::date98_default();
         // The FIR is the debug-build-friendly end-to-end check; the larger
-        // kernels are exercised by the release-mode example and benches.
+        // kernels are exercised by the release-mode example.
         {
             let (g, n, l) = (fir(3).unwrap(), 2u32, 2u32);
             let fus = lib

@@ -1,9 +1,10 @@
 //! # tempart-bench
 //!
 //! Benchmark harness for the `tempart` reproduction of Kaul & Vemuri (DATE
-//! 1998): the paper's six random task graphs, the experiment runner, and
-//! the report formatting that regenerates Tables 1–4 plus the ablation and
-//! simulation studies.
+//! 1998): the paper's six random task graphs, the experiment runner, the
+//! report formatting that regenerates Tables 1–4 plus the ablation and
+//! simulation studies, and [`report::Report`], the one emitter of the
+//! `BENCH_*.json` files.
 //!
 //! Regenerate everything with:
 //!
@@ -12,7 +13,9 @@
 //! ```
 //!
 //! or pick one experiment: `table1`, `table2`, `table3`, `table4`,
-//! `ablation`, `simulate`.
+//! `ablation`, `simulate`, `kernel`, `scale`. The binary exits non-zero
+//! when an experiment name is unknown, a row errors, a bar fails, or a file
+//! cannot be written.
 
 pub mod graphs;
 pub mod kernels;

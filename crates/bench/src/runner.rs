@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use tempart_core::{CoreError, IlpModel, ModelConfig, RuleKind, SolveOptions};
 use tempart_graph::FpgaDevice;
-use tempart_lp::{MipStats, MipStatus, Pricing};
+use tempart_lp::{MipStats, MipStatus};
 
 use crate::graphs::{date98_device, date98_instance, date98_scaled_instance};
 
@@ -98,12 +98,10 @@ pub struct ExperimentRow {
     pub lp_iterations: usize,
     /// Branching rule used.
     pub rule: RuleKind,
-    /// Pricing rule used.
-    pub pricing: Pricing,
     /// Full solver statistics: the merged simplex profile (timers populated
     /// only when [`LpOptions::profile`](tempart_lp::LpOptions::profile) was
-    /// set), the work-stealing scheduler's contention counters, and the
-    /// per-worker node/busy-time vectors.
+    /// set), the contention and scale-layer counters, and the per-worker
+    /// node counts.
     pub stats: MipStats,
 }
 
@@ -116,23 +114,6 @@ impl ExperimentRow {
         } else {
             format!("{:.2}", self.seconds)
         }
-    }
-
-    /// Wall-clock microseconds per branch-and-bound node — the per-node
-    /// cost a caller actually pays. Thread-invariant at fixed per-node cost
-    /// on a single CPU, and *drops* with effective parallelism, making it
-    /// the right axis for speedup comparisons.
-    pub fn node_wall_us(&self) -> f64 {
-        self.seconds * 1e6 / self.nodes.max(1) as f64
-    }
-
-    /// Mean LP microseconds per node with LP time *summed across workers*
-    /// (the always-on `lp_secs` of the merged simplex profile). On an
-    /// oversubscribed host this aggregate grows with thread count even at
-    /// fixed per-node cost — it measures total CPU work, not latency; use
-    /// [`ExperimentRow::node_wall_us`] for per-node latency.
-    pub fn aggregate_lp_us_per_node(&self) -> f64 {
-        self.stats.simplex.lp_secs * 1e6 / self.nodes.max(1) as f64
     }
 
     /// `Yes`/`No`/`?` feasibility column.
@@ -205,7 +186,6 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
         nodes: out.stats.nodes,
         lp_iterations: out.stats.lp_iterations,
         rule: cfg.solve.rule,
-        pricing: cfg.solve.mip.lp.pricing,
         stats: out.stats,
     })
 }

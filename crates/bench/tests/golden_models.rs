@@ -193,7 +193,7 @@ fn devex_search_node_counts_pinned() {
     // gets its own pins on the same rows: equal optima (the determinism
     // contract), fewer nodes and fewer total LP iterations than the Dantzig
     // pins above on the flagship N3 L1 row. Movement here means the
-    // incremental engine changed — update together with BENCH_simplex.json.
+    // incremental engine changed.
     type Pin = ((u32, u32), MipStatus, usize, usize, Option<u64>);
     let expected: [Pin; 4] = [
         ((3, 0), MipStatus::Infeasible, 1, 146, None),

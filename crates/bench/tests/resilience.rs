@@ -120,3 +120,47 @@ fn faults_clock_skew_with_seed_keeps_exact_incumbent() {
     assert!(sol.communication_cost() <= 28);
     assert!(out.best_bound <= out.objective);
 }
+
+/// The anytime curve on g1 at one worker: each deterministic pivot budget,
+/// the stand-in for a wall-clock deadline, pins the status, the solution
+/// source, the work done and the cost. A budget that stops the search
+/// before its first integral node still answers with the Figure-2
+/// heuristic; from 2,000 pivots on, the answer is the search's own
+/// incumbent; a seeded run answers exactly before solving any LP.
+#[test]
+fn pivot_budget_curve_is_pinned() {
+    use MipStatus::{Optimal, TimeLimit};
+    use SolutionSource::{Exact, Heuristic};
+    // (seeded, pivot budget, status, source, nodes, pivots)
+    type Point = (bool, usize, MipStatus, SolutionSource, usize, usize);
+    let curve: [Point; 4] = [
+        (false, 500, TimeLimit, Heuristic, 17, 466),
+        (false, 2_000, TimeLimit, Exact, 92, 2_000),
+        (true, 50, TimeLimit, Exact, 0, 0),
+        (false, usize::MAX, Optimal, Exact, 601, 11_089),
+    ];
+    for (seeded, budget, status, source, nodes, pivots) in curve {
+        let mip = MipOptions {
+            max_lp_iterations: budget,
+            threads: 1,
+            ..MipOptions::default()
+        };
+        let out = g1_model()
+            .solve(&SolveOptions {
+                mip,
+                rule: RuleKind::Paper,
+                seed_incumbent: seeded,
+            })
+            .expect("a pivot budget is a limit, not an error");
+        let point = format!("seeded {seeded}, budget {budget}");
+        assert_eq!(out.status, status, "{point}");
+        assert_eq!(out.source, source, "{point}");
+        assert_eq!(out.stats.nodes, nodes, "{point}");
+        assert_eq!(out.stats.lp_iterations, pivots, "{point}");
+        let cost = out.solution.map(|s| s.communication_cost());
+        assert_eq!(cost, Some(13), "{point}");
+        if out.best_bound.is_finite() {
+            assert!(out.best_bound <= 13.0, "{point}: bound {}", out.best_bound);
+        }
+    }
+}

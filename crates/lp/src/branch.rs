@@ -181,11 +181,6 @@ pub struct MipStats {
     /// Nodes solved by each worker (one entry per worker; a single entry
     /// equal to `nodes` at one thread).
     pub per_worker_nodes: Vec<usize>,
-    /// Wall-clock seconds each worker spent processing nodes, as opposed to
-    /// hunting for work (one entry per worker). On a multi-core host the
-    /// entries overlap in time, so their sum exceeding `seconds` is the
-    /// parallelism, not an error.
-    pub per_worker_busy_secs: Vec<f64>,
     /// Contention counters of the work-stealing scheduler; see
     /// [`ContentionProfile`]. At one thread only `cow_clones` (shared warm
     /// starts) can be nonzero.

@@ -110,9 +110,6 @@ struct WorkerStats {
     pruned_by_bound: usize,
     pruned_infeasible: usize,
     incumbent_updates: usize,
-    /// Wall-clock seconds spent processing nodes (everything except
-    /// hunting for work), for the per-worker bench metrics.
-    busy_secs: f64,
     contention: ContentionProfile,
     simplex: SimplexProfile,
     scale: ScaleProfile,
@@ -384,7 +381,6 @@ pub(crate) fn solve_parallel(
         seconds: start.elapsed().as_secs_f64(),
         incumbent_updates: seeded_updates,
         per_worker_nodes: worker_stats.iter().map(|w| w.nodes).collect(),
-        per_worker_busy_secs: worker_stats.iter().map(|w| w.busy_secs).collect(),
         ..MipStats::default()
     };
     for w in &worker_stats {
@@ -469,10 +465,6 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
     let mut upper = shared.core.upper.clone();
     let opts = shared.opts;
     let ns = shared.core.num_structs;
-    // audit: allow(nondet) — wall-clock accounting for the per-worker busy
-    // time reported in the bench metrics; scheduling never reads it.
-    let loop_start = Instant::now();
-    let mut hunt_secs = 0.0;
 
     loop {
         if shared.cancel.load(Ordering::Acquire) {
@@ -481,17 +473,10 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
         }
         let node = match local.pop() {
             Some(n) => n,
-            None => {
-                // audit: allow(nondet) — timing the work hunt so busy time
-                // excludes it; see loop_start above.
-                let hunt = Instant::now();
-                let found = shared.find_work(id, &mut ws.contention);
-                hunt_secs += hunt.elapsed().as_secs_f64();
-                match found {
-                    Some(n) => n,
-                    None => break,
-                }
-            }
+            None => match shared.find_work(id, &mut ws.contention) {
+                Some(n) => n,
+                None => break,
+            },
         };
         // Limit checks against this solve's own node and pivot counts and
         // deadline, plus a stop request from the caller (the global node
@@ -734,7 +719,6 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
             }
         }
     }
-    ws.busy_secs = (loop_start.elapsed().as_secs_f64() - hunt_secs).max(0.0);
     ws
 }
 
@@ -880,12 +864,10 @@ mod tests {
         assert_eq!(out.status, MipStatus::Optimal);
         assert!((out.objective - (-23.0)).abs() < 1e-6);
         assert_eq!(out.stats.per_worker_nodes.len(), t);
-        assert_eq!(out.stats.per_worker_busy_secs.len(), t);
         assert_eq!(
             out.stats.per_worker_nodes.iter().sum::<usize>(),
             out.stats.nodes
         );
-        assert!(out.stats.per_worker_busy_secs.iter().all(|&s| s >= 0.0));
     }
 
     #[test]

@@ -19,16 +19,17 @@
 //! The sweep records throughput and latency percentiles per client
 //! count, the shed rate, and the cache hit rate; a separate workerless
 //! probe measures pure load-shedding latency. Three pinned acceptance
-//! bars go into `BENCH_service.json`:
+//! bars go into `BENCH_service.json` (or `--out PATH`):
 //!
 //! 1. no job exceeds its admitted deadline by more than 10%,
 //! 2. every shed response lands in under 10 ms,
 //! 3. zero orphans and zero `failed` statuses across the sweep.
 //!
-//! This binary lives in the server crate rather than `tempart-bench`
-//! because the audit tool's default feature already closes the package
-//! chain audit → bench, so bench can depend on neither cli nor server;
-//! `tables -- service` delegates here.
+//! The process exits non-zero when a bar fails or the file cannot be
+//! written. This binary lives in the server crate rather than
+//! `tempart-bench` because the audit tool's default feature already
+//! closes the package chain audit → bench, so bench can depend on neither
+//! cli nor server.
 
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -36,6 +37,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use tempart_bench::paper_graph;
+use tempart_bench::report::Report;
 use tempart_cli::proto::{read_frame, write_frame, Request, Response, SolveParams};
 use tempart_cli::{DeviceSpec, EdgeSpec, FuSpec, SpecFile, TaskSpec};
 use tempart_server::{start, ServerConfig, ServerHandle};
@@ -336,7 +338,7 @@ fn main() -> ExitCode {
         "hit-rate",
         "max-ddl"
     );
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut report = Report::new(out, true);
     let mut max_ratio = 0.0f64;
     let mut total_failed = 0u64;
     let mut total_orphaned = 0u64;
@@ -387,13 +389,13 @@ fn main() -> ExitCode {
             hit_rate * 100.0,
             row_ratio,
         );
-        json_rows.push(format!(
-            "  {{\"clients\": {}, \"workers\": 2, \"jobs\": {completed}, \"wall_ms\": {:.3}, \
+        report.row(&format!(
+            "\"clients\": {}, \"workers\": 2, \"jobs\": {completed}, \"wall_ms\": {:.3}, \
              \"throughput_jobs_per_sec\": {throughput:.3}, \"p50_ms\": {p50:.3}, \
              \"p90_ms\": {p90:.3}, \"p99_ms\": {p99:.3}, \"max_ms\": {max_ms:.3}, \
              \"shed\": {}, \"rejected\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
              \"cache_stale\": {}, \"cache_hit_rate\": {hit_rate:.4}, \
-             \"max_deadline_ratio\": {row_ratio:.4}, \"failed\": {failed}, \"orphaned\": {}}}",
+             \"max_deadline_ratio\": {row_ratio:.4}, \"failed\": {failed}, \"orphaned\": {}",
             row.clients,
             row.wall.as_secs_f64() * 1e3,
             row.stats.shed,
@@ -413,45 +415,30 @@ fn main() -> ExitCode {
         mean_shed_ms,
         max_shed_ms
     );
-    json_rows.push(format!(
-        "  {{\"probe\": \"shed\", \"refusals\": {}, \"mean_shed_ms\": {mean_shed_ms:.3}, \
-         \"max_shed_ms\": {max_shed_ms:.3}}}",
+    report.row(&format!(
+        "\"probe\": \"shed\", \"refusals\": {}, \"mean_shed_ms\": {mean_shed_ms:.3}, \
+         \"max_shed_ms\": {max_shed_ms:.3}",
         shed_ms.len(),
     ));
     // The pinned acceptance bars.
-    let deadline_pass = max_ratio <= 1.10;
-    let shed_pass = max_shed_ms < 10.0;
-    let orphan_pass = total_orphaned == 0 && total_failed == 0;
+    let failures = total_orphaned + total_failed;
     for (name, value, pass) in [
-        ("no_job_exceeds_deadline_by_10pct", max_ratio, deadline_pass),
-        ("shed_response_under_10ms", max_shed_ms, shed_pass),
         (
-            "zero_orphans_and_failures",
-            (total_orphaned + total_failed) as f64,
-            orphan_pass,
+            "no_job_exceeds_deadline_by_10pct",
+            max_ratio,
+            max_ratio <= 1.10,
         ),
+        ("shed_response_under_10ms", max_shed_ms, max_shed_ms < 10.0),
+        ("zero_orphans_and_failures", failures as f64, failures == 0),
     ] {
-        println!(
-            "acceptance [{}]: {name} = {value:.3}",
-            if pass { "PASS" } else { "FAIL" }
+        report.bar(
+            name,
+            &format!("\"value\": {value:.4}"),
+            pass,
+            format!("{name} = {value:.3}"),
         );
-        json_rows.push(format!(
-            "  {{\"acceptance\": \"{name}\", \"value\": {value:.4}, \"pass\": {pass}}}"
-        ));
     }
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    // Write-then-rename so an interrupted run never leaves a truncated
-    // artifact.
-    let tmp = format!("{out}.tmp");
-    let write = std::fs::write(&tmp, &json).and_then(|()| std::fs::rename(&tmp, &out));
-    match write {
-        Ok(()) => println!("wrote {out} ({} rows)", json_rows.len()),
-        Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if deadline_pass && shed_pass && orphan_pass {
+    if report.finish() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -14,8 +14,8 @@
 //!
 //! [`naive_partitioning`] provides the bandwidth-oblivious baseline
 //! (topological first-fit packing, the estimator's segments) so examples and
-//! benches can quantify how much the ILP's communication minimization buys
-//! end to end.
+//! the `tables -- simulate` study can quantify how much the ILP's
+//! communication minimization buys end to end.
 //!
 //! ```
 //! use tempart_core::{Instance, IlpModel, ModelConfig, SolveOptions};

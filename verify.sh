@@ -8,7 +8,8 @@
 # (heavier oracle cross-checks), and a
 # short Table 2 regeneration proving the tables harness still runs
 # end-to-end. The smoke limit is small on purpose — it exercises the
-# pipeline, not the paper's full budgets.
+# pipeline, not the paper's full budgets. The bench binaries gate through
+# their exit status, and no step rewrites a committed BENCH_*.json file.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -27,7 +28,7 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== workspace: build (bins, benches, examples, tests) =="
+echo "== workspace: build (bins, examples, tests) =="
 cargo build --workspace --release --all-targets
 
 echo "== workspace: tests =="
@@ -44,18 +45,9 @@ cargo run --release -p tempart-bench --bin tables -- table2 --limit 60
 
 echo "== smoke: kernel study (basis engines; budgeted tiers) =="
 cargo run --release -q -p tempart-bench --bin tables -- kernel-smoke --limit 300
-grep -q '"pass": true' BENCH_kernel_smoke.json
-if grep -q '"pass": false' BENCH_kernel_smoke.json; then
-  echo "kernel acceptance bar failed" >&2
-  exit 1
-fi
 
 echo "== smoke: solve service (client sweep, shed probe, acceptance bars) =="
-cargo run --release -q -p tempart-server --bin service-bench
-if grep -q '"pass": false' BENCH_service.json; then
-  echo "service acceptance bar failed" >&2
-  exit 1
-fi
+cargo run --release -q -p tempart-server --bin service-bench -- --out target/BENCH_service.json
 
 echo "== race: model checker smoke (bounded tier; planted bugs + core models) =="
 cargo test -q -p tempart-race --features race
