@@ -5,7 +5,7 @@
 
 use tempart_bench::{date98_device, date98_instance, paper_graph};
 use tempart_core::{IlpModel, ModelConfig, SolveOptions};
-use tempart_lp::{Branching, MipStatus, Pricing};
+use tempart_lp::{BasisUpdate, Branching, MipStatus, Pricing};
 
 #[test]
 fn paper_graph_shapes_are_stable() {
@@ -128,6 +128,69 @@ fn serial_search_node_counts_pinned() {
             ));
         }
         assert_eq!(runs[0], runs[1], "N{n} L{l}: two runs, one search");
+    }
+}
+
+#[test]
+fn serial_ft_markowitz_node_counts_pinned() {
+    // The Forrest–Tomlin basis with Markowitz ordering pivots differently
+    // from the eta file (its own factorization order and its dynamic
+    // refactorization trigger), so it gets its own pins on the same rows,
+    // under both pricing engines: same optima, and nodes / LP iterations /
+    // mid-solve refactorizations that move only when the FT kernel's
+    // arithmetic does. One worker, seeded, paper rule.
+    type Counts = (usize, usize, usize);
+    type Pin = ((u32, u32), MipStatus, [Counts; 2], Option<u64>);
+    let expected: [Pin; 4] = [
+        (
+            (3, 0),
+            MipStatus::Infeasible,
+            [(1, 149, 2), (1, 139, 2)],
+            None,
+        ),
+        (
+            (3, 1),
+            MipStatus::Optimal,
+            [(1_075, 14_226, 24), (269, 8_285, 74)],
+            Some(13),
+        ),
+        (
+            (2, 2),
+            MipStatus::Optimal,
+            [(201, 6_201, 45), (97, 7_277, 90)],
+            Some(5),
+        ),
+        (
+            (2, 3),
+            MipStatus::Optimal,
+            [(1, 175, 1), (1, 168, 1)],
+            Some(0),
+        ),
+    ];
+    for ((n, l), status, counts, cost) in expected {
+        let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
+        let model = IlpModel::build(inst, ModelConfig::tightened(n, l)).unwrap();
+        for (pricing, pin) in [Pricing::Dantzig, Pricing::Devex].into_iter().zip(counts) {
+            let mut opts = SolveOptions::default();
+            opts.mip.lp.basis_update = BasisUpdate::FtMarkowitz;
+            opts.mip.lp.pricing = pricing;
+            let out = model.solve(&opts).unwrap();
+            assert_eq!(out.status, status, "N{n} L{l} {pricing} status");
+            assert_eq!(
+                (
+                    out.stats.nodes,
+                    out.stats.lp_iterations,
+                    out.stats.simplex.refactors
+                ),
+                pin,
+                "N{n} L{l} {pricing}: nodes, LP iterations, refactorizations"
+            );
+            assert_eq!(
+                out.solution.as_ref().map(|s| s.communication_cost()),
+                cost,
+                "N{n} L{l} {pricing} objective"
+            );
+        }
     }
 }
 

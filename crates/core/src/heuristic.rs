@@ -361,63 +361,6 @@ fn list_schedule_subset(
     Some(schedule)
 }
 
-/// Development diagnostic: prints, for every candidate chunking with up to
-/// `n` chunks, the blocked makespan per chunk and the total vs the horizon
-/// at latency relaxation `l`. Hidden from docs — it writes to stdout and
-/// exists for calibration sessions, not for library consumers.
-#[doc(hidden)]
-pub fn debug_chunk_report(instance: &Instance, n: usize, l: u32) {
-    let graph = instance.graph();
-    let mobility = Mobility::compute(graph);
-    let horizon = mobility.horizon(l);
-    let edges = graph.combined_op_edges();
-    let order = graph.task_topo_order();
-    println!(
-        "CP={} horizon(L={l})={}",
-        mobility.critical_path_len(),
-        horizon
-    );
-    let mut best_total = u32::MAX;
-    for chunks in candidate_chunkings(graph, &order, n) {
-        let mut lens = Vec::new();
-        let mut total = 0u32;
-        let mut ok = true;
-        for chunk in &chunks {
-            let ops: Vec<OpId> = chunk
-                .iter()
-                .flat_map(|&t| graph.task(t).ops().iter().copied())
-                .collect();
-            if ops.is_empty() {
-                lens.push(0);
-                continue;
-            }
-            match choose_units(instance, &ops)
-                .and_then(|allowed| list_schedule_subset(instance, &ops, &edges, &allowed))
-            {
-                Some(s) => {
-                    lens.push(s.makespan());
-                    total += s.makespan();
-                }
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok && total < best_total {
-            best_total = total;
-            println!(
-                "k={} lens={:?} total={} (horizon {})",
-                chunks.len(),
-                lens,
-                total,
-                horizon
-            );
-        }
-    }
-    println!("best total = {best_total}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

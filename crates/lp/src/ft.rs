@@ -1,57 +1,48 @@
 //! Forrest–Tomlin basis maintenance: LU factors updated in place.
 //!
-//! The legacy path in [`crate::simplex`] keeps the factorization frozen
-//! and appends product-form eta columns; every FTRAN/BTRAN then replays
-//! the whole eta file, and the only defence against fill-in is a fixed
-//! refactorization period. This module instead applies each basis change
-//! *to the `U` factor itself* (Forrest–Tomlin, 1972): the leaving
-//! column's row is eliminated into a small row-eta, the entering
-//! column's spike becomes the new last column of `U`, and the triangular
-//! solves keep their hypersparse pattern-tracked form. Fill-in lands
-//! where it belongs — in `U` — instead of accumulating as a replayed
-//! transformation list.
+//! The eta file in [`crate::lu::BasisRepr`] keeps the factorization
+//! frozen and appends product-form eta columns; every FTRAN/BTRAN then
+//! replays the whole eta file, and the only defence against fill-in is a
+//! fixed refactorization period. This module instead applies each basis
+//! change *to the `U` factor itself* (Forrest–Tomlin, 1972): the leaving
+//! column's row is eliminated into a small row-eta, the entering column's
+//! spike becomes the new last column of `U`, and the triangular solves
+//! keep their hypersparse pattern-tracked form. Fill-in lands where it
+//! belongs — in `U` — instead of accumulating as a replayed transformation
+//! list.
 //!
 //! # Representation
 //!
 //! A factorized basis is `B = L · R₁⁻¹ · … · R_k⁻¹ · U · Q` where
 //!
-//! * `L` (with its row permutation) is frozen at refactorization time and
-//!   stored exactly like [`crate::lu::LuFactors`] stores it;
+//! * `L` (with its row permutation) is the shared frozen
+//!   [`LFactor`] of a [`PivotRule::Markowitz`](crate::lu::PivotRule)
+//!   factorization, solved by its own kernels;
 //! * each `R_i` is a row-eta recorded by update `i` (the elimination of
 //!   the leaving row), applied to the right-hand side between the `L`
 //!   and `U` solves;
 //! * `U` is the *live* upper-triangular factor, stored both column-wise
 //!   and row-wise with values so updates can walk rows cheaply;
-//! * `Q` maps **slots** to basis positions. A slot is the sequence index
-//!   a column had at factorization time; when a column is replaced, the
-//!   entering column inherits the leaving column's slot, so `L`, the
-//!   etas, and the row lists never need relabelling. Only the
-//!   triangular *order* of the slots changes (the updated slot moves to
-//!   the last position).
+//! * `Q` maps **slots** to basis positions. A slot is the pivot a column
+//!   had at factorization time; when a column is replaced, the entering
+//!   column inherits the leaving column's slot, so `L`, the etas, and the
+//!   row lists never need relabelling. Only the triangular *order* of the
+//!   slots changes (the updated slot moves to the last position).
+//!
+//! The hypersparse solves sweep the bitmap worklist of [`LuScratch`], and
+//! the update one of its own ([`sweep_up`]): the `U` and `Uᵀ` passes and
+//! the row elimination key them by triangular position, the `L` and `Lᵀ`
+//! passes by slot.
 //!
 //! # Stability
 //!
 //! `update` is read-only until the transformed diagonal `d` is known; if
 //! `d` fails [`crate::tol::ft_pivot_ok`] the factors are left untouched
-//! and the caller refactorizes. The factorization itself pivots by
-//! (static Markowitz count × relative stability) instead of pure partial
-//! pivoting, trading a bounded loss of growth protection for markedly
-//! less fill on the wide, slack-heavy bases this workload produces.
+//! and the caller refactorizes.
 #![allow(clippy::needless_range_loop)] // dense kernels index several arrays in lockstep
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use crate::lu::LuScratch;
-use crate::sparse::CscMatrix;
+use crate::lu::{mark, sweep_down, sweep_up, LFactor, LuFactors, LuScratch};
 use crate::tol::{ft_pivot_ok, is_nonzero};
-use crate::LpError;
-
-/// Rows with magnitude at least this fraction of the column maximum are
-/// acceptable Markowitz pivots; among them the smallest static row count
-/// wins. The classic "0.1 rule" — looser thresholds fill less but grow
-/// more.
-const MARKOWITZ_REL: f64 = 0.1;
 
 /// One recorded row elimination: FTRAN applies
 /// `z[r] -= Σ μ_t · z[t]`, BTRAN applies the transpose.
@@ -67,14 +58,8 @@ struct FtEta {
 #[derive(Debug, Clone)]
 pub(crate) struct FtFactors {
     m: usize,
-    /// `pivot_row[s]` = original row index of slot `s` (frozen `L` part).
-    pivot_row: Vec<usize>,
-    /// `pivot_pos[r]` = slot of original row `r`.
-    pivot_pos: Vec<usize>,
-    /// Column `s` of `L` below the diagonal: `(original_row, multiplier)`.
-    l_cols: Vec<Vec<(usize, f64)>>,
-    /// Reverse adjacency of `Lᵀ` (see [`crate::lu::LuFactors`]). Frozen.
-    l_deps: Vec<Vec<usize>>,
+    /// The frozen `L`, by slot.
+    l: LFactor,
     /// Live `U`, column-wise: `ucol[s]` holds `(t, U[t,s])` for the
     /// above-diagonal entries of column `s` (`pos[t] < pos[s]`).
     ucol: Vec<Vec<(usize, f64)>>,
@@ -110,156 +95,40 @@ pub(crate) struct FtFactors {
     work_in_v: Vec<bool>,
     work_vpat: Vec<usize>,
     work_acc: Vec<f64>,
-    work_in_acc: Vec<bool>,
-    work_heap: BinaryHeap<Reverse<(usize, usize)>>,
+    work_bits: Vec<u64>,
 }
 
 impl FtFactors {
-    /// Factorizes columns `basis` of `a` with Markowitz pivoting: columns
-    /// are processed in ascending static nonzero count, and within each
-    /// column the pivot row minimizes the static row count among rows
-    /// that pass the relative stability test ([`MARKOWITZ_REL`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LpError::SingularBasis`] if no acceptable pivot
-    /// (magnitude `> pivot_tol`) exists for some column.
-    pub(crate) fn factorize_markowitz(
-        a: &CscMatrix,
-        basis: &[usize],
-        pivot_tol: f64,
-    ) -> Result<Self, LpError> {
-        let m = a.nrows();
-        assert_eq!(basis.len(), m, "basis must have one column per row");
-        // Static orderings: cheapest (sparsest) columns first, stable by
-        // basis position; row cost = how many basis columns touch it.
-        let mut col_order: Vec<usize> = (0..m).collect();
-        col_order.sort_by_key(|&p| (a.col_nnz(basis[p]), p));
-        let mut row_count = vec![0usize; m];
-        for &c in basis {
-            for (r, _) in a.col(c) {
-                row_count[r] += 1;
-            }
-        }
-
-        let mut pivot_row = vec![usize::MAX; m];
-        let mut pivot_pos = vec![usize::MAX; m];
-        let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut ucol: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut diag = Vec::with_capacity(m);
-
-        // Left-looking elimination identical in structure to
-        // `LuFactors::factorize`; only the pivot choice differs.
-        let mut x = vec![0.0f64; m];
-        let mut in_touched = vec![false; m];
-        let mut touched: Vec<usize> = Vec::with_capacity(64);
-        let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-        let mut queued = vec![false; m];
-
-        for (s, &p) in col_order.iter().enumerate() {
-            for (r, v) in a.col(basis[p]) {
-                x[r] = v;
-                if !in_touched[r] {
-                    in_touched[r] = true;
-                    touched.push(r);
-                }
-                let k = pivot_pos[r];
-                if k != usize::MAX && !queued[k] {
-                    queued[k] = true;
-                    heap.push(Reverse(k));
-                }
-            }
-            let mut u_col = Vec::new();
-            while let Some(Reverse(k)) = heap.pop() {
-                queued[k] = false;
-                let xk = x[pivot_row[k]];
-                if is_nonzero(xk) {
-                    u_col.push((k, xk));
-                    for &(r, mult) in &l_cols[k] {
-                        if !in_touched[r] {
-                            in_touched[r] = true;
-                            touched.push(r);
-                        }
-                        x[r] -= xk * mult;
-                        let kr = pivot_pos[r];
-                        if kr != usize::MAX && kr > k && !queued[kr] {
-                            queued[kr] = true;
-                            heap.push(Reverse(kr));
-                        }
-                    }
-                }
-            }
-            // Markowitz pivot: among stability-acceptable rows, the one
-            // touching the fewest basis columns (ties: smallest row).
-            let mut vmax = 0.0f64;
-            for &r in &touched {
-                if pivot_pos[r] == usize::MAX {
-                    vmax = vmax.max(x[r].abs());
-                }
-            }
-            if vmax <= pivot_tol {
-                return Err(LpError::SingularBasis);
-            }
-            let mut best_row = usize::MAX;
-            let mut best_cost = (usize::MAX, usize::MAX);
-            for &r in &touched {
-                if pivot_pos[r] == usize::MAX && x[r].abs() >= MARKOWITZ_REL * vmax {
-                    let cost = (row_count[r], r);
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best_row = r;
-                    }
-                }
-            }
-            let piv = x[best_row];
-            pivot_row[s] = best_row;
-            pivot_pos[best_row] = s;
-            let mut l_col = Vec::new();
-            for &r in &touched {
-                if pivot_pos[r] == usize::MAX && is_nonzero(x[r]) {
-                    l_col.push((r, x[r] / piv));
-                }
-            }
-            diag.push(piv);
-            ucol.push(u_col);
-            l_cols.push(l_col);
-            for &r in &touched {
-                x[r] = 0.0;
-                in_touched[r] = false;
-            }
-            touched.clear();
-        }
-
-        let mut urow: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for (s, u_col) in ucol.iter().enumerate() {
-            for &(t, v) in u_col {
-                urow[t].push((s, v));
-            }
-        }
-        let mut l_deps: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (s, l_col) in l_cols.iter().enumerate() {
-            for &(r, _) in l_col {
-                l_deps[pivot_pos[r]].push(s);
-            }
-        }
-        let l_nnz: usize = l_cols.iter().map(Vec::len).sum();
-        let u_nnz: usize = ucol.iter().map(Vec::len).sum();
+    /// Takes over factors built under
+    /// [`PivotRule::Markowitz`](crate::lu::PivotRule): their `L` stays
+    /// frozen, their `U` becomes the live factor (each slot at its own
+    /// triangular position), and their column order becomes the slot maps.
+    pub(crate) fn new(lu: LuFactors) -> Self {
+        let m = lu.u_diag.len();
+        let urow = (0..m).map(|t| lu.u_row(t).to_vec()).collect();
+        let LuFactors {
+            l,
+            cols,
+            u_cols,
+            u_diag,
+            ..
+        } = lu;
+        debug_assert_eq!(cols.len(), m, "Forrest–Tomlin needs Markowitz factors");
+        let l_nnz = l.nnz();
+        let u_nnz: usize = u_cols.iter().map(Vec::len).sum();
         let mut slot_of_col = vec![0usize; m];
-        for (s, &p) in col_order.iter().enumerate() {
+        for (s, &p) in cols.iter().enumerate() {
             slot_of_col[p] = s;
         }
-        Ok(Self {
+        Self {
             m,
-            pivot_row,
-            pivot_pos,
-            l_cols,
-            l_deps,
-            ucol,
+            l,
+            ucol: u_cols,
             urow,
-            diag,
+            diag: u_diag,
             order: (0..m).collect(),
             pos: (0..m).collect(),
-            col_of_slot: col_order,
+            col_of_slot: cols,
             slot_of_col,
             etas: Vec::new(),
             num_updates: 0,
@@ -271,9 +140,8 @@ impl FtFactors {
             work_in_v: vec![false; m],
             work_vpat: Vec::new(),
             work_acc: vec![0.0; m],
-            work_in_acc: vec![false; m],
-            work_heap: BinaryHeap::new(),
-        })
+            work_bits: vec![0; m.div_ceil(64)],
+        }
     }
 
     /// Accepted updates since the last refactorization.
@@ -293,17 +161,8 @@ impl FtFactors {
     /// original row); on exit it holds `w` (indexed by basis position).
     pub(crate) fn ftran(&self, buf: &mut [f64]) {
         debug_assert_eq!(buf.len(), self.m);
-        // Frozen L, in original-row space.
-        for s in 0..self.m {
-            let zs = buf[self.pivot_row[s]];
-            if is_nonzero(zs) {
-                for &(r, mult) in &self.l_cols[s] {
-                    buf[r] -= zs * mult;
-                }
-            }
-        }
-        // Gather into slot space and apply the row etas in append order.
-        let mut z: Vec<f64> = (0..self.m).map(|s| buf[self.pivot_row[s]]).collect();
+        // Frozen L into slot space, then the row etas in append order.
+        let mut z = self.l.ftran(buf);
         for eta in &self.etas {
             let mut delta = 0.0;
             for &(t, mu) in &eta.entries {
@@ -342,7 +201,7 @@ impl FtFactors {
             }
             z[s] = sum / self.diag[s];
         }
-        // Transposed row etas, reverse order.
+        // Transposed row etas, reverse order, then the frozen Lᵀ.
         for eta in self.etas.iter().rev() {
             let zr = z[eta.r];
             if is_nonzero(zr) {
@@ -351,25 +210,12 @@ impl FtFactors {
                 }
             }
         }
-        // Backward Lᵀ solve in slot space.
-        for s in (0..self.m).rev() {
-            let mut sum = z[s];
-            for &(r, mult) in &self.l_cols[s] {
-                sum -= mult * z[self.pivot_pos[r]];
-            }
-            z[s] = sum;
-        }
-        for r in buf.iter_mut() {
-            *r = 0.0;
-        }
-        for s in 0..self.m {
-            buf[self.pivot_row[s]] = z[s];
-        }
+        self.l.btran(&mut z, buf);
     }
 
     /// Hypersparse [`ftran`](Self::ftran): only slots reachable from the
     /// nonzeros of `b` are visited. Same contract as
-    /// [`LuFactors::ftran_sparse`](crate::lu::LuFactors::ftran_sparse).
+    /// [`LuFactors::ftran_sparse`].
     pub(crate) fn ftran_sparse(
         &self,
         buf: &mut [f64],
@@ -378,77 +224,44 @@ impl FtFactors {
     ) {
         debug_assert_eq!(buf.len(), self.m);
         scratch.ensure(self.m);
-        // Frozen L phase, keyed by slot (identical to the legacy path).
-        for &r in pattern.iter() {
-            let s = self.pivot_pos[r];
-            if !scratch.queued[s] {
-                scratch.queued[s] = true;
-                scratch.min_heap.push(Reverse(s));
-            }
-        }
-        scratch.stage.clear();
-        while let Some(Reverse(s)) = scratch.min_heap.pop() {
-            scratch.queued[s] = false;
-            let zs = buf[self.pivot_row[s]];
-            buf[self.pivot_row[s]] = 0.0;
-            if is_nonzero(zs) {
-                scratch.z[s] = zs;
-                scratch.stage.push(s);
-                for &(r, mult) in &self.l_cols[s] {
-                    buf[r] -= zs * mult;
-                    let k = self.pivot_pos[r];
-                    if !scratch.queued[k] {
-                        scratch.queued[k] = true;
-                        scratch.min_heap.push(Reverse(k));
-                    }
-                }
-            }
-        }
-        // Row etas in append order, on the staged values (`z` is zero
-        // outside the stage, so reads need no membership test).
-        for &s in scratch.stage.iter() {
-            scratch.queued[s] = true;
+        let LuScratch { bits, z, stage, .. } = scratch;
+        let bits = &mut bits[..self.m.div_ceil(64)];
+        self.l.ftran_sparse(buf, pattern, bits, z, stage);
+        // Row etas in append order on the staged values (`z` is zero
+        // outside the stage, so reads need no membership test), queueing
+        // every staged slot by triangular position for the U pass.
+        for &s in stage.iter() {
+            mark(bits, self.pos[s]);
         }
         for eta in &self.etas {
             let mut delta = 0.0;
             for &(t, mu) in &eta.entries {
-                delta += mu * scratch.z[t];
+                delta += mu * z[t];
             }
             if is_nonzero(delta) {
-                scratch.z[eta.r] -= delta;
-                if !scratch.queued[eta.r] {
-                    scratch.queued[eta.r] = true;
-                    scratch.stage.push(eta.r);
-                }
+                z[eta.r] -= delta;
+                mark(bits, self.pos[eta.r]);
             }
         }
-        // Backward U solve on the staged slots, descending by position
-        // (every staged slot is already marked queued).
-        for &s in scratch.stage.iter() {
-            scratch.max_heap.push(self.pos[s]);
-        }
+        // Backward U solve, descending by position.
         pattern.clear();
-        while let Some(p) = scratch.max_heap.pop() {
+        sweep_down(bits, |p, bits| {
             let s = self.order[p];
-            scratch.queued[s] = false;
-            let ws = scratch.z[s] / self.diag[s];
-            scratch.z[s] = 0.0;
+            let ws = z[s] / self.diag[s];
+            z[s] = 0.0;
             if is_nonzero(ws) {
                 buf[self.col_of_slot[s]] = ws;
                 pattern.push(self.col_of_slot[s]);
                 for &(t, u) in &self.ucol[s] {
-                    scratch.z[t] -= ws * u;
-                    if !scratch.queued[t] {
-                        scratch.queued[t] = true;
-                        scratch.max_heap.push(self.pos[t]);
-                    }
+                    z[t] -= ws * u;
+                    mark(bits, self.pos[t]);
                 }
             }
-        }
+        });
     }
 
     /// Hypersparse [`btran`](Self::btran). Same contract as
-    /// [`LuFactors::btran_sparse`](crate::lu::LuFactors::btran_sparse).
+    /// [`LuFactors::btran_sparse`].
     pub(crate) fn btran_sparse(
         &self,
         buf: &mut [f64],
@@ -457,85 +270,51 @@ impl FtFactors {
     ) {
         debug_assert_eq!(buf.len(), self.m);
         scratch.ensure(self.m);
+        let LuScratch {
+            bits,
+            z,
+            stage,
+            pops,
+        } = scratch;
+        let bits = &mut bits[..self.m.div_ceil(64)];
         // Forward Uᵀ solve, ascending by position: z[s] needs z[t] for
         // the above-diagonal entries of column s; a nonzero z[s] feeds
         // every column of row s.
         for &p in pattern.iter() {
-            let s = self.slot_of_col[p];
-            if !scratch.queued[s] {
-                scratch.queued[s] = true;
-                scratch.min_heap.push(Reverse(self.pos[s]));
-            }
+            mark(bits, self.pos[self.slot_of_col[p]]);
         }
-        scratch.stage.clear();
-        while let Some(Reverse(p)) = scratch.min_heap.pop() {
+        stage.clear();
+        sweep_up(bits, |p, bits| {
             let s = self.order[p];
-            scratch.queued[s] = false;
             let mut sum = buf[self.col_of_slot[s]];
             buf[self.col_of_slot[s]] = 0.0;
             for &(t, u) in &self.ucol[s] {
-                sum -= u * scratch.z[t];
+                sum -= u * z[t];
             }
             let zs = sum / self.diag[s];
             if is_nonzero(zs) {
-                scratch.z[s] = zs;
-                scratch.stage.push(s);
+                z[s] = zs;
+                stage.push(s);
                 for &(t, _) in &self.urow[s] {
-                    if !scratch.queued[t] {
-                        scratch.queued[t] = true;
-                        scratch.min_heap.push(Reverse(self.pos[t]));
-                    }
+                    mark(bits, self.pos[t]);
                 }
             }
-        }
-        // Transposed row etas, reverse order, staging new nonzeros.
-        for &s in scratch.stage.iter() {
-            scratch.queued[s] = true;
+        });
+        // Transposed row etas, reverse order, queueing every staged and
+        // touched slot for the frozen Lᵀ pass.
+        for &s in stage.iter() {
+            mark(bits, s);
         }
         for eta in self.etas.iter().rev() {
-            let zr = scratch.z[eta.r];
+            let zr = z[eta.r];
             if is_nonzero(zr) {
                 for &(t, mu) in &eta.entries {
-                    scratch.z[t] -= mu * zr;
-                    if !scratch.queued[t] {
-                        scratch.queued[t] = true;
-                        scratch.stage.push(t);
-                    }
+                    z[t] -= mu * zr;
+                    mark(bits, t);
                 }
             }
         }
-        // Backward Lᵀ solve, descending by slot; values stay live until
-        // every dependant is done, so cleanup happens in the scatter.
-        for &s in scratch.stage.iter() {
-            scratch.max_heap.push(s);
-        }
-        scratch.pops.clear();
-        while let Some(s) = scratch.max_heap.pop() {
-            scratch.queued[s] = false;
-            let mut sum = scratch.z[s];
-            for &(r, mult) in &self.l_cols[s] {
-                sum -= mult * scratch.z[self.pivot_pos[r]];
-            }
-            scratch.z[s] = sum;
-            scratch.pops.push(s);
-            if is_nonzero(sum) {
-                for &k in &self.l_deps[s] {
-                    if !scratch.queued[k] {
-                        scratch.queued[k] = true;
-                        scratch.max_heap.push(k);
-                    }
-                }
-            }
-        }
-        pattern.clear();
-        for &s in scratch.pops.iter() {
-            let v = scratch.z[s];
-            scratch.z[s] = 0.0;
-            if is_nonzero(v) {
-                buf[self.pivot_row[s]] = v;
-                pattern.push(self.pivot_row[s]);
-            }
-        }
+        self.l.btran_sparse(buf, pattern, bits, z, pops);
     }
 
     /// Forrest–Tomlin update: replaces the basis column at position `c`
@@ -595,29 +374,25 @@ impl FtFactors {
             }
         }
 
-        // (b) Eliminate row s_r of U, read-only: walk its entries in
+        // (b) Eliminate row s_r of U, read-only: sweep its entries in
         // ascending triangular position; each surviving entry becomes an
         // eta multiplier and propagates that pivot's row into the
         // accumulator. Propagation only reaches strictly later
-        // positions, so nothing pops twice. Entries of the old column
-        // s_r are skipped — the spike replaces that column.
+        // positions, so nothing is visited twice. Entries of the old
+        // column s_r are skipped — the spike replaces that column.
         let mut acc = std::mem::take(&mut self.work_acc);
-        let mut in_acc = std::mem::take(&mut self.work_in_acc);
-        let mut heap = std::mem::take(&mut self.work_heap);
+        let mut bits = std::mem::take(&mut self.work_bits);
         let mut entries: Vec<(usize, f64)> = Vec::new();
         for &(t, val) in &self.urow[s_r] {
             acc[t] += val;
-            if !in_acc[t] {
-                in_acc[t] = true;
-                heap.push(Reverse((self.pos[t], t)));
-            }
+            mark(&mut bits, self.pos[t]);
         }
-        while let Some(Reverse((_, t))) = heap.pop() {
+        sweep_up(&mut bits, |p, bits| {
+            let t = self.order[p];
             let val = acc[t];
             acc[t] = 0.0;
-            in_acc[t] = false;
             if !is_nonzero(val) {
-                continue;
+                return;
             }
             let mu = val / self.diag[t];
             entries.push((t, mu));
@@ -625,13 +400,10 @@ impl FtFactors {
                 if t2 == s_r {
                     continue;
                 }
-                if !in_acc[t2] {
-                    in_acc[t2] = true;
-                    heap.push(Reverse((self.pos[t2], t2)));
-                }
+                mark(bits, self.pos[t2]);
                 acc[t2] -= mu * u2;
             }
-        }
+        });
 
         // (c) Transformed diagonal and the stability verdict. The same
         // elimination applied to the spike column leaves d in the last
@@ -696,8 +468,7 @@ impl FtFactors {
         self.work_in_v = in_v;
         self.work_vpat = vpat;
         self.work_acc = acc;
-        self.work_in_acc = in_acc;
-        self.work_heap = heap;
+        self.work_bits = bits;
         accept
     }
 }
@@ -705,59 +476,21 @@ impl FtFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lu::LuFactors;
+    use crate::lu::tests::{basis_dense, dense_solve};
+    use crate::lu::PivotRule;
+    use crate::sparse::CscMatrix;
     use proptest::prelude::*;
 
-    /// Dense reference solve via Gaussian elimination, partial pivoting.
-    fn dense_solve(a: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
-        let m = a.len();
-        let mut aug: Vec<Vec<f64>> = a
-            .iter()
-            .zip(b)
-            .map(|(row, &bi)| {
-                let mut r = row.clone();
-                r.push(bi);
-                r
-            })
-            .collect();
-        for col in 0..m {
-            let piv = (col..m)
-                .max_by(|&i, &j| aug[i][col].abs().partial_cmp(&aug[j][col].abs()).unwrap())
-                .unwrap();
-            aug.swap(col, piv);
-            let p = aug[col][col];
-            assert!(p.abs() > 1e-12, "singular test matrix");
-            for i in 0..m {
-                if i != col && aug[i][col] != 0.0 {
-                    let f = aug[i][col] / p;
-                    for k in col..=m {
-                        aug[i][k] -= f * aug[col][k];
-                    }
-                }
-            }
-        }
-        (0..m).map(|i| aug[i][m] / aug[i][i]).collect()
-    }
-
-    fn basis_dense(a: &CscMatrix, basis: &[usize]) -> Vec<Vec<f64>> {
-        let dense = a.to_dense();
-        let m = a.nrows();
-        (0..m)
-            .map(|r| basis.iter().map(|&c| dense[r][c]).collect())
-            .collect()
-    }
-
-    fn transpose(bd: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let m = bd.len();
-        (0..m).map(|r| (0..m).map(|c| bd[c][r]).collect()).collect()
+    /// Forrest–Tomlin factors of columns `basis` of `a`.
+    fn markowitz(a: &CscMatrix, basis: &[usize]) -> FtFactors {
+        FtFactors::new(LuFactors::factorize(a, basis, 1e-10, PivotRule::Markowitz).unwrap())
     }
 
     /// Checks dense and sparse FTRAN/BTRAN of `ft` against dense solves
     /// of the basis matrix, plus exact sparse pattern reporting.
     fn check_all_solves(ft: &FtFactors, a: &CscMatrix, basis: &[usize], tol: f64) {
         let m = a.nrows();
-        let bd = basis_dense(a, basis);
-        let bt = transpose(&bd);
+        let [bd, bt] = basis_dense(a, basis);
         let mut scratch = LuScratch::default();
         for t in 0..3 {
             let b: Vec<f64> = (0..m)
@@ -851,17 +584,8 @@ mod tests {
             ],
         );
         let basis = [0usize, 1, 2, 3];
-        let ft = FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap();
+        let ft = markowitz(&a, &basis);
         check_all_solves(&ft, &a, &basis, 1e-8);
-    }
-
-    #[test]
-    fn markowitz_detects_singular() {
-        let a = CscMatrix::from_triplets(2, 2, vec![(0, 0, 1.0), (0, 1, 1.0)]);
-        assert_eq!(
-            FtFactors::factorize_markowitz(&a, &[0, 1], 1e-10).unwrap_err(),
-            LpError::SingularBasis
-        );
     }
 
     #[test]
@@ -888,7 +612,7 @@ mod tests {
             ],
         );
         let mut basis = vec![0usize, 1, 2];
-        let mut ft = FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap();
+        let mut ft = markowitz(&a, &basis);
         for (step, (c, new_col)) in [(0usize, 3usize), (2, 4), (1, 5), (0, 2)]
             .into_iter()
             .enumerate()
@@ -914,7 +638,7 @@ mod tests {
             vec![(0, 0, 2.0), (1, 0, 1.0), (1, 1, 3.0), (1, 2, 3.0)],
         );
         let basis = [0usize, 1];
-        let mut ft = FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap();
+        let mut ft = markowitz(&a, &basis);
         let w = ftran_col(&ft, &a, 2);
         assert!(!ft.update(0, &w, None, 1e-10), "singular update accepted");
         assert_eq!(ft.updates_len(), 0);
@@ -970,7 +694,7 @@ mod tests {
             }
             let a = CscMatrix::from_triplets(m, 2 * m, trips);
             let mut basis: Vec<usize> = (0..m).collect();
-            let mut ft = FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap();
+            let mut ft = markowitz(&a, &basis);
             let mut scratch = LuScratch::default();
             let mut accepted = 0usize;
             for &(c, new_col, sparse) in &plan.steps {
@@ -998,7 +722,7 @@ mod tests {
                 // either way they must solve the basis they represent.
             }
             prop_assert_eq!(ft.updates_len(), accepted);
-            let bd = basis_dense(&a, &basis);
+            let [bd, _] = basis_dense(&a, &basis);
             let b: Vec<f64> = (0..m).map(|i| (i % 3) as f64 - 1.0).collect();
             let want = dense_solve(&bd, &b);
             let mut got = b.clone();
@@ -1011,11 +735,13 @@ mod tests {
             // A forced refactorization under either pivot rule (Markowitz,
             // or the eta file's partial pivoting) reproduces the same
             // solution from scratch.
-            let mut markowitz = b.clone();
-            FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap().ftran(&mut markowitz);
-            let mut partial = b.clone();
-            LuFactors::factorize(&a, &basis, 1e-10).unwrap().ftran(&mut partial);
-            for (rule, refreshed) in [("markowitz", &markowitz), ("partial", &partial)] {
+            let mut by_markowitz = b.clone();
+            markowitz(&a, &basis).ftran(&mut by_markowitz);
+            let mut by_partial = b.clone();
+            LuFactors::factorize(&a, &basis, 1e-10, PivotRule::Partial)
+                .unwrap()
+                .ftran(&mut by_partial);
+            for (rule, refreshed) in [("markowitz", &by_markowitz), ("partial", &by_partial)] {
                 for i in 0..m {
                     prop_assert!((refreshed[i] - got[i]).abs() < 1e-6 * got[i].abs().max(1.0),
                         "{} refactorization disagrees at {}", rule, i);

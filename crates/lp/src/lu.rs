@@ -1,34 +1,192 @@
-//! Sparse LU factorization of simplex basis matrices.
+//! The simplex basis: one sparse LU factorization and the two ways of
+//! carrying it across pivots.
 //!
-//! Left-looking column LU with partial pivoting (`P B = L U` with unit-lower
-//! `L`). Basis matrices in this workload are dominated by slack/artificial
-//! unit columns, so the factors stay extremely sparse and refactorization is
-//! cheap; product-form (eta) updates between refactorizations live in
-//! [`crate::simplex`].
+//! [`LuFactors::factorize`] is the only factorization: a left-looking
+//! column LU (`P B Q = L U` with unit-lower `L`) whose [`PivotRule`] is its
+//! only parameter. Basis matrices in this workload are dominated by
+//! slack/artificial unit columns, so the factors stay extremely sparse and
+//! refactorization is cheap.
+//!
+//! The frozen `L` ([`LFactor`]) and its four solves — forward and
+//! transposed, dense and pattern-tracked — serve both representations, and
+//! every pattern-tracked triangular solve runs on the bitmap worklists of
+//! [`LuScratch`] ([`sweep_up`], [`sweep_down`]).
+//!
+//! [`BasisRepr`] is what a solve maintains between factorizations, chosen by
+//! [`LpOptions::basis_update`]: the product-form eta file ([`Eta`]) over
+//! partial-pivoting factors, or Forrest–Tomlin updates
+//! ([`FtFactors`]) of Markowitz-ordered ones. Each representation carries
+//! its own refactorization trigger ([`BasisRepr::refactor_due`]); the
+//! simplex calls its methods and never names a variant.
 #![allow(clippy::needless_range_loop)] // dense kernels index several arrays in lockstep
 
+use crate::ft::FtFactors;
+use crate::options::{BasisUpdate, LpOptions};
 use crate::sparse::CscMatrix;
 use crate::tol::{is_nonzero, is_zero};
 use crate::LpError;
 
-/// LU factors of a basis matrix, with row pivoting.
-///
-/// Storage is in "pivot coordinates": pivot position `j` corresponds to the
-/// `j`-th basis column; `pivot_row[j]` is the original row chosen as its
-/// pivot.
+/// How the factorization orders its columns and picks each pivot row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PivotRule {
+    /// Columns in basis order; the largest-magnitude row of each column
+    /// (the eta file's rule: pivot `j` is basis position `j`).
+    Partial,
+    /// Columns in ascending static nonzero count (ties by basis position);
+    /// among rows within [`MARKOWITZ_REL`] of the column's largest
+    /// magnitude, the one touching the fewest basis columns (ties by row).
+    /// Trades a bounded loss of growth protection for markedly less fill on
+    /// the wide, slack-heavy bases this workload produces.
+    Markowitz,
+}
+
+/// Rows with magnitude at least this fraction of the column maximum are
+/// acceptable Markowitz pivots; among them the smallest static row count
+/// wins. The classic "0.1 rule" — looser thresholds fill less but grow
+/// more.
+const MARKOWITZ_REL: f64 = 0.1;
+
+/// The frozen unit-lower factor `L` with its row permutation, in pivot
+/// coordinates: pivot `j` eliminated original row `pivot_row[j]`. Both
+/// representations keep it unchanged until the next factorization.
 #[derive(Debug, Clone)]
-pub struct LuFactors {
-    m: usize,
+pub(crate) struct LFactor {
     /// `pivot_row[j]` = original row index of pivot `j`.
     pivot_row: Vec<usize>,
-    /// `pivot_pos[r]` = pivot position of original row `r`.
+    /// `pivot_pos[r]` = pivot of original row `r`.
     pivot_pos: Vec<usize>,
     /// Column `j` of `L` below the diagonal: `(original_row, multiplier)`.
     l_cols: Vec<Vec<(usize, f64)>>,
-    /// Column `j` of `U` above the diagonal: `(pivot_pos k < j, value)`.
-    u_cols: Vec<Vec<(usize, f64)>>,
+    /// Reverse adjacency of `Lᵀ`: pivot `k` → pivots `j < k` whose `L`
+    /// column touches a row pivoted at `k`. Drives the hypersparse `Lᵀ`
+    /// solve.
+    l_deps: Vec<Vec<usize>>,
+}
+
+impl LFactor {
+    /// Off-diagonal nonzeros.
+    pub(crate) fn nnz(&self) -> usize {
+        self.l_cols.iter().map(Vec::len).sum()
+    }
+
+    /// Forward solve: on entry `buf` holds `b` (by original row); returns
+    /// `z = L⁻¹ P b` in pivot coordinates, leaving `buf` scrambled.
+    pub(crate) fn ftran(&self, buf: &mut [f64]) -> Vec<f64> {
+        for j in 0..self.pivot_row.len() {
+            let zj = buf[self.pivot_row[j]];
+            if is_nonzero(zj) {
+                for &(r, mult) in &self.l_cols[j] {
+                    buf[r] -= zj * mult;
+                }
+            }
+        }
+        self.pivot_row.iter().map(|&r| buf[r]).collect()
+    }
+
+    /// Backward solve `Lᵀ v = z` in place on `z` (pivot coordinates), then
+    /// scatters `v` into `buf` by original row.
+    pub(crate) fn btran(&self, z: &mut [f64], buf: &mut [f64]) {
+        for j in (0..z.len()).rev() {
+            let mut s = z[j];
+            for &(r, mult) in &self.l_cols[j] {
+                s -= mult * z[self.pivot_pos[r]];
+            }
+            z[j] = s;
+        }
+        for (j, &r) in self.pivot_row.iter().enumerate() {
+            buf[r] = z[j];
+        }
+    }
+
+    /// Pattern-tracked [`ftran`](Self::ftran): visits only the pivots
+    /// reachable from `pattern`, the nonzero rows of `buf`, in ascending
+    /// order, so a row is fully updated before its own pivot is visited
+    /// (the invariant the dense loop gets for free). Moves each nonzero
+    /// `z_j` into `z` and lists `j` in `stage` (ascending), leaving `buf`
+    /// all zero and `bits` clear.
+    pub(crate) fn ftran_sparse(
+        &self,
+        buf: &mut [f64],
+        pattern: &[usize],
+        bits: &mut [u64],
+        z: &mut [f64],
+        stage: &mut Vec<usize>,
+    ) {
+        for &r in pattern {
+            mark(bits, self.pivot_pos[r]);
+        }
+        stage.clear();
+        sweep_up(bits, |j, bits| {
+            let zj = buf[self.pivot_row[j]];
+            buf[self.pivot_row[j]] = 0.0;
+            if is_nonzero(zj) {
+                z[j] = zj;
+                stage.push(j);
+                for &(r, mult) in &self.l_cols[j] {
+                    buf[r] -= zj * mult;
+                    mark(bits, self.pivot_pos[r]);
+                }
+            }
+        });
+    }
+
+    /// Pattern-tracked [`btran`](Self::btran) of the pivots queued in
+    /// `bits`, whose values are in `z` (zero elsewhere), into the all-zero
+    /// `buf`: `v_j` depends on `v_k` for pivots `k > j` whose row appears
+    /// in `l_cols[j]`, and a nonzero `v_j` queues the pivots in
+    /// `l_deps[j]`. Values stay live until every dependant is done, so the
+    /// scatter clears `z` afterwards. On exit `pattern` lists the nonzero
+    /// rows of `buf` (unsorted).
+    pub(crate) fn btran_sparse(
+        &self,
+        buf: &mut [f64],
+        pattern: &mut Vec<usize>,
+        bits: &mut [u64],
+        z: &mut [f64],
+        pops: &mut Vec<usize>,
+    ) {
+        pops.clear();
+        sweep_down(bits, |j, bits| {
+            let mut s = z[j];
+            for &(r, mult) in &self.l_cols[j] {
+                s -= mult * z[self.pivot_pos[r]];
+            }
+            z[j] = s;
+            pops.push(j);
+            if is_nonzero(s) {
+                for &k in &self.l_deps[j] {
+                    mark(bits, k);
+                }
+            }
+        });
+        pattern.clear();
+        for &j in pops.iter() {
+            let v = z[j];
+            z[j] = 0.0;
+            if is_nonzero(v) {
+                buf[self.pivot_row[j]] = v;
+                pattern.push(self.pivot_row[j]);
+            }
+        }
+    }
+}
+
+/// LU factors of a basis matrix: the frozen [`LFactor`] and a static `U`.
+///
+/// Storage is in pivot coordinates. Under [`PivotRule::Partial`] pivot `j`
+/// factored basis position `j`, which the solves below assume; under
+/// [`PivotRule::Markowitz`] it factored `cols[j]`, and the Forrest–Tomlin
+/// representation takes the factors apart ([`FtFactors::new`]).
+#[derive(Debug, Clone)]
+pub(crate) struct LuFactors {
+    pub(crate) l: LFactor,
+    /// `cols[j]` = basis position factored at pivot `j` under
+    /// [`PivotRule::Markowitz`]; empty under [`PivotRule::Partial`].
+    pub(crate) cols: Vec<usize>,
+    /// Column `j` of `U` above the diagonal: `(pivot k < j, value)`.
+    pub(crate) u_cols: Vec<Vec<(usize, f64)>>,
     /// Diagonal of `U`.
-    u_diag: Vec<f64>,
+    pub(crate) u_diag: Vec<f64>,
     /// Row-wise copy of `U` in one array: row `k` (see
     /// [`u_row`](Self::u_row)) holds `(column j > k, u_kj)`, columns
     /// ascending. Drives the hypersparse `Uᵀ` solve, which pushes each
@@ -36,36 +194,38 @@ pub struct LuFactors {
     u_rows: Vec<(usize, f64)>,
     /// Row `k` of `U` is `u_rows[u_row_start[k]..u_row_start[k + 1]]`.
     u_row_start: Vec<usize>,
-    /// Reverse adjacency of `Lᵀ`: pivot `k` → pivots `j < k` whose `L`
-    /// column touches a row pivoted at `k`. Drives hypersparse BTRAN.
-    l_deps: Vec<Vec<usize>>,
 }
 
 /// Reusable workspace for the hypersparse (pattern-tracked) triangular
 /// solves, owned by the caller so repeated solves allocate nothing.
 #[derive(Debug, Clone, Default)]
-pub struct LuScratch {
-    pub(crate) min_heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
-    pub(crate) max_heap: std::collections::BinaryHeap<usize>,
-    pub(crate) queued: Vec<bool>,
-    /// Worklist bitmap of the [`LuFactors`] solves, one bit per pivot,
-    /// swept in pivot order (see [`sweep_up`]).
+pub(crate) struct LuScratch {
+    /// Worklist bitmap, one bit per pivot, slot or triangular position,
+    /// swept in order (see [`sweep_up`]).
     pub(crate) bits: Vec<u64>,
     pub(crate) z: Vec<f64>,
     pub(crate) stage: Vec<usize>,
     pub(crate) pops: Vec<usize>,
 }
 
-/// Queues pivot `j` in a worklist bitmap.
-fn mark(bits: &mut [u64], j: usize) {
+/// Queues entry `j` in a worklist bitmap.
+pub(crate) fn mark(bits: &mut [u64], j: usize) {
     bits[j >> 6] |= 1 << (j & 63);
 }
 
-/// Visits the queued pivots of `bits` in ascending order, unqueueing each
-/// before `visit` runs. `visit` may queue only pivots above the one it is
-/// given, so one pass over the words sees every pivot exactly once — the
+/// Queues entry `j` in a bitmap used as a set; returns whether it was new.
+fn insert(bits: &mut [u64], j: usize) -> bool {
+    let (w, b) = (j >> 6, 1u64 << (j & 63));
+    let new = bits[w] & b == 0;
+    bits[w] |= b;
+    new
+}
+
+/// Visits the queued entries of `bits` in ascending order, unqueueing each
+/// before `visit` runs. `visit` may queue only entries above the one it is
+/// given, so one pass over the words sees every entry exactly once — the
 /// order a min-heap worklist pops them in, for `O(m/64)` extra work.
-fn sweep_up(bits: &mut [u64], mut visit: impl FnMut(usize, &mut [u64])) {
+pub(crate) fn sweep_up(bits: &mut [u64], mut visit: impl FnMut(usize, &mut [u64])) {
     for w in 0..bits.len() {
         while bits[w] != 0 {
             let b = bits[w].trailing_zeros() as usize;
@@ -75,9 +235,9 @@ fn sweep_up(bits: &mut [u64], mut visit: impl FnMut(usize, &mut [u64])) {
     }
 }
 
-/// Descending mirror of [`sweep_up`]: `visit` may queue only pivots below
+/// Descending mirror of [`sweep_up`]: `visit` may queue only entries below
 /// the one it is given.
-fn sweep_down(bits: &mut [u64], mut visit: impl FnMut(usize, &mut [u64])) {
+pub(crate) fn sweep_down(bits: &mut [u64], mut visit: impl FnMut(usize, &mut [u64])) {
     for w in (0..bits.len()).rev() {
         while bits[w] != 0 {
             let b = 63 - bits[w].leading_zeros() as usize;
@@ -95,47 +255,58 @@ impl LuScratch {
     const SHRINK_FACTOR: usize = 8;
 
     /// Prepares the workspace for a solve of dimension `m`: grows the
-    /// dense arrays when `m` grew, compacts everything (including the heap
-    /// buffers, which `BinaryHeap` never shrinks on its own) when `m`
-    /// shrank far below the retained capacity, and asserts — in debug
-    /// builds — that the previous caller left the workspace clean. Every
-    /// hypersparse solve, legacy or Forrest–Tomlin, enters through here.
+    /// dense arrays when `m` grew, compacts everything when `m` shrank far
+    /// below the retained capacity, and asserts — in debug builds — that
+    /// the previous caller left the workspace clean. Every hypersparse
+    /// solve, eta file or Forrest–Tomlin, enters through here.
     pub(crate) fn ensure(&mut self, m: usize) {
-        if self.queued.len() < m {
-            self.queued.resize(m, false);
+        if self.z.len() < m {
             self.bits.resize(m.div_ceil(64), 0);
             self.z.resize(m, 0.0);
-        } else if self.queued.len() > Self::SHRINK_FACTOR * m.max(64) {
-            self.queued.truncate(m);
-            self.queued.shrink_to_fit();
+        } else if self.z.len() > Self::SHRINK_FACTOR * m.max(64) {
             self.bits.truncate(m.div_ceil(64));
             self.bits.shrink_to_fit();
             self.z.truncate(m);
             self.z.shrink_to_fit();
-            self.min_heap.shrink_to(m);
-            self.max_heap.shrink_to(m);
             self.stage.truncate(0);
             self.stage.shrink_to(m);
             self.pops.truncate(0);
             self.pops.shrink_to(m);
         }
-        debug_assert!(self.min_heap.is_empty() && self.max_heap.is_empty());
-        debug_assert!(self.queued.iter().all(|&q| !q), "scratch left dirty");
         debug_assert!(self.bits.iter().all(|&b| b == 0), "scratch left dirty");
         debug_assert!(self.z.iter().all(|&v| is_zero(v)), "scratch left dirty");
     }
 }
 
 impl LuFactors {
-    /// Factorizes the basis formed by columns `basis` of `a`.
+    /// Factorizes the basis formed by columns `basis` of `a` under `rule`.
     ///
     /// # Errors
     ///
     /// Returns [`LpError::SingularBasis`] if no acceptable pivot (magnitude
     /// `> pivot_tol`) exists for some column.
-    pub fn factorize(a: &CscMatrix, basis: &[usize], pivot_tol: f64) -> Result<Self, LpError> {
+    pub(crate) fn factorize(
+        a: &CscMatrix,
+        basis: &[usize],
+        pivot_tol: f64,
+        rule: PivotRule,
+    ) -> Result<Self, LpError> {
         let m = a.nrows();
         assert_eq!(basis.len(), m, "basis must have one column per row");
+        // Markowitz costs: a column's static nonzero count orders the
+        // columns, a row's count of basis columns touching it ranks rows.
+        let mut cols = Vec::new();
+        let mut row_count = Vec::new();
+        if rule == PivotRule::Markowitz {
+            cols = (0..m).collect();
+            cols.sort_by_key(|&p| (a.col_nnz(basis[p]), p));
+            row_count = vec![0usize; m];
+            for &c in basis {
+                for (r, _) in a.col(c) {
+                    row_count[r] += 1;
+                }
+            }
+        }
         let mut pivot_row = vec![usize::MAX; m];
         let mut pivot_pos = vec![usize::MAX; m];
         let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
@@ -156,9 +327,10 @@ impl LuFactors {
             std::collections::BinaryHeap::new();
         let mut queued = vec![false; m];
 
-        for (j, &col) in basis.iter().enumerate() {
+        for j in 0..m {
             // Scatter b_j, queueing already-pivoted rows for elimination.
-            for (r, v) in a.col(col) {
+            let p = cols.get(j).copied().unwrap_or(j);
+            for (r, v) in a.col(basis[p]) {
                 x[r] = v;
                 if !in_touched[r] {
                     in_touched[r] = true;
@@ -192,18 +364,49 @@ impl LuFactors {
                     }
                 }
             }
-            // Pivot: largest magnitude among rows without a pivot yet.
-            let mut best_row = usize::MAX;
-            let mut best_val = 0.0f64;
-            for &r in &touched {
-                if pivot_pos[r] == usize::MAX && x[r].abs() > best_val {
-                    best_val = x[r].abs();
-                    best_row = r;
+            let free = |r: usize| pivot_pos[r] == usize::MAX;
+            let best_row = match rule {
+                PivotRule::Partial => {
+                    // Largest magnitude among rows without a pivot yet.
+                    let mut best_row = usize::MAX;
+                    let mut best_val = 0.0f64;
+                    for &r in &touched {
+                        if free(r) && x[r].abs() > best_val {
+                            best_val = x[r].abs();
+                            best_row = r;
+                        }
+                    }
+                    if best_row == usize::MAX || best_val <= pivot_tol {
+                        return Err(LpError::SingularBasis);
+                    }
+                    best_row
                 }
-            }
-            if best_row == usize::MAX || best_val <= pivot_tol {
-                return Err(LpError::SingularBasis);
-            }
+                PivotRule::Markowitz => {
+                    // Among stability-acceptable rows, the one touching the
+                    // fewest basis columns (ties: smallest row).
+                    let mut vmax = 0.0f64;
+                    for &r in &touched {
+                        if free(r) {
+                            vmax = vmax.max(x[r].abs());
+                        }
+                    }
+                    if vmax <= pivot_tol {
+                        return Err(LpError::SingularBasis);
+                    }
+                    let mut best_row = usize::MAX;
+                    let mut best_cost = (usize::MAX, usize::MAX);
+                    for &r in &touched {
+                        if free(r) && x[r].abs() >= MARKOWITZ_REL * vmax {
+                            let cost = (row_count[r], r);
+                            if cost < best_cost {
+                                best_cost = cost;
+                                best_row = r;
+                            }
+                        }
+                    }
+                    best_row
+                }
+            };
             let piv = x[best_row];
             pivot_row[j] = best_row;
             pivot_pos[best_row] = j;
@@ -251,47 +454,33 @@ impl LuFactors {
             }
         }
         Ok(Self {
-            m,
-            pivot_row,
-            pivot_pos,
-            l_cols,
+            l: LFactor {
+                pivot_row,
+                pivot_pos,
+                l_cols,
+                l_deps,
+            },
+            cols,
             u_cols,
             u_diag,
             u_rows,
             u_row_start,
-            l_deps,
         })
     }
 
     /// Row `k` of `U` above the diagonal: `(column j > k, u_kj)`, columns
     /// ascending.
-    fn u_row(&self, k: usize) -> &[(usize, f64)] {
+    pub(crate) fn u_row(&self, k: usize) -> &[(usize, f64)] {
         &self.u_rows[self.u_row_start[k]..self.u_row_start[k + 1]]
-    }
-
-    /// Dimension of the basis.
-    #[allow(dead_code)] // part of the module's natural API surface
-    pub fn dim(&self) -> usize {
-        self.m
     }
 
     /// Solves `B w = b` in place: on entry `buf` holds `b` (indexed by
     /// original row); on exit it holds `w` (indexed by basis position).
-    pub fn ftran(&self, buf: &mut [f64]) {
-        debug_assert_eq!(buf.len(), self.m);
-        // Forward: z_j = (L^{-1} P b)_j, accumulated in original-row space.
-        for j in 0..self.m {
-            let zj = buf[self.pivot_row[j]];
-            if is_nonzero(zj) {
-                for &(r, mult) in &self.l_cols[j] {
-                    buf[r] -= zj * mult;
-                }
-            }
-        }
-        // Gather z into pivot coordinates.
-        let mut z: Vec<f64> = (0..self.m).map(|j| buf[self.pivot_row[j]]).collect();
+    pub(crate) fn ftran(&self, buf: &mut [f64]) {
+        debug_assert_eq!(buf.len(), self.u_diag.len());
+        let mut z = self.l.ftran(buf);
         // Backward: U w = z.
-        for j in (0..self.m).rev() {
+        for j in (0..z.len()).rev() {
             let wj = z[j] / self.u_diag[j];
             z[j] = wj;
             if is_nonzero(wj) {
@@ -305,32 +494,19 @@ impl LuFactors {
 
     /// Solves `Bᵀ y = c` in place: on entry `buf` holds `c` (indexed by basis
     /// position); on exit it holds `y` (indexed by original row).
-    pub fn btran(&self, buf: &mut [f64]) {
-        debug_assert_eq!(buf.len(), self.m);
+    pub(crate) fn btran(&self, buf: &mut [f64]) {
+        let m = self.u_diag.len();
+        debug_assert_eq!(buf.len(), m);
         // Forward: Uᵀ z = c.
-        let mut z = vec![0.0f64; self.m];
-        for j in 0..self.m {
+        let mut z = vec![0.0f64; m];
+        for j in 0..m {
             let mut s = buf[j];
             for &(k, u) in &self.u_cols[j] {
                 s -= u * z[k];
             }
             z[j] = s / self.u_diag[j];
         }
-        // Backward: Lᵀ v = z (pivot coordinates).
-        for j in (0..self.m).rev() {
-            let mut s = z[j];
-            for &(r, mult) in &self.l_cols[j] {
-                s -= mult * z[self.pivot_pos[r]];
-            }
-            z[j] = s;
-        }
-        // Scatter to original rows: y[pivot_row[j]] = v[j].
-        for r in buf.iter_mut() {
-            *r = 0.0;
-        }
-        for j in 0..self.m {
-            buf[self.pivot_row[j]] = z[j];
-        }
+        self.l.btran(&mut z, buf);
     }
 
     /// Hypersparse [`ftran`](Self::ftran): same solve, but only the pivot
@@ -340,32 +516,20 @@ impl LuFactors {
     /// duplicates); positions outside `pattern` must be zero. On exit `buf`
     /// holds `w` and `pattern` its nonzero basis positions (unsorted).
     /// Work is proportional to the solution's fill-in, not to `m`.
-    pub fn ftran_sparse(&self, buf: &mut [f64], pattern: &mut Vec<usize>, scratch: &mut LuScratch) {
-        debug_assert_eq!(buf.len(), self.m);
-        scratch.ensure(self.m);
+    pub(crate) fn ftran_sparse(
+        &self,
+        buf: &mut [f64],
+        pattern: &mut Vec<usize>,
+        scratch: &mut LuScratch,
+    ) {
+        let m = self.u_diag.len();
+        debug_assert_eq!(buf.len(), m);
+        scratch.ensure(m);
         let LuScratch { bits, z, stage, .. } = scratch;
         // The active words of the bitmap: `ensure` keeps a longer one after
         // serving a larger dimension.
-        let bits = &mut bits[..self.m.div_ceil(64)];
-        // Forward L solve: process reachable pivots in ascending order so a
-        // row is fully updated before its own pivot is visited (the
-        // invariant the dense loop gets for free).
-        for &r in pattern.iter() {
-            mark(bits, self.pivot_pos[r]);
-        }
-        stage.clear();
-        sweep_up(bits, |j, bits| {
-            let zj = buf[self.pivot_row[j]];
-            buf[self.pivot_row[j]] = 0.0;
-            if is_nonzero(zj) {
-                z[j] = zj;
-                stage.push(j);
-                for &(r, mult) in &self.l_cols[j] {
-                    buf[r] -= zj * mult;
-                    mark(bits, self.pivot_pos[r]);
-                }
-            }
-        });
+        let bits = &mut bits[..m.div_ceil(64)];
+        self.l.ftran_sparse(buf, pattern, bits, z, stage);
         // Backward U solve on the staged nonzeros, descending.
         for &j in stage.iter() {
             mark(bits, j);
@@ -390,17 +554,22 @@ impl LuFactors {
     /// On entry `buf` holds `c` and `pattern` its nonzero basis positions (no
     /// duplicates); positions outside `pattern` must be zero. On exit `buf`
     /// holds `y` and `pattern` its nonzero original rows (unsorted).
-    pub fn btran_sparse(&self, buf: &mut [f64], pattern: &mut Vec<usize>, scratch: &mut LuScratch) {
-        debug_assert_eq!(buf.len(), self.m);
-        scratch.ensure(self.m);
+    pub(crate) fn btran_sparse(
+        &self,
+        buf: &mut [f64],
+        pattern: &mut Vec<usize>,
+        scratch: &mut LuScratch,
+    ) {
+        let m = self.u_diag.len();
+        debug_assert_eq!(buf.len(), m);
+        scratch.ensure(m);
         let LuScratch {
             bits,
             z,
             stage,
             pops,
-            ..
         } = scratch;
-        let bits = &mut bits[..self.m.div_ceil(64)];
+        let bits = &mut bits[..m.div_ceil(64)];
         // Forward Uᵀ solve, ascending: z_j = (c_j − Σ_k u_kj z_k) / u_jj.
         // Each nonzero z_k is pushed along row k of U into `buf`, so every
         // c_j loses its nonzero terms in ascending k — the order the dense
@@ -421,47 +590,302 @@ impl LuFactors {
                 }
             }
         });
-        // Backward Lᵀ solve, descending: v_j depends on v_k for pivots
-        // k > j whose row appears in l_cols[j]; a nonzero v_j feeds the
-        // pivots in l_deps[j]. Values stay live until all dependants are
-        // done, so clearing happens in the scatter pass below.
         for &j in stage.iter() {
             mark(bits, j);
         }
-        pops.clear();
-        sweep_down(bits, |j, bits| {
-            let mut s = z[j];
-            for &(r, mult) in &self.l_cols[j] {
-                s -= mult * z[self.pivot_pos[r]];
+        self.l.btran_sparse(buf, pattern, bits, z, pops);
+    }
+}
+
+/// One product-form update of the eta file: the basis change at position
+/// `r` whose FTRAN column was `w`.
+#[derive(Debug, Clone)]
+pub(crate) struct Eta {
+    /// Basis position of the pivot.
+    r: usize,
+    /// Nonzero entries of the FTRAN column `w`, excluding position `r`,
+    /// ascending (their order is part of the arithmetic of the `Bᵀ` solve).
+    entries: Vec<(usize, f64)>,
+    /// Pivot element `w[r]`.
+    wr: f64,
+}
+
+impl Eta {
+    /// The eta of the pivot at `r` with FTRAN column `w`. `pat`, when
+    /// known, must be a duplicate-free ascending superset of the nonzeros
+    /// of `w`; either way the entries come out the same.
+    fn new(r: usize, w: &[f64], pat: Option<&[usize]>, ptol: f64) -> Eta {
+        let wr = w[r];
+        debug_assert!(wr.abs() > ptol / 10.0, "tiny pivot in eta");
+        let entries = match pat {
+            Some(pat) => {
+                debug_assert!(pat.windows(2).all(|p| p[0] < p[1]), "pattern not sorted");
+                pat.iter()
+                    .filter(|&&i| i != r && is_nonzero(w[i]))
+                    .map(|&i| (i, w[i]))
+                    .collect()
             }
-            z[j] = s;
-            pops.push(j);
-            if is_nonzero(s) {
-                for &k in &self.l_deps[j] {
-                    mark(bits, k);
+            None => w
+                .iter()
+                .enumerate()
+                .filter(|&(i, &v)| i != r && is_nonzero(v))
+                .map(|(i, &v)| (i, v))
+                .collect(),
+        };
+        Eta { r, entries, wr }
+    }
+}
+
+/// Dynamic (Forrest–Tomlin) refactorization: rebuild once the factors hold
+/// this many times the nonzeros they started with. Below it, an aging
+/// factorization is still cheaper to apply than a rebuild is to run.
+const DYNAMIC_FILL_LIMIT: f64 = 2.0;
+
+/// Dynamic (Forrest–Tomlin) refactorization: hard cap on recorded updates,
+/// as a multiple of [`LpOptions::refactor_every`], so slowly-filling
+/// factorizations still retire before roundoff accumulates.
+const DYNAMIC_UPDATE_CAP: usize = 4;
+
+/// The maintained representation of the basis inverse, selected by
+/// [`LpOptions::basis_update`].
+///
+/// The `Eta` variant is the legacy product-form scheme whose pivot
+/// sequence the golden tests pin. The `Ft` variant applies Forrest–Tomlin
+/// updates directly to a Markowitz-ordered `U` factor instead of appending
+/// etas, which keeps FTRAN/BTRAN cost flat as pivots accumulate.
+// One instance lives per solve (never in a collection), so the size gap
+// between variants costs nothing; boxing would tax every FTRAN/BTRAN.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum BasisRepr {
+    Eta { lu: LuFactors, etas: Vec<Eta> },
+    Ft(FtFactors),
+}
+
+impl BasisRepr {
+    /// Factorizes the basis columns `basic` of `a` into the representation
+    /// `opts` configures.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LpError::SingularBasis`] if the basis is numerically
+    /// singular.
+    pub(crate) fn factorize(
+        a: &CscMatrix,
+        basic: &[usize],
+        opts: &LpOptions,
+    ) -> Result<Self, LpError> {
+        Ok(match opts.basis_update {
+            BasisUpdate::Eta => BasisRepr::Eta {
+                lu: LuFactors::factorize(a, basic, opts.pivot_tol, PivotRule::Partial)?,
+                etas: Vec::new(),
+            },
+            BasisUpdate::FtMarkowitz => BasisRepr::Ft(FtFactors::new(LuFactors::factorize(
+                a,
+                basic,
+                opts.pivot_tol,
+                PivotRule::Markowitz,
+            )?)),
+        })
+    }
+
+    /// Basis changes recorded since the last (re)factorization.
+    pub(crate) fn updates_len(&self) -> usize {
+        match self {
+            BasisRepr::Eta { etas, .. } => etas.len(),
+            BasisRepr::Ft(ft) => ft.updates_len(),
+        }
+    }
+
+    /// Whether the representation is due for a rebuild.
+    ///
+    /// The eta file keeps the legacy schedule exactly: rebuild after
+    /// `refactor_every` recorded updates, because every FTRAN/BTRAN replays
+    /// the whole file. Forrest–Tomlin factors rebuild on measured fill-in
+    /// growth ([`DYNAMIC_FILL_LIMIT`]) with an update-count backstop
+    /// ([`DYNAMIC_UPDATE_CAP`]); the stability half of their trigger is the
+    /// pivot test itself, whose rejection [`update`](Self::update) reports.
+    pub(crate) fn refactor_due(&self, refactor_every: usize) -> bool {
+        match self {
+            BasisRepr::Eta { etas, .. } => etas.len() >= refactor_every,
+            BasisRepr::Ft(ft) => {
+                ft.fill_ratio() > DYNAMIC_FILL_LIMIT
+                    || ft.updates_len() >= DYNAMIC_UPDATE_CAP * refactor_every
+            }
+        }
+    }
+
+    /// Records the pivot at basis position `r` (FTRAN column `w`, with its
+    /// ascending nonzero pattern when known): the eta file appends an eta,
+    /// Forrest–Tomlin updates `U` in place. Returns `false` when a
+    /// Forrest–Tomlin update fails its stability test; the factors are then
+    /// unchanged and must be rebuilt before the next solve.
+    pub(crate) fn update(
+        &mut self,
+        r: usize,
+        w: &[f64],
+        wpat: Option<&[usize]>,
+        pivot_tol: f64,
+    ) -> bool {
+        match self {
+            BasisRepr::Eta { etas, .. } => {
+                etas.push(Eta::new(r, w, wpat, pivot_tol));
+                true
+            }
+            BasisRepr::Ft(ft) => ft.update(r, w, wpat, pivot_tol),
+        }
+    }
+
+    /// Solves `B w = b` in place (`b` by original row, `w` by basis
+    /// position): for the eta file, the LU solve then the etas in order.
+    pub(crate) fn ftran(&self, buf: &mut [f64]) {
+        match self {
+            BasisRepr::Eta { lu, etas } => {
+                lu.ftran(buf);
+                for eta in etas {
+                    let xr = buf[eta.r] / eta.wr;
+                    buf[eta.r] = xr;
+                    if is_nonzero(xr) {
+                        for &(i, wi) in &eta.entries {
+                            buf[i] -= wi * xr;
+                        }
+                    }
                 }
             }
-        });
-        // Scatter to original rows and clean the workspace.
-        pattern.clear();
-        for &j in pops.iter() {
-            let v = z[j];
-            z[j] = 0.0;
-            if is_nonzero(v) {
-                buf[self.pivot_row[j]] = v;
-                pattern.push(self.pivot_row[j]);
+            BasisRepr::Ft(ft) => ft.ftran(buf),
+        }
+    }
+
+    /// Solves `Bᵀ y = c` in place (`c` by basis position, `y` by original
+    /// row): for the eta file, the etas in reverse then the LU solve.
+    pub(crate) fn btran(&self, buf: &mut [f64]) {
+        match self {
+            BasisRepr::Eta { lu, etas } => {
+                for eta in etas.iter().rev() {
+                    let mut s = buf[eta.r];
+                    for &(i, wi) in &eta.entries {
+                        s -= wi * buf[i];
+                    }
+                    buf[eta.r] = s / eta.wr;
+                }
+                lu.btran(buf);
             }
+            BasisRepr::Ft(ft) => ft.btran(buf),
+        }
+    }
+
+    /// The dense fallback of both hypersparse solves: a right-hand side
+    /// with more than a quarter of its entries nonzero is solved by `solve`
+    /// and its result's nonzeros listed in `pattern`. Returns whether it
+    /// ran.
+    fn solved_densely(
+        buf: &mut [f64],
+        pattern: &mut Vec<usize>,
+        solve: impl FnOnce(&mut [f64]),
+    ) -> bool {
+        let m = buf.len();
+        if pattern.len() * 4 <= m {
+            return false;
+        }
+        solve(buf);
+        pattern.clear();
+        pattern.extend((0..m).filter(|&i| is_nonzero(buf[i])));
+        true
+    }
+
+    /// Hypersparse [`ftran`](Self::ftran): `pattern` holds the nonzeros of
+    /// `buf` on entry and a duplicate-free superset of them on exit. On the
+    /// eta file the result has the dense solve's bits, which the Dantzig
+    /// kernel sites rely on.
+    pub(crate) fn ftran_sparse(
+        &self,
+        buf: &mut [f64],
+        pattern: &mut Vec<usize>,
+        lsc: &mut LuScratch,
+    ) {
+        if Self::solved_densely(buf, pattern, |b| self.ftran(b)) {
+            return;
+        }
+        match self {
+            BasisRepr::Eta { lu, etas } => {
+                lu.ftran_sparse(buf, pattern, lsc);
+                if etas.is_empty() {
+                    return;
+                }
+                let bits = &mut lsc.bits;
+                for &p in pattern.iter() {
+                    mark(bits, p);
+                }
+                for eta in etas {
+                    let xr = buf[eta.r] / eta.wr;
+                    buf[eta.r] = xr;
+                    if is_nonzero(xr) {
+                        if insert(bits, eta.r) {
+                            pattern.push(eta.r);
+                        }
+                        for &(i, wi) in &eta.entries {
+                            buf[i] -= wi * xr;
+                            if insert(bits, i) {
+                                pattern.push(i);
+                            }
+                        }
+                    }
+                }
+                for &p in pattern.iter() {
+                    bits[p >> 6] = 0;
+                }
+            }
+            BasisRepr::Ft(ft) => ft.ftran_sparse(buf, pattern, lsc),
+        }
+    }
+
+    /// Hypersparse [`btran`](Self::btran), mirror of
+    /// [`ftran_sparse`](Self::ftran_sparse).
+    pub(crate) fn btran_sparse(
+        &self,
+        buf: &mut [f64],
+        pattern: &mut Vec<usize>,
+        lsc: &mut LuScratch,
+    ) {
+        if Self::solved_densely(buf, pattern, |b| self.btran(b)) {
+            return;
+        }
+        match self {
+            BasisRepr::Eta { lu, etas } => {
+                if !etas.is_empty() {
+                    lsc.ensure(buf.len());
+                    let bits = &mut lsc.bits;
+                    for &p in pattern.iter() {
+                        mark(bits, p);
+                    }
+                    for eta in etas.iter().rev() {
+                        let mut s = buf[eta.r];
+                        for &(i, wi) in &eta.entries {
+                            s -= wi * buf[i];
+                        }
+                        s /= eta.wr;
+                        buf[eta.r] = s;
+                        if is_nonzero(s) && insert(bits, eta.r) {
+                            pattern.push(eta.r);
+                        }
+                    }
+                    for &p in pattern.iter() {
+                        bits[p >> 6] = 0;
+                    }
+                }
+                lu.btran_sparse(buf, pattern, lsc);
+            }
+            BasisRepr::Ft(ft) => ft.btran_sparse(buf, pattern, lsc),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tol::exact_bits;
 
     /// Dense reference solve via Gaussian elimination with partial pivoting.
-    fn dense_solve(a: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
+    pub(crate) fn dense_solve(a: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
         let m = a.len();
         let mut aug: Vec<Vec<f64>> = a
             .iter()
@@ -491,18 +915,25 @@ mod tests {
         (0..m).map(|i| aug[i][m] / aug[i][i]).collect()
     }
 
-    fn basis_dense(a: &CscMatrix, basis: &[usize]) -> Vec<Vec<f64>> {
+    /// The dense basis matrix of columns `basis` of `a`, and its transpose.
+    pub(crate) fn basis_dense(a: &CscMatrix, basis: &[usize]) -> [Vec<Vec<f64>>; 2] {
         let dense = a.to_dense();
         let m = a.nrows();
-        (0..m)
+        let bd: Vec<Vec<f64>> = (0..m)
             .map(|r| basis.iter().map(|&c| dense[r][c]).collect())
-            .collect()
+            .collect();
+        let bt = (0..m).map(|r| (0..m).map(|c| bd[c][r]).collect()).collect();
+        [bd, bt]
+    }
+
+    fn partial(a: &CscMatrix, basis: &[usize]) -> LuFactors {
+        LuFactors::factorize(a, basis, 1e-10, PivotRule::Partial).unwrap()
     }
 
     fn check_ftran_btran(a: &CscMatrix, basis: &[usize]) {
-        let lu = LuFactors::factorize(a, basis, 1e-10).unwrap();
+        let lu = partial(a, basis);
         let m = a.nrows();
-        let bd = basis_dense(a, basis);
+        let [bd, bt] = basis_dense(a, basis);
         // FTRAN against dense solve for a few rhs.
         for t in 0..3 {
             let b: Vec<f64> = (0..m).map(|i| ((i * 7 + t * 3) % 5) as f64 - 2.0).collect();
@@ -519,7 +950,6 @@ mod tests {
             }
         }
         // BTRAN: Bᵀ y = c  ⇔ dense transpose solve.
-        let bt: Vec<Vec<f64>> = (0..m).map(|r| (0..m).map(|c| bd[c][r]).collect()).collect();
         for t in 0..3 {
             let c: Vec<f64> = (0..m).map(|i| ((i * 11 + t) % 7) as f64 - 3.0).collect();
             let mut buf = c.clone();
@@ -550,7 +980,7 @@ mod tests {
                 (2, 3, -1.0),
             ],
         );
-        let lu = LuFactors::factorize(&a, &[0, 1, 2], 1e-10).unwrap();
+        let lu = partial(&a, &[0, 1, 2]);
         let mut b = vec![3.0, -2.0, 7.0];
         lu.ftran(&mut b);
         assert_eq!(b, vec![3.0, -2.0, 7.0]);
@@ -600,19 +1030,21 @@ mod tests {
 
     #[test]
     fn singular_detected() {
-        // Two identical columns.
+        // Two identical columns, under either pivot rule.
         let a = CscMatrix::from_triplets(2, 2, vec![(0, 0, 1.0), (0, 1, 1.0)]);
-        assert_eq!(
-            LuFactors::factorize(&a, &[0, 1], 1e-10).unwrap_err(),
-            LpError::SingularBasis
-        );
+        for rule in [PivotRule::Partial, PivotRule::Markowitz] {
+            assert_eq!(
+                LuFactors::factorize(&a, &[0, 1], 1e-10, rule).unwrap_err(),
+                LpError::SingularBasis
+            );
+        }
     }
 
     /// Sparse solves must agree with the dense ones bit for bit and report
     /// exactly the nonzero pattern, for every unit rhs and a couple of
     /// multi-entry ones.
     fn check_sparse_solves(a: &CscMatrix, basis: &[usize]) {
-        let lu = LuFactors::factorize(a, basis, 1e-10).unwrap();
+        let lu = partial(a, basis);
         let m = a.nrows();
         let mut scratch = LuScratch::default();
         let mut rhss: Vec<Vec<usize>> = (0..m).map(|i| vec![i]).collect();
@@ -695,17 +1127,22 @@ mod tests {
         check_sparse_solves(&p, &[0, 1, 2, 3]);
     }
 
-    /// A deterministic sparse basis matrix of dimension `m` whose factors
-    /// have long `L` and `U` columns, with inexact coefficients so that any
-    /// change in the order of a sum changes its bits.
-    fn random_sparse_basis(m: usize, seed: u64) -> CscMatrix {
+    /// A deterministic xorshift stream of floats in `[0, 1)`.
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed;
-        let mut next = move || {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        }
+    }
+
+    /// A deterministic sparse basis matrix of dimension `m` whose factors
+    /// have long `L` and `U` columns, with inexact coefficients so that any
+    /// change in the order of a sum changes its bits.
+    fn random_sparse_basis(m: usize, seed: u64) -> CscMatrix {
+        let mut next = uniform(seed);
         let mut trips = Vec::new();
         for c in 0..m {
             trips.push((c, c, 2.0 + next()));
@@ -729,28 +1166,112 @@ mod tests {
         }
     }
 
+    /// An eta-file basis of a pseudo-random sparse `m × 2m` matrix after
+    /// `pivots` product-form updates, built the way the simplex builds it
+    /// (largest-magnitude pivot of each FTRAN column).
+    fn eta_basis_after(m: usize, pivots: usize) -> BasisRepr {
+        let mut next = uniform(0x9e3779b97f4a7c15u64 ^ m as u64);
+        let mut trips = Vec::new();
+        for c in 0..2 * m {
+            if c < m {
+                trips.push((c, c, 2.0 + next()));
+            }
+            for r in 0..m {
+                if r != c && next() < 3.0 / m as f64 {
+                    trips.push((r, c, next() * 2.0 - 1.0));
+                }
+            }
+        }
+        let a = CscMatrix::from_triplets(m, 2 * m, trips);
+        let basis: Vec<usize> = (0..m).collect();
+        let opts = LpOptions {
+            pivot_tol: 1e-9,
+            ..LpOptions::default()
+        };
+        let mut repr = BasisRepr::factorize(&a, &basis, &opts).unwrap();
+        for q in m..m + pivots {
+            let mut w = vec![0.0; m];
+            a.col_axpy(q, 1.0, &mut w);
+            repr.ftran(&mut w);
+            let r = (0..m)
+                .max_by(|&i, &k| w[i].abs().total_cmp(&w[k].abs()))
+                .unwrap();
+            if w[r].abs() > 1e-6 {
+                assert!(repr.update(r, &w, None, opts.pivot_tol));
+            }
+        }
+        assert!(repr.updates_len() * 2 > pivots, "too few etas");
+        repr
+    }
+
+    /// The eta file's hypersparse solves reproduce the dense ones bit for
+    /// bit (up to the sign of a zero) over a non-empty eta file.
+    #[test]
+    fn eta_file_sparse_solves_match_dense_bit_for_bit() {
+        for (m, pivots) in [(30, 6), (80, 20)] {
+            let repr = eta_basis_after(m, pivots);
+            let mut lsc = LuScratch::default();
+            let mut rhss: Vec<Vec<usize>> = (0..m).step_by(3).map(|i| vec![i]).collect();
+            rhss.push(vec![1, m / 2, m - 2]);
+            type Dense = fn(&BasisRepr, &mut [f64]);
+            type Sparse = fn(&BasisRepr, &mut [f64], &mut Vec<usize>, &mut LuScratch);
+            let pairs: [(Dense, Sparse); 2] = [
+                (BasisRepr::ftran, BasisRepr::ftran_sparse),
+                (BasisRepr::btran, BasisRepr::btran_sparse),
+            ];
+            for rows in &rhss {
+                for &(dense, sparse) in &pairs {
+                    let mut dense_buf = vec![0.0; m];
+                    for (t, &r) in rows.iter().enumerate() {
+                        dense_buf[r] = 0.7 + t as f64 / 3.0;
+                    }
+                    let mut sparse_buf = dense_buf.clone();
+                    let mut pattern = rows.clone();
+                    dense(&repr, &mut dense_buf);
+                    sparse(&repr, &mut sparse_buf, &mut pattern, &mut lsc);
+                    for i in 0..m {
+                        assert_eq!(
+                            exact_bits(sparse_buf[i]),
+                            exact_bits(dense_buf[i]),
+                            "m {m} rhs {rows:?} at {i}: {} vs {}",
+                            sparse_buf[i],
+                            dense_buf[i]
+                        );
+                        assert!(
+                            is_zero(dense_buf[i]) || pattern.contains(&i),
+                            "m {m} rhs {rows:?}: nonzero {i} missing from the pattern"
+                        );
+                    }
+                    assert!(lsc.bits.iter().all(|&b| b == 0), "bitmap left dirty");
+                }
+            }
+        }
+    }
+
     #[test]
     fn scratch_reuses_and_compacts_across_dimensions() {
         // A scratch that served a large solve must keep working — and give
         // its memory back — when reused for much smaller systems.
         let mut scratch = LuScratch::default();
         scratch.ensure(10_000);
-        assert_eq!(scratch.queued.len(), 10_000);
+        assert_eq!(scratch.z.len(), 10_000);
+        assert_eq!(scratch.bits.len(), 157);
         let small = CscMatrix::from_triplets(2, 2, vec![(0, 0, 2.0), (1, 0, 1.0), (1, 1, 3.0)]);
-        let lu = LuFactors::factorize(&small, &[0, 1], 1e-10).unwrap();
+        let lu = partial(&small, &[0, 1]);
         let mut buf = vec![0.0; 2];
         buf[0] = 4.0;
         let mut pattern = vec![0];
         lu.ftran_sparse(&mut buf, &mut pattern, &mut scratch);
         assert!(
-            scratch.queued.len() <= LuScratch::SHRINK_FACTOR * 64,
-            "oversized scratch was not compacted: {}",
-            scratch.queued.len()
+            scratch.z.len() <= LuScratch::SHRINK_FACTOR * 64
+                && scratch.bits.len() <= LuScratch::SHRINK_FACTOR,
+            "oversized scratch was not compacted: {} values, {} words",
+            scratch.z.len(),
+            scratch.bits.len()
         );
         // Still correct after the compaction, and clean for the next call.
         assert!((buf[0] - 2.0).abs() < 1e-12 && (buf[1] + 2.0 / 3.0).abs() < 1e-12);
         lu.btran_sparse(&mut buf, &mut pattern, &mut scratch);
-        assert!(scratch.queued.iter().all(|&q| !q));
         assert!(scratch.bits.iter().all(|&b| b == 0));
         assert!(scratch.z.iter().all(|&v| v == 0.0));
     }
@@ -758,13 +1279,7 @@ mod tests {
     #[test]
     fn pseudo_random_matrices_match_dense() {
         // Deterministic pseudo-random dense-ish matrices of sizes 2..=8.
-        let mut seed = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed >> 11) as f64 / (1u64 << 53) as f64 // in [0,1)
-        };
+        let mut next = uniform(0x9E3779B97F4A7C15u64);
         for m in 2..=8usize {
             let mut trips = Vec::new();
             for r in 0..m {

@@ -161,9 +161,6 @@ pub struct LpOptions {
     /// Basis-maintenance strategy between refactorizations (see
     /// [`BasisUpdate`]). The default eta file is the pinned legacy engine.
     pub basis_update: BasisUpdate,
-    /// Wall-clock limit in seconds for one solve (`f64::INFINITY` to
-    /// disable); exceeding it raises [`LpError::Timeout`](crate::LpError).
-    pub time_limit_secs: f64,
     /// Iteration cap for a *warm-started dual* solve; a degenerate dual that
     /// exceeds it is abandoned in favour of a cold primal solve.
     pub dual_iteration_cap: usize,
@@ -179,12 +176,13 @@ pub struct LpOptions {
     /// default — leaves every injection site inert; tests set it to
     /// exercise the recovery paths deterministically.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Shared solve budget (see [`Budget`]). Branch and bound attaches its
-    /// solve budget so the pivot loop honours the deadline, LP-iteration cap
-    /// and stop requests mid-LP; a caller that sets it on
-    /// [`MipOptions::lp`] becomes that solve budget's parent. `None` (the
-    /// default for standalone LP solves) checks only
-    /// [`LpOptions::time_limit_secs`].
+    /// Shared solve budget (see [`Budget`]): the only wall-clock limit of
+    /// an LP solve. Branch and bound attaches its solve budget so the pivot
+    /// loop honours the deadline, LP-iteration cap and stop requests
+    /// mid-LP, and exceeding it raises [`LpError::Timeout`](crate::LpError);
+    /// a caller that sets it on [`MipOptions::lp`] becomes that solve
+    /// budget's parent. `None` (the default for standalone LP solves)
+    /// leaves only [`LpOptions::max_iterations`].
     pub budget: Option<Arc<Budget>>,
 }
 
@@ -197,7 +195,6 @@ impl Default for LpOptions {
             max_iterations: 200_000,
             refactor_every: 64,
             basis_update: BasisUpdate::Eta,
-            time_limit_secs: f64::INFINITY,
             dual_iteration_cap: 2_000,
             pricing: Pricing::Dantzig,
             profile: false,

@@ -514,10 +514,9 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
             }
         }
         // Warm dual first, cold fallback with the numerical retry ladder,
-        // bounded by the remaining wall-clock budget so one long LP cannot
-        // blow through the global limit.
+        // under the search budget, whose deadline the pivot loop checks so
+        // one long LP cannot blow through the global limit.
         let mut lp_opts = opts.lp.clone();
-        lp_opts.time_limit_secs = lp_opts.time_limit_secs.min(shared.budget.remaining_secs());
         lp_opts.budget = Some(Arc::clone(&shared.budget));
         // Copy-on-write materialization point: the parent snapshot is
         // deep-copied into a working basis only here, and only counted

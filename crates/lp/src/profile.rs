@@ -60,6 +60,11 @@ pub struct SimplexProfile {
     /// Basis factorization time: mid-solve refactorizations *and* the
     /// starting factorization of every solve.
     pub refactor_secs: f64,
+    /// The starting factorizations' share of
+    /// [`refactor_secs`](Self::refactor_secs) (the time behind
+    /// [`factorizations`](Self::factorizations)); not a bucket of its own
+    /// in [`timed_secs`](Self::timed_secs).
+    pub factor_secs: f64,
     /// Basis-update recording (eta push or Forrest–Tomlin U update).
     pub update_secs: f64,
     /// Everything else inside a solve that is measured but fits no kernel
@@ -93,6 +98,7 @@ impl SimplexProfile {
         self.btran_secs += other.btran_secs;
         self.ratio_secs += other.ratio_secs;
         self.refactor_secs += other.refactor_secs;
+        self.factor_secs += other.factor_secs;
         self.update_secs += other.update_secs;
         self.other_secs += other.other_secs;
     }
@@ -131,12 +137,14 @@ impl SimplexProfile {
         if self.timed_secs() > 0.0 {
             s.push_str(&format!(
                 "\n  breakdown: pricing {:.1} ms, ftran {:.1} ms, btran {:.1} ms, \
-                 ratio {:.1} ms, refactor {:.1} ms, update {:.1} ms, other {:.1} ms",
+                 ratio {:.1} ms, refactor {:.1} ms (starting {:.1} ms), update {:.1} ms, \
+                 other {:.1} ms",
                 self.pricing_secs * 1e3,
                 self.ftran_secs * 1e3,
                 self.btran_secs * 1e3,
                 self.ratio_secs * 1e3,
                 self.refactor_secs * 1e3,
+                self.factor_secs * 1e3,
                 self.update_secs * 1e3,
                 self.other_secs * 1e3,
             ));
@@ -295,6 +303,7 @@ mod tests {
             btran_secs: 0.05,
             ratio_secs: 0.03,
             refactor_secs: 0.02,
+            factor_secs: 0.015,
             update_secs: 0.01,
             other_secs: 0.04,
         };
@@ -309,7 +318,11 @@ mod tests {
         assert!((a.lp_secs - 1.0).abs() < 1e-12);
         assert!((a.ftran_secs - 0.4).abs() < 1e-12);
         assert!((a.update_secs - 0.02).abs() < 1e-12);
-        assert!((a.timed_secs() - 0.9).abs() < 1e-12);
+        assert!((a.factor_secs - 0.03).abs() < 1e-12);
+        assert!(
+            (a.timed_secs() - 0.9).abs() < 1e-12,
+            "starting time is inside refactor"
+        );
     }
 
     #[test]
@@ -325,6 +338,13 @@ mod tests {
         p.ftran_secs = 0.25;
         assert!(p.report().contains("breakdown"));
         assert!(p.report().contains("ftran 250.0 ms"));
+        p.refactor_secs = 0.004;
+        p.factor_secs = 0.003;
+        assert!(
+            p.report().contains("refactor 4.0 ms (starting 3.0 ms)"),
+            "{}",
+            p.report()
+        );
     }
 
     #[test]

@@ -1,15 +1,11 @@
 //! Bounded-variable revised simplex: primal (two-phase, artificial cold
 //! start) and dual (warm restarts after bound changes in branch-and-bound).
 //!
-//! The basis is maintained behind [`BasisRepr`]: either a sparse LU
-//! factorization ([`crate::lu::LuFactors`]) plus a product-form eta file
-//! (the pinned legacy default), or Markowitz-ordered Forrest–Tomlin factors
-//! ([`crate::ft::FtFactors`], [`BasisUpdate::FtMarkowitz`]). The
-//! representation picks the refactorization trigger: the eta file is
-//! rebuilt every [`LpOptions::refactor_every`] pivots, the Forrest–Tomlin
-//! factors when their measured fill-in doubles ([`DYNAMIC_FILL_LIMIT`]),
-//! when an update fails its stability test, or at an update cap
-//! ([`DYNAMIC_UPDATE_CAP`]).
+//! The basis is one [`BasisRepr`] (the pinned eta file or Forrest–Tomlin
+//! factors, see [`crate::lu`]). The simplex factorizes it, solves with it,
+//! records each pivot in it and asks it when a rebuild is due, without
+//! naming the representation; only the Dantzig engine's choice of kernel
+//! ([`KernelSites`]) reads [`LpOptions::basis_update`].
 //!
 //! Style note: the numerical kernels iterate dense work arrays by index on
 //! purpose (several arrays are updated in lockstep); the iterator forms
@@ -18,9 +14,8 @@
 
 use std::time::Instant;
 
-use crate::ft::FtFactors;
 use crate::internal::CoreLp;
-use crate::lu::{LuFactors, LuScratch};
+use crate::lu::{BasisRepr, LuScratch};
 use crate::options::{BasisUpdate, LpOptions, Pricing};
 use crate::problem::{LpError, Problem};
 use crate::profile::{tick, tock, SimplexProfile};
@@ -70,67 +65,6 @@ pub(crate) enum WarmFail {
     /// A hard error (iteration limit, singular basis).
     Error(LpError),
 }
-
-struct Eta {
-    /// Basis position of the pivot.
-    r: usize,
-    /// Nonzero entries of the FTRAN column `w`, excluding position `r`.
-    entries: Vec<(usize, f64)>,
-    /// Pivot element `w[r]`.
-    wr: f64,
-}
-
-/// The maintained representation of the basis inverse, selected by
-/// [`LpOptions::basis_update`].
-///
-/// The `Eta` variant is the legacy product-form scheme whose pivot
-/// sequence the golden tests pin; its arithmetic is bit-identical to the
-/// pre-[`FtFactors`] solver. The `Ft` variant applies Forrest–Tomlin
-/// updates directly to a Markowitz-ordered U factor instead of appending
-/// etas, which keeps FTRAN/BTRAN cost flat as pivots accumulate.
-// One instance lives per solve (never in a collection), so the size gap
-// between variants costs nothing; boxing would tax every FTRAN/BTRAN.
-#[allow(clippy::large_enum_variant)]
-enum BasisRepr {
-    Eta { lu: LuFactors, etas: Vec<Eta> },
-    Ft(FtFactors),
-}
-
-impl BasisRepr {
-    /// Basis changes recorded since the last (re)factorization.
-    fn updates_len(&self) -> usize {
-        match self {
-            BasisRepr::Eta { etas, .. } => etas.len(),
-            BasisRepr::Ft(ft) => ft.updates_len(),
-        }
-    }
-}
-
-/// Builds the configured basis representation from a factorization of the
-/// basis columns.
-fn build_basis(core: &CoreLp, basic: &[usize], opts: &LpOptions) -> Result<BasisRepr, LpError> {
-    Ok(match opts.basis_update {
-        BasisUpdate::Eta => BasisRepr::Eta {
-            lu: LuFactors::factorize(&core.a, basic, opts.pivot_tol)?,
-            etas: Vec::new(),
-        },
-        BasisUpdate::FtMarkowitz => BasisRepr::Ft(FtFactors::factorize_markowitz(
-            &core.a,
-            basic,
-            opts.pivot_tol,
-        )?),
-    })
-}
-
-/// Dynamic (Forrest–Tomlin) refactorization: rebuild once the factors hold
-/// this many times the nonzeros they started with. Below it, an aging
-/// factorization is still cheaper to apply than a rebuild is to run.
-const DYNAMIC_FILL_LIMIT: f64 = 2.0;
-
-/// Dynamic (Forrest–Tomlin) refactorization: hard cap on recorded updates,
-/// as a multiple of [`LpOptions::refactor_every`], so slowly-filling
-/// factorizations still retire before roundoff accumulates.
-const DYNAMIC_UPDATE_CAP: usize = 4;
 
 /// Preallocated per-solve work vectors, so no simplex iteration allocates.
 ///
@@ -329,8 +263,6 @@ struct Simplex<'a> {
     xb: Vec<f64>,
     iterations: usize,
     degen_streak: usize,
-    /// Wall-clock deadline; exceeded ⇒ [`LpError::Timeout`].
-    deadline: Option<Instant>,
     scratch: Scratch,
     profile: SimplexProfile,
     /// Section timers enabled ([`LpOptions::profile`]).
@@ -341,8 +273,9 @@ struct Simplex<'a> {
 impl<'a> Simplex<'a> {
     /// A solver over `core` at the basis `basic` (basic values `xb`), with
     /// its starting factorization built (counted in `factorizations`,
-    /// timed as a refactorization) and its work vectors allocated (timed as
-    /// other work).
+    /// timed in `factor_secs` and, with the mid-solve rebuilds, in
+    /// `refactor_secs`) and its work vectors allocated (timed as other
+    /// work).
     fn new(
         core: &'a CoreLp,
         opts: &'a LpOptions,
@@ -353,12 +286,13 @@ impl<'a> Simplex<'a> {
         xb: Vec<f64>,
     ) -> Result<Self, LpError> {
         let tfac = tick(opts.profile);
-        let basis = build_basis(core, &basic, opts)?;
+        let basis = BasisRepr::factorize(&core.a, &basic, opts)?;
         let mut profile = SimplexProfile {
             factorizations: 1,
             ..SimplexProfile::default()
         };
-        tock(tfac, &mut profile.refactor_secs);
+        tock(tfac, &mut profile.factor_secs);
+        profile.refactor_secs = profile.factor_secs;
         let talloc = tick(opts.profile);
         let mut scratch = Scratch::default();
         scratch.ensure(core.m, core.n);
@@ -374,7 +308,6 @@ impl<'a> Simplex<'a> {
             xb,
             iterations: 0,
             degen_streak: 0,
-            deadline: deadline_from(opts),
             scratch,
             profile,
             timers: opts.profile,
@@ -392,8 +325,8 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Checks the wall-clock deadline, the shared solve budget, and the
-    /// scripted clock-skew fault (all sampled every 32 iterations).
+    /// Checks the shared solve budget (its stop flags, pivot caps and
+    /// deadlines) and the scripted clock-skew fault, every 32 iterations.
     fn hit_deadline(&self) -> bool {
         if !self.iterations.is_multiple_of(32) {
             return false;
@@ -403,199 +336,10 @@ impl<'a> Simplex<'a> {
                 return true;
             }
         }
-        if let Some(budget) = &self.opts.budget {
-            if budget.should_stop(self.iterations) {
-                return true;
-            }
-        }
-        match self.deadline {
-            // audit: allow(nondet) — wall-clock deadline is the documented
-            // anytime limit; it changes *when* we stop, never *what* we pivot.
-            Some(d) => Instant::now() > d,
-            None => false,
-        }
-    }
-
-    /// `B w = b`: LU solve then the eta file. Associated functions (not
-    /// methods) so call sites can borrow `self.scratch` buffers disjointly.
-    fn apply_ftran(lu: &LuFactors, etas: &[Eta], buf: &mut [f64]) {
-        lu.ftran(buf);
-        for eta in etas {
-            let xr = buf[eta.r] / eta.wr;
-            buf[eta.r] = xr;
-            if is_nonzero(xr) {
-                for &(i, wi) in &eta.entries {
-                    buf[i] -= wi * xr;
-                }
-            }
-        }
-    }
-
-    /// `Bᵀ y = c`: eta file in reverse, then the LU solve.
-    fn apply_btran(lu: &LuFactors, etas: &[Eta], buf: &mut [f64]) {
-        for eta in etas.iter().rev() {
-            let mut s = buf[eta.r];
-            for &(i, wi) in &eta.entries {
-                s -= wi * buf[i];
-            }
-            buf[eta.r] = s / eta.wr;
-        }
-        lu.btran(buf);
-    }
-
-    /// `B w = b` against the maintained basis representation.
-    fn basis_ftran(basis: &BasisRepr, buf: &mut [f64]) {
-        match basis {
-            BasisRepr::Eta { lu, etas } => Self::apply_ftran(lu, etas, buf),
-            BasisRepr::Ft(ft) => ft.ftran(buf),
-        }
-    }
-
-    /// `Bᵀ y = c` against the maintained basis representation.
-    fn basis_btran(basis: &BasisRepr, buf: &mut [f64]) {
-        match basis {
-            BasisRepr::Eta { lu, etas } => Self::apply_btran(lu, etas, buf),
-            BasisRepr::Ft(ft) => ft.btran(buf),
-        }
-    }
-
-    /// Hypersparse FTRAN: `pattern` holds the nonzeros of `buf` on entry and
-    /// a superset of the nonzeros (no duplicates) on exit. Falls back to the
-    /// dense kernel when the rhs is already dense-ish. `mask` must be all
-    /// false and is returned all false.
-    fn apply_ftran_sparse(
-        lu: &LuFactors,
-        etas: &[Eta],
-        buf: &mut [f64],
-        pattern: &mut Vec<usize>,
-        mask: &mut [bool],
-        lsc: &mut LuScratch,
-    ) {
-        let m = buf.len();
-        if pattern.len() * 4 > m {
-            Self::apply_ftran(lu, etas, buf);
-            pattern.clear();
-            pattern.extend((0..m).filter(|&i| is_nonzero(buf[i])));
-            return;
-        }
-        lu.ftran_sparse(buf, pattern, lsc);
-        if !etas.is_empty() {
-            for &p in pattern.iter() {
-                mask[p] = true;
-            }
-            for eta in etas {
-                let xr = buf[eta.r] / eta.wr;
-                buf[eta.r] = xr;
-                if is_nonzero(xr) {
-                    if !mask[eta.r] {
-                        mask[eta.r] = true;
-                        pattern.push(eta.r);
-                    }
-                    for &(i, wi) in &eta.entries {
-                        buf[i] -= wi * xr;
-                        if !mask[i] {
-                            mask[i] = true;
-                            pattern.push(i);
-                        }
-                    }
-                }
-            }
-            for &p in pattern.iter() {
-                mask[p] = false;
-            }
-        }
-    }
-
-    /// Hypersparse BTRAN, mirror of [`apply_ftran_sparse`](Self::apply_ftran_sparse).
-    fn apply_btran_sparse(
-        lu: &LuFactors,
-        etas: &[Eta],
-        buf: &mut [f64],
-        pattern: &mut Vec<usize>,
-        mask: &mut [bool],
-        lsc: &mut LuScratch,
-    ) {
-        let m = buf.len();
-        if pattern.len() * 4 > m {
-            Self::apply_btran(lu, etas, buf);
-            pattern.clear();
-            pattern.extend((0..m).filter(|&i| is_nonzero(buf[i])));
-            return;
-        }
-        if !etas.is_empty() {
-            for &p in pattern.iter() {
-                mask[p] = true;
-            }
-            for eta in etas.iter().rev() {
-                let mut s = buf[eta.r];
-                for &(i, wi) in &eta.entries {
-                    s -= wi * buf[i];
-                }
-                s /= eta.wr;
-                buf[eta.r] = s;
-                if is_nonzero(s) && !mask[eta.r] {
-                    mask[eta.r] = true;
-                    pattern.push(eta.r);
-                }
-            }
-            for &p in pattern.iter() {
-                mask[p] = false;
-            }
-        }
-        lu.btran_sparse(buf, pattern, lsc);
-    }
-
-    /// Hypersparse FTRAN dispatch: the legacy pairing of
-    /// [`apply_ftran_sparse`](Self::apply_ftran_sparse), or the FT kernel
-    /// with the same dense-ish fallback heuristic.
-    fn basis_ftran_sparse(
-        basis: &BasisRepr,
-        buf: &mut [f64],
-        pattern: &mut Vec<usize>,
-        mask: &mut [bool],
-        lsc: &mut LuScratch,
-    ) {
-        match basis {
-            BasisRepr::Eta { lu, etas } => {
-                Self::apply_ftran_sparse(lu, etas, buf, pattern, mask, lsc);
-            }
-            BasisRepr::Ft(ft) => {
-                let m = buf.len();
-                if pattern.len() * 4 > m {
-                    ft.ftran(buf);
-                    pattern.clear();
-                    pattern.extend((0..m).filter(|&i| is_nonzero(buf[i])));
-                } else {
-                    ft.ftran_sparse(buf, pattern, lsc);
-                }
-            }
-        }
-    }
-
-    /// Hypersparse BTRAN dispatch, mirror of
-    /// [`basis_ftran_sparse`](Self::basis_ftran_sparse).
-    fn basis_btran_sparse(
-        basis: &BasisRepr,
-        buf: &mut [f64],
-        pattern: &mut Vec<usize>,
-        mask: &mut [bool],
-        lsc: &mut LuScratch,
-    ) {
-        match basis {
-            BasisRepr::Eta { lu, etas } => {
-                Self::apply_btran_sparse(lu, etas, buf, pattern, mask, lsc);
-            }
-            BasisRepr::Ft(ft) => {
-                let m = buf.len();
-                if pattern.len() * 4 > m {
-                    ft.btran(buf);
-                    pattern.clear();
-                    pattern.extend((0..m).filter(|&i| is_nonzero(buf[i])));
-                } else {
-                    ft.btran_sparse(buf, pattern, lsc);
-                }
-            }
-        }
+        self.opts
+            .budget
+            .as_ref()
+            .is_some_and(|budget| budget.should_stop(self.iterations))
     }
 
     /// Recomputes `xb` from scratch: `x_B = B⁻¹ (b − N x_N)`.
@@ -611,7 +355,7 @@ impl<'a> Simplex<'a> {
             }
         }
         debug_assert_eq!(self.scratch.rhs.len(), m);
-        Self::basis_ftran(&self.basis, &mut self.scratch.rhs);
+        self.basis.ftran(&mut self.scratch.rhs);
         self.xb.copy_from_slice(&self.scratch.rhs);
         self.scratch.rhs.fill(0.0);
     }
@@ -619,34 +363,15 @@ impl<'a> Simplex<'a> {
     fn refactor(&mut self) -> Result<(), LpError> {
         let t = tick(self.timers);
         inject_singular(self.opts)?;
-        self.basis = build_basis(self.core, &self.basic, self.opts)?;
+        self.basis = BasisRepr::factorize(&self.core.a, &self.basic, self.opts)?;
         self.recompute_xb();
         self.profile.refactors += 1;
         tock(t, &mut self.profile.refactor_secs);
         Ok(())
     }
 
-    /// Whether the basis representation is due for a rebuild.
-    ///
-    /// The eta file keeps the legacy schedule exactly: rebuild after
-    /// [`LpOptions::refactor_every`] recorded updates, because every
-    /// FTRAN/BTRAN replays the whole file. Forrest–Tomlin factors rebuild
-    /// on measured fill-in growth ([`DYNAMIC_FILL_LIMIT`]) with an update-count
-    /// backstop ([`DYNAMIC_UPDATE_CAP`]); the stability half of their trigger
-    /// is the pivot test itself, whose rejection refactorizes immediately
-    /// in [`update_basis`](Self::update_basis).
-    fn should_refactor(&self) -> bool {
-        match &self.basis {
-            BasisRepr::Eta { etas, .. } => etas.len() >= self.opts.refactor_every,
-            BasisRepr::Ft(ft) => {
-                ft.fill_ratio() > DYNAMIC_FILL_LIMIT
-                    || ft.updates_len() >= DYNAMIC_UPDATE_CAP * self.opts.refactor_every
-            }
-        }
-    }
-
     fn maybe_refactor(&mut self) -> Result<(), LpError> {
-        if self.should_refactor() {
+        if self.basis.refactor_due(self.opts.refactor_every) {
             self.refactor()?;
         }
         Ok(())
@@ -685,7 +410,7 @@ impl<'a> Simplex<'a> {
         for (pos, &col) in self.basic.iter().enumerate() {
             self.scratch.y[pos] = costs[col];
         }
-        Self::basis_btran(&self.basis, &mut self.scratch.y);
+        self.basis.btran(&mut self.scratch.y);
         self.sites.record_dense(Site::Price, &self.scratch.y);
         tock(t, &mut self.profile.btran_secs);
         let t = tick(self.timers);
@@ -713,7 +438,7 @@ impl<'a> Simplex<'a> {
                 s.rpat.push(pos);
             }
         }
-        Self::basis_btran_sparse(&self.basis, &mut s.rho, &mut s.rpat, &mut s.mask, &mut s.lu);
+        self.basis.btran_sparse(&mut s.rho, &mut s.rpat, &mut s.lu);
         s.rpat.sort_unstable();
         self.sites.record(Site::Price, s.rpat.len(), self.core.m);
         tock(t, &mut self.profile.btran_secs);
@@ -838,14 +563,14 @@ impl<'a> Simplex<'a> {
                 wpat.push(r);
             }
             let s = &mut self.scratch;
-            Self::basis_ftran_sparse(&self.basis, w, wpat, &mut s.mask, &mut s.lu);
+            self.basis.ftran_sparse(w, wpat, &mut s.lu);
             wpat.sort_unstable();
             self.sites.record(site, wpat.len(), self.core.m);
         } else {
             for (r, v) in self.core.a.col(q) {
                 w[r] = v;
             }
-            Self::basis_ftran(&self.basis, w);
+            self.basis.ftran(w);
             self.sites.record_dense(site, w);
         }
         tock(t, &mut self.profile.ftran_secs);
@@ -1045,56 +770,18 @@ impl<'a> Simplex<'a> {
     }
 
     /// Records the pivot at basis position `r` (FTRAN column `w`, optional
-    /// nonzero pattern) in the basis representation: the legacy path
-    /// appends a product-form eta, the FT path updates the U factor in
-    /// place. A Forrest–Tomlin update rejected as numerically unsafe
-    /// refactorizes immediately — `basic[r]`/`stat`/`xb` must already
-    /// describe the post-pivot basis when this is called.
+    /// ascending nonzero pattern) in the basis representation. An update
+    /// rejected as numerically unsafe refactorizes immediately —
+    /// `basic[r]`/`stat`/`xb` must already describe the post-pivot basis
+    /// when this is called.
     fn update_basis(&mut self, r: usize, w: &[f64], wpat: Option<&[usize]>) -> Result<(), LpError> {
         let t = tick(self.timers);
-        let ptol = self.opts.pivot_tol;
-        let rejected = match &mut self.basis {
-            BasisRepr::Eta { etas, .. } => {
-                etas.push(match wpat {
-                    Some(pat) => Self::make_eta_pattern(r, w, pat, ptol),
-                    None => Self::make_eta(r, w, ptol),
-                });
-                false
-            }
-            BasisRepr::Ft(ft) => !ft.update(r, w, wpat, ptol),
-        };
+        let accepted = self.basis.update(r, w, wpat, self.opts.pivot_tol);
         tock(t, &mut self.profile.update_secs);
-        if rejected {
+        if !accepted {
             self.refactor()?;
         }
         Ok(())
-    }
-
-    fn make_eta(r: usize, w: &[f64], ptol: f64) -> Eta {
-        let wr = w[r];
-        debug_assert!(wr.abs() > ptol / 10.0, "tiny pivot in eta");
-        let entries: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && is_nonzero(v))
-            .map(|(i, &v)| (i, v))
-            .collect();
-        Eta { r, entries, wr }
-    }
-
-    /// [`make_eta`](Self::make_eta) from a sparse column: `pat` must be a
-    /// duplicate-free superset of the nonzeros of `w`, sorted ascending (eta
-    /// entry order is part of the arithmetic in [`apply_btran`](Self::apply_btran)).
-    fn make_eta_pattern(r: usize, w: &[f64], pat: &[usize], ptol: f64) -> Eta {
-        let wr = w[r];
-        debug_assert!(wr.abs() > ptol / 10.0, "tiny pivot in eta");
-        debug_assert!(pat.windows(2).all(|p| p[0] < p[1]), "pattern not sorted");
-        let entries: Vec<(usize, f64)> = pat
-            .iter()
-            .filter(|&&i| i != r && is_nonzero(w[i]))
-            .map(|&i| (i, w[i]))
-            .collect();
-        Eta { r, entries, wr }
     }
 
     /// Devex (max `d_j²/w_j`) or Bland (smallest index) pricing over
@@ -1162,7 +849,7 @@ impl<'a> Simplex<'a> {
             if self.hit_deadline() {
                 return Err(LpError::Timeout);
             }
-            if self.should_refactor() {
+            if self.basis.refactor_due(self.opts.refactor_every) {
                 self.refactor()?;
                 self.reduced_costs_into(costs, d);
                 fresh = true;
@@ -1208,13 +895,8 @@ impl<'a> Simplex<'a> {
                 wpat.push(r);
             }
             let tf = tick(self.timers);
-            Self::basis_ftran_sparse(
-                &self.basis,
-                &mut w,
-                &mut wpat,
-                &mut self.scratch.mask,
-                &mut self.scratch.lu,
-            );
+            self.basis
+                .ftran_sparse(&mut w, &mut wpat, &mut self.scratch.lu);
             tock(tf, &mut self.profile.ftran_secs);
             // Ascending pattern: the ratio test tie-breaking then matches a
             // dense scan, and eta entries stay ordered.
@@ -1258,13 +940,8 @@ impl<'a> Simplex<'a> {
                     self.scratch.rho[r] = 1.0;
                     self.scratch.rpat.clear();
                     self.scratch.rpat.push(r);
-                    Self::basis_btran_sparse(
-                        &self.basis,
-                        &mut self.scratch.rho,
-                        &mut self.scratch.rpat,
-                        &mut self.scratch.mask,
-                        &mut self.scratch.lu,
-                    );
+                    let s = &mut self.scratch;
+                    self.basis.btran_sparse(&mut s.rho, &mut s.rpat, &mut s.lu);
                     self.scratch.form_pivot_row(&self.core.rows_of_a);
                     tock(tb, &mut self.profile.btran_secs);
                     let alpha_q = if self.scratch.amask[q] {
@@ -1392,7 +1069,7 @@ impl<'a> Simplex<'a> {
             if self.hit_deadline() {
                 return Err(WarmFail::Error(LpError::Timeout));
             }
-            if self.should_refactor() {
+            if self.basis.refactor_due(self.opts.refactor_every) {
                 self.refactor().map_err(WarmFail::Error)?;
                 self.reduced_costs_into(costs, d);
             }
@@ -1507,11 +1184,11 @@ impl<'a> Simplex<'a> {
         s.rho[r] = 1.0;
         if sparse {
             s.rpat.push(r);
-            Self::basis_btran_sparse(&self.basis, &mut s.rho, &mut s.rpat, &mut s.mask, &mut s.lu);
+            self.basis.btran_sparse(&mut s.rho, &mut s.rpat, &mut s.lu);
             s.rpat.sort_unstable();
             self.sites.record(Site::Rho, s.rpat.len(), self.core.m);
         } else {
-            Self::basis_btran(&self.basis, &mut s.rho);
+            self.basis.btran(&mut s.rho);
             self.sites.record_dense(Site::Rho, &s.rho);
         }
         tock(tb, &mut self.profile.btran_secs);
@@ -1622,7 +1299,7 @@ impl<'a> Simplex<'a> {
             if self.hit_deadline() {
                 return Err(WarmFail::Error(LpError::Timeout));
             }
-            if self.should_refactor() {
+            if self.basis.refactor_due(self.opts.refactor_every) {
                 self.refactor().map_err(WarmFail::Error)?;
                 self.reduced_costs_into(costs, d);
             }
@@ -1651,13 +1328,8 @@ impl<'a> Simplex<'a> {
             self.scratch.rho[r] = 1.0;
             self.scratch.rpat.clear();
             self.scratch.rpat.push(r);
-            Self::basis_btran_sparse(
-                &self.basis,
-                &mut self.scratch.rho,
-                &mut self.scratch.rpat,
-                &mut self.scratch.mask,
-                &mut self.scratch.lu,
-            );
+            let s = &mut self.scratch;
+            self.basis.btran_sparse(&mut s.rho, &mut s.rpat, &mut s.lu);
             self.scratch.form_pivot_row(&self.core.rows_of_a);
             tock(tb, &mut self.profile.btran_secs);
             // Bound-flipping ratio test: collect breakpoints, walk them in
@@ -1776,13 +1448,8 @@ impl<'a> Simplex<'a> {
                 wpat.push(row);
             }
             let tf = tick(self.timers);
-            Self::basis_ftran_sparse(
-                &self.basis,
-                &mut w,
-                &mut wpat,
-                &mut self.scratch.mask,
-                &mut self.scratch.lu,
-            );
+            self.basis
+                .ftran_sparse(&mut w, &mut wpat, &mut self.scratch.lu);
             tock(tf, &mut self.profile.ftran_secs);
             wpat.sort_unstable();
             let wr = w[r];
@@ -1830,13 +1497,9 @@ impl<'a> Simplex<'a> {
                         s.mask[row] = false;
                     }
                 }
-                Self::basis_ftran_sparse(
-                    &self.basis,
-                    &mut self.scratch.rhs,
-                    &mut self.scratch.rhs_pat,
-                    &mut self.scratch.mask,
-                    &mut self.scratch.lu,
-                );
+                let s = &mut self.scratch;
+                self.basis
+                    .ftran_sparse(&mut s.rhs, &mut s.rhs_pat, &mut s.lu);
                 {
                     let s = &mut self.scratch;
                     for &i in &s.rhs_pat {
@@ -1906,7 +1569,7 @@ impl<'a> Simplex<'a> {
         for (pos, &col) in self.basic.iter().enumerate() {
             self.scratch.y[pos] = costs[col];
         }
-        Self::basis_btran(&self.basis, &mut self.scratch.y);
+        self.basis.btran(&mut self.scratch.y);
         let y = self.scratch.y.clone();
         tock(t, &mut self.profile.btran_secs);
         y
@@ -1931,16 +1594,6 @@ impl<'a> Simplex<'a> {
             basic: self.basic.clone(),
             stat: self.stat.clone(),
         }
-    }
-}
-
-fn deadline_from(opts: &LpOptions) -> Option<Instant> {
-    if opts.time_limit_secs.is_finite() {
-        // audit: allow(nondet) — anchors the user-requested wall-clock limit;
-        // pivot selection never reads it.
-        Some(Instant::now() + std::time::Duration::from_secs_f64(opts.time_limit_secs.max(0.0)))
-    } else {
-        None
     }
 }
 
@@ -2687,7 +2340,11 @@ mod tests {
                 .unwrap();
         }
         let mut o = opts();
-        o.time_limit_secs = 0.0;
+        o.budget = Some(std::sync::Arc::new(crate::Budget::new(
+            0.0,
+            usize::MAX,
+            usize::MAX,
+        )));
         assert_eq!(solve_lp(&p, &o).unwrap_err(), LpError::Timeout);
     }
 
@@ -2988,95 +2645,6 @@ mod tests {
         );
         assert_eq!(exact_bits(dense.objective), exact_bits(sparse.objective));
         assert_eq!(dense.x, sparse.x);
-    }
-
-    /// A basis of a pseudo-random sparse `m × 2m` matrix after `pivots`
-    /// product-form updates: its LU factors and eta file, built the way the
-    /// simplex builds them (largest-magnitude pivot of each FTRAN column).
-    fn factors_with_etas(m: usize, pivots: usize) -> (LuFactors, Vec<Eta>) {
-        let mut state = 0x9e3779b97f4a7c15u64 ^ m as u64;
-        let mut next = || (xorshift(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-        let mut trips = Vec::new();
-        for c in 0..2 * m {
-            if c < m {
-                trips.push((c, c, 2.0 + next()));
-            }
-            for r in 0..m {
-                if r != c && next() < 3.0 / m as f64 {
-                    trips.push((r, c, next() * 2.0 - 1.0));
-                }
-            }
-        }
-        let a = crate::sparse::CscMatrix::from_triplets(m, 2 * m, trips);
-        let basis: Vec<usize> = (0..m).collect();
-        let lu = LuFactors::factorize(&a, &basis, 1e-9).unwrap();
-        let mut etas = Vec::new();
-        for q in m..m + pivots {
-            let mut w = vec![0.0; m];
-            a.col_axpy(q, 1.0, &mut w);
-            Simplex::apply_ftran(&lu, &etas, &mut w);
-            let r = (0..m)
-                .max_by(|&i, &k| w[i].abs().total_cmp(&w[k].abs()))
-                .unwrap();
-            if w[r].abs() > 1e-6 {
-                etas.push(Simplex::make_eta(r, &w, 1e-9));
-            }
-        }
-        assert!(etas.len() * 2 > pivots, "too few etas");
-        (lu, etas)
-    }
-
-    /// The eta-file wrappers' hypersparse solves reproduce the dense ones
-    /// bit for bit (up to the sign of a zero) over a non-empty eta file.
-    #[test]
-    fn eta_file_sparse_solves_match_dense_bit_for_bit() {
-        for (m, pivots) in [(30, 6), (80, 20)] {
-            let (lu, etas) = factors_with_etas(m, pivots);
-            let mut mask = vec![false; m];
-            let mut lsc = LuScratch::default();
-            let mut rhss: Vec<Vec<usize>> = (0..m).step_by(3).map(|i| vec![i]).collect();
-            rhss.push(vec![1, m / 2, m - 2]);
-            type Dense = fn(&LuFactors, &[Eta], &mut [f64]);
-            type Sparse =
-                fn(&LuFactors, &[Eta], &mut [f64], &mut Vec<usize>, &mut [bool], &mut LuScratch);
-            let pairs: [(Dense, Sparse); 2] = [
-                (Simplex::apply_ftran, Simplex::apply_ftran_sparse),
-                (Simplex::apply_btran, Simplex::apply_btran_sparse),
-            ];
-            for rows in &rhss {
-                for &(dense, sparse) in &pairs {
-                    let mut dense_buf = vec![0.0; m];
-                    for (t, &r) in rows.iter().enumerate() {
-                        dense_buf[r] = 0.7 + t as f64 / 3.0;
-                    }
-                    let mut sparse_buf = dense_buf.clone();
-                    let mut pattern = rows.clone();
-                    dense(&lu, &etas, &mut dense_buf);
-                    sparse(
-                        &lu,
-                        &etas,
-                        &mut sparse_buf,
-                        &mut pattern,
-                        &mut mask,
-                        &mut lsc,
-                    );
-                    for i in 0..m {
-                        assert_eq!(
-                            exact_bits(sparse_buf[i]),
-                            exact_bits(dense_buf[i]),
-                            "m {m} rhs {rows:?} at {i}: {} vs {}",
-                            sparse_buf[i],
-                            dense_buf[i]
-                        );
-                        assert!(
-                            is_zero(dense_buf[i]) || pattern.contains(&i),
-                            "m {m} rhs {rows:?}: nonzero {i} missing from the pattern"
-                        );
-                    }
-                    assert!(mask.iter().all(|&b| !b), "mask left dirty");
-                }
-            }
-        }
     }
 
     /// The row-wise `Aᵀy` of [`Scratch::form_pivot_row`] over an ascending
