@@ -348,21 +348,6 @@ impl Budget {
         self.lp_iterations.fetch_add(n, Ordering::Relaxed) + n
     }
 
-    /// Seconds until the earlier of this budget's and the parent's
-    /// deadlines (`f64::INFINITY` when neither has one, clamped at zero
-    /// once passed).
-    pub fn remaining_secs(&self) -> f64 {
-        let own = match self.deadline {
-            Some(d) => d
-                .checked_duration_since(Instant::now())
-                .map_or(0.0, |r| r.as_secs_f64()),
-            None => f64::INFINITY,
-        };
-        self.parent
-            .as_ref()
-            .map_or(own, |p| own.min(p.remaining_secs()))
-    }
-
     /// Which dimension (if any) is exhausted, counting `extra_lp` pivots
     /// still in flight inside the current LP: this budget's node cap, then
     /// the stop flags, pivot caps and deadlines of this budget and its
@@ -561,7 +546,6 @@ mod tests {
     #[test]
     fn faults_budget_stop_flag_and_deadline() {
         let b = Budget::unlimited();
-        assert_eq!(b.remaining_secs(), f64::INFINITY);
         assert!(!b.should_stop(0));
         b.request_stop();
         assert!(b.stop_requested());
@@ -569,7 +553,6 @@ mod tests {
 
         let expired = Budget::new(0.0, usize::MAX, usize::MAX);
         assert_eq!(expired.exceeded(0), Some(BudgetExceeded::Time));
-        assert_eq!(expired.remaining_secs(), 0.0);
     }
 
     #[test]
@@ -626,7 +609,6 @@ mod tests {
         let expired = Arc::new(Budget::new(0.0, usize::MAX, usize::MAX));
         let child = Budget::scoped(Some(expired), f64::INFINITY, usize::MAX, usize::MAX);
         assert!(child.should_stop(0));
-        assert_eq!(child.remaining_secs(), 0.0);
     }
 
     #[test]

@@ -105,17 +105,26 @@ impl FtFactors {
     /// triangular position), and their column order becomes the slot maps.
     pub(crate) fn new(lu: LuFactors) -> Self {
         let m = lu.u_diag.len();
-        let urow = (0..m).map(|t| lu.u_row(t).to_vec()).collect();
+        debug_assert_eq!(lu.cols.len(), m, "Forrest–Tomlin needs Markowitz factors");
+        // Live lists from the flat columns: each column as stored, and each
+        // row filled in ascending column order.
+        let ucol: Vec<Vec<(usize, f64)>> = (0..m).map(|s| lu.u_col(s).to_vec()).collect();
+        let mut row_len = vec![0usize; m];
+        for &(t, _) in &lu.u_cols {
+            row_len[t] += 1;
+        }
+        let mut urow: Vec<Vec<(usize, f64)>> =
+            row_len.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (s, col) in ucol.iter().enumerate() {
+            for &(t, u) in col {
+                urow[t].push((s, u));
+            }
+        }
+        let u_nnz = lu.u_cols.len();
         let LuFactors {
-            l,
-            cols,
-            u_cols,
-            u_diag,
-            ..
+            l, cols, u_diag, ..
         } = lu;
-        debug_assert_eq!(cols.len(), m, "Forrest–Tomlin needs Markowitz factors");
         let l_nnz = l.nnz();
-        let u_nnz: usize = u_cols.iter().map(Vec::len).sum();
         let mut slot_of_col = vec![0usize; m];
         for (s, &p) in cols.iter().enumerate() {
             slot_of_col[p] = s;
@@ -123,7 +132,7 @@ impl FtFactors {
         Self {
             m,
             l,
-            ucol: u_cols,
+            ucol,
             urow,
             diag: u_diag,
             order: (0..m).collect(),
@@ -159,10 +168,12 @@ impl FtFactors {
 
     /// Solves `B w = b` in place: on entry `buf` holds `b` (indexed by
     /// original row); on exit it holds `w` (indexed by basis position).
-    pub(crate) fn ftran(&self, buf: &mut [f64]) {
+    pub(crate) fn ftran(&self, buf: &mut [f64], scratch: &mut LuScratch) {
         debug_assert_eq!(buf.len(), self.m);
+        scratch.ensure(self.m);
+        let z = &mut scratch.z[..self.m];
         // Frozen L into slot space, then the row etas in append order.
-        let mut z = self.l.ftran(buf);
+        self.l.ftran(buf, z);
         for eta in &self.etas {
             let mut delta = 0.0;
             for &(t, mu) in &eta.entries {
@@ -170,29 +181,27 @@ impl FtFactors {
             }
             z[eta.r] -= delta;
         }
-        // Backward U solve in descending triangular position.
+        // Backward U solve in descending triangular position; each w_s is
+        // final when reached, so it moves straight to its basis position.
         for p in (0..self.m).rev() {
             let s = self.order[p];
-            let ws = z[s] / self.diag[s];
-            z[s] = ws;
+            let ws = std::mem::take(&mut z[s]) / self.diag[s];
+            buf[self.col_of_slot[s]] = ws;
             if is_nonzero(ws) {
                 for &(t, u) in &self.ucol[s] {
                     z[t] -= ws * u;
                 }
             }
         }
-        // Scatter to basis positions.
-        for s in 0..self.m {
-            buf[self.col_of_slot[s]] = z[s];
-        }
     }
 
     /// Solves `Bᵀ y = c` in place: on entry `buf` holds `c` (indexed by
     /// basis position); on exit it holds `y` (indexed by original row).
-    pub(crate) fn btran(&self, buf: &mut [f64]) {
+    pub(crate) fn btran(&self, buf: &mut [f64], scratch: &mut LuScratch) {
         debug_assert_eq!(buf.len(), self.m);
+        scratch.ensure(self.m);
+        let z = &mut scratch.z[..self.m];
         // Forward Uᵀ solve in ascending triangular position.
-        let mut z = vec![0.0f64; self.m];
         for p in 0..self.m {
             let s = self.order[p];
             let mut sum = buf[self.col_of_slot[s]];
@@ -210,7 +219,7 @@ impl FtFactors {
                 }
             }
         }
-        self.l.btran(&mut z, buf);
+        self.l.btran(z, buf);
     }
 
     /// Hypersparse [`ftran`](Self::ftran): only slots reachable from the
@@ -504,7 +513,7 @@ mod tests {
                 .collect();
             let want = dense_solve(&bd, &b);
             let mut buf = b.clone();
-            ft.ftran(&mut buf);
+            ft.ftran(&mut buf, &mut scratch);
             for i in 0..m {
                 assert!(
                     (buf[i] - want[i]).abs() < tol,
@@ -531,7 +540,7 @@ mod tests {
             }
             let want_t = dense_solve(&bt, &b);
             let mut tbuf = b.clone();
-            ft.btran(&mut tbuf);
+            ft.btran(&mut tbuf, &mut scratch);
             for i in 0..m {
                 assert!(
                     (tbuf[i] - want_t[i]).abs() < tol,
@@ -565,7 +574,7 @@ mod tests {
         for (r, val) in a.col(col) {
             buf[r] = val;
         }
-        ft.ftran(&mut buf);
+        ft.ftran(&mut buf, &mut LuScratch::default());
         buf
     }
 
@@ -726,7 +735,7 @@ mod tests {
             let b: Vec<f64> = (0..m).map(|i| (i % 3) as f64 - 1.0).collect();
             let want = dense_solve(&bd, &b);
             let mut got = b.clone();
-            ft.ftran(&mut got);
+            ft.ftran(&mut got, &mut scratch);
             for i in 0..m {
                 prop_assert!((got[i] - want[i]).abs() < 1e-6 * want[i].abs().max(1.0),
                     "ftran drifted at {} after {} updates: {} vs {}",
@@ -736,11 +745,11 @@ mod tests {
             // or the eta file's partial pivoting) reproduces the same
             // solution from scratch.
             let mut by_markowitz = b.clone();
-            markowitz(&a, &basis).ftran(&mut by_markowitz);
+            markowitz(&a, &basis).ftran(&mut by_markowitz, &mut scratch);
             let mut by_partial = b.clone();
             LuFactors::factorize(&a, &basis, 1e-10, PivotRule::Partial)
                 .unwrap()
-                .ftran(&mut by_partial);
+                .ftran(&mut by_partial, &mut scratch);
             for (rule, refreshed) in [("markowitz", &by_markowitz), ("partial", &by_partial)] {
                 for i in 0..m {
                     prop_assert!((refreshed[i] - got[i]).abs() < 1e-6 * got[i].abs().max(1.0),

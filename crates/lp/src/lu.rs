@@ -7,10 +7,19 @@
 //! slack/artificial unit columns, so the factors stay extremely sparse and
 //! refactorization is cheap.
 //!
+//! The factors are flat: `L` and `U` are each one entry array split into
+//! columns by one `start` offset array, and the transposed adjacencies the
+//! hypersparse solves walk (the `Lᵀ` dependants, and the row-wise `U` of
+//! the eta file) are built from them by counting sort. The elimination
+//! appends each column to those arrays and queues earlier pivots on the
+//! same bitmap worklist as the solves ([`sweep_up`]), so it allocates
+//! nothing per column.
+//!
 //! The frozen `L` ([`LFactor`]) and its four solves — forward and
 //! transposed, dense and pattern-tracked — serve both representations, and
 //! every pattern-tracked triangular solve runs on the bitmap worklists of
-//! [`LuScratch`] ([`sweep_up`], [`sweep_down`]).
+//! [`LuScratch`] ([`sweep_up`], [`sweep_down`]). The dense solves borrow its
+//! `z` as their pivot-space vector and leave it zeroed.
 //!
 //! [`BasisRepr`] is what a solve maintains between factorizations, chosen by
 //! [`LpOptions::basis_update`]: the product-form eta file ([`Eta`]) over
@@ -55,46 +64,64 @@ pub(crate) struct LFactor {
     pivot_row: Vec<usize>,
     /// `pivot_pos[r]` = pivot of original row `r`.
     pivot_pos: Vec<usize>,
-    /// Column `j` of `L` below the diagonal: `(original_row, multiplier)`.
-    l_cols: Vec<Vec<(usize, f64)>>,
+    /// `L` below the diagonal, column by column: column `j` (see
+    /// [`col`](Self::col)) holds `(original_row, multiplier)`.
+    cols: Vec<(usize, f64)>,
+    /// Column `j` of `L` is `cols[col_start[j]..col_start[j + 1]]`.
+    col_start: Vec<usize>,
     /// Reverse adjacency of `Lᵀ`: pivot `k` → pivots `j < k` whose `L`
-    /// column touches a row pivoted at `k`. Drives the hypersparse `Lᵀ`
-    /// solve.
-    l_deps: Vec<Vec<usize>>,
+    /// column touches a row pivoted at `k` (see [`deps`](Self::deps)),
+    /// ascending. Drives the hypersparse `Lᵀ` solve.
+    deps: Vec<usize>,
+    /// The dependants of pivot `k` are `deps[dep_start[k]..dep_start[k + 1]]`.
+    dep_start: Vec<usize>,
 }
 
 impl LFactor {
     /// Off-diagonal nonzeros.
     pub(crate) fn nnz(&self) -> usize {
-        self.l_cols.iter().map(Vec::len).sum()
+        self.cols.len()
     }
 
-    /// Forward solve: on entry `buf` holds `b` (by original row); returns
-    /// `z = L⁻¹ P b` in pivot coordinates, leaving `buf` scrambled.
-    pub(crate) fn ftran(&self, buf: &mut [f64]) -> Vec<f64> {
+    /// Column `j` of `L` below the diagonal: `(original_row, multiplier)`.
+    fn col(&self, j: usize) -> &[(usize, f64)] {
+        &self.cols[self.col_start[j]..self.col_start[j + 1]]
+    }
+
+    /// The pivots `j < k` whose `L` column touches the row pivoted at `k`.
+    fn deps(&self, k: usize) -> &[usize] {
+        &self.deps[self.dep_start[k]..self.dep_start[k + 1]]
+    }
+
+    /// Forward solve: on entry `buf` holds `b` (by original row); writes
+    /// `z = L⁻¹ P b` in pivot coordinates over all of `z`, leaving `buf`
+    /// scrambled.
+    pub(crate) fn ftran(&self, buf: &mut [f64], z: &mut [f64]) {
         for j in 0..self.pivot_row.len() {
+            // Final once pivot `j` is reached: later columns touch only
+            // rows pivoted after it.
             let zj = buf[self.pivot_row[j]];
+            z[j] = zj;
             if is_nonzero(zj) {
-                for &(r, mult) in &self.l_cols[j] {
+                for &(r, mult) in self.col(j) {
                     buf[r] -= zj * mult;
                 }
             }
         }
-        self.pivot_row.iter().map(|&r| buf[r]).collect()
     }
 
     /// Backward solve `Lᵀ v = z` in place on `z` (pivot coordinates), then
-    /// scatters `v` into `buf` by original row.
+    /// scatters `v` into `buf` by original row, leaving `z` zeroed.
     pub(crate) fn btran(&self, z: &mut [f64], buf: &mut [f64]) {
         for j in (0..z.len()).rev() {
             let mut s = z[j];
-            for &(r, mult) in &self.l_cols[j] {
+            for &(r, mult) in self.col(j) {
                 s -= mult * z[self.pivot_pos[r]];
             }
             z[j] = s;
         }
         for (j, &r) in self.pivot_row.iter().enumerate() {
-            buf[r] = z[j];
+            buf[r] = std::mem::take(&mut z[j]);
         }
     }
 
@@ -122,7 +149,7 @@ impl LFactor {
             if is_nonzero(zj) {
                 z[j] = zj;
                 stage.push(j);
-                for &(r, mult) in &self.l_cols[j] {
+                for &(r, mult) in self.col(j) {
                     buf[r] -= zj * mult;
                     mark(bits, self.pivot_pos[r]);
                 }
@@ -133,10 +160,10 @@ impl LFactor {
     /// Pattern-tracked [`btran`](Self::btran) of the pivots queued in
     /// `bits`, whose values are in `z` (zero elsewhere), into the all-zero
     /// `buf`: `v_j` depends on `v_k` for pivots `k > j` whose row appears
-    /// in `l_cols[j]`, and a nonzero `v_j` queues the pivots in
-    /// `l_deps[j]`. Values stay live until every dependant is done, so the
-    /// scatter clears `z` afterwards. On exit `pattern` lists the nonzero
-    /// rows of `buf` (unsorted).
+    /// in column `j` of `L`, and a nonzero `v_j` queues the pivots in
+    /// [`deps(j)`](Self::deps). Values stay live until every dependant is
+    /// done, so the scatter clears `z` afterwards. On exit `pattern` lists
+    /// the nonzero rows of `buf` (unsorted).
     pub(crate) fn btran_sparse(
         &self,
         buf: &mut [f64],
@@ -148,13 +175,13 @@ impl LFactor {
         pops.clear();
         sweep_down(bits, |j, bits| {
             let mut s = z[j];
-            for &(r, mult) in &self.l_cols[j] {
+            for &(r, mult) in self.col(j) {
                 s -= mult * z[self.pivot_pos[r]];
             }
             z[j] = s;
             pops.push(j);
             if is_nonzero(s) {
-                for &k in &self.l_deps[j] {
+                for &k in self.deps(j) {
                     mark(bits, k);
                 }
             }
@@ -183,14 +210,20 @@ pub(crate) struct LuFactors {
     /// `cols[j]` = basis position factored at pivot `j` under
     /// [`PivotRule::Markowitz`]; empty under [`PivotRule::Partial`].
     pub(crate) cols: Vec<usize>,
-    /// Column `j` of `U` above the diagonal: `(pivot k < j, value)`.
-    pub(crate) u_cols: Vec<Vec<(usize, f64)>>,
+    /// `U` above the diagonal, column by column: column `j` (see
+    /// [`u_col`](Self::u_col)) holds `(pivot k < j, value)`, pivots
+    /// ascending.
+    pub(crate) u_cols: Vec<(usize, f64)>,
+    /// Column `j` of `U` is `u_cols[u_col_start[j]..u_col_start[j + 1]]`.
+    u_col_start: Vec<usize>,
     /// Diagonal of `U`.
     pub(crate) u_diag: Vec<f64>,
     /// Row-wise copy of `U` in one array: row `k` (see
     /// [`u_row`](Self::u_row)) holds `(column j > k, u_kj)`, columns
-    /// ascending. Drives the hypersparse `Uᵀ` solve, which pushes each
-    /// nonzero `z_k` along its row.
+    /// ascending. Drives the eta file's hypersparse `Uᵀ` solve, which
+    /// pushes each nonzero `z_k` along its row; built under
+    /// [`PivotRule::Partial`] only (Forrest–Tomlin keeps live rows of its
+    /// own).
     u_rows: Vec<(usize, f64)>,
     /// Row `k` of `U` is `u_rows[u_row_start[k]..u_row_start[k + 1]]`.
     u_row_start: Vec<usize>,
@@ -203,6 +236,7 @@ pub(crate) struct LuScratch {
     /// Worklist bitmap, one bit per pivot, slot or triangular position,
     /// swept in order (see [`sweep_up`]).
     pub(crate) bits: Vec<u64>,
+    /// Pivot-space values; all zero between solves.
     pub(crate) z: Vec<f64>,
     pub(crate) stage: Vec<usize>,
     pub(crate) pops: Vec<usize>,
@@ -225,8 +259,13 @@ fn insert(bits: &mut [u64], j: usize) -> bool {
 /// before `visit` runs. `visit` may queue only entries above the one it is
 /// given, so one pass over the words sees every entry exactly once — the
 /// order a min-heap worklist pops them in, for `O(m/64)` extra work.
-pub(crate) fn sweep_up(bits: &mut [u64], mut visit: impl FnMut(usize, &mut [u64])) {
-    for w in 0..bits.len() {
+pub(crate) fn sweep_up(bits: &mut [u64], visit: impl FnMut(usize, &mut [u64])) {
+    sweep_up_from(bits, 0, visit);
+}
+
+/// [`sweep_up`] of a worklist with nothing queued below word `from`.
+fn sweep_up_from(bits: &mut [u64], from: usize, mut visit: impl FnMut(usize, &mut [u64])) {
+    for w in from..bits.len() {
         while bits[w] != 0 {
             let b = bits[w].trailing_zeros() as usize;
             bits[w] &= bits[w] - 1;
@@ -247,6 +286,37 @@ pub(crate) fn sweep_down(bits: &mut [u64], mut visit: impl FnMut(usize, &mut [u6
     }
 }
 
+/// Counting-sort transpose of flat columns (`entries`, split by `start`)
+/// into `n` flat rows: `place(j, e)` names the row of entry `e` of column
+/// `j` and what the row stores for it. Each row lists its entries in
+/// ascending column order. Returns the row offsets and the row entries.
+fn transpose<T: Copy + Default>(
+    n: usize,
+    start: &[usize],
+    entries: &[(usize, f64)],
+    place: impl Fn(usize, (usize, f64)) -> (usize, T),
+) -> (Vec<usize>, Vec<T>) {
+    let mut row_start = vec![0usize; n + 1];
+    for j in 0..start.len() - 1 {
+        for &e in &entries[start[j]..start[j + 1]] {
+            row_start[place(j, e).0 + 1] += 1;
+        }
+    }
+    for k in 0..n {
+        row_start[k + 1] += row_start[k];
+    }
+    let mut fill = row_start[..n].to_vec();
+    let mut rows = vec![T::default(); row_start[n]];
+    for j in 0..start.len() - 1 {
+        for &e in &entries[start[j]..start[j + 1]] {
+            let (k, t) = place(j, e);
+            rows[fill[k]] = t;
+            fill[k] += 1;
+        }
+    }
+    (row_start, rows)
+}
+
 impl LuScratch {
     /// Once the retained capacity exceeds this multiple of the current
     /// problem dimension (and the dimension is non-trivial), the workspace
@@ -257,8 +327,8 @@ impl LuScratch {
     /// Prepares the workspace for a solve of dimension `m`: grows the
     /// dense arrays when `m` grew, compacts everything when `m` shrank far
     /// below the retained capacity, and asserts — in debug builds — that
-    /// the previous caller left the workspace clean. Every hypersparse
-    /// solve, eta file or Forrest–Tomlin, enters through here.
+    /// the previous caller left the workspace clean. Every solve, dense or
+    /// hypersparse, eta file or Forrest–Tomlin, enters through here.
     pub(crate) fn ensure(&mut self, m: usize) {
         if self.z.len() < m {
             self.bits.resize(m.div_ceil(64), 0);
@@ -309,69 +379,74 @@ impl LuFactors {
         }
         let mut pivot_row = vec![usize::MAX; m];
         let mut pivot_pos = vec![usize::MAX; m];
-        let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        // `L` and `U` below and above the diagonal, column by column:
+        // column `j` of `L` is `l_cols[l_col_start[j]..l_col_start[j + 1]]`,
+        // and likewise for `U`.
+        let mut l_cols: Vec<(usize, f64)> = Vec::new();
+        let mut u_cols: Vec<(usize, f64)> = Vec::new();
+        let mut l_col_start = Vec::with_capacity(m + 1);
+        let mut u_col_start = Vec::with_capacity(m + 1);
+        l_col_start.push(0);
+        u_col_start.push(0);
         let mut u_diag = Vec::with_capacity(m);
 
-        // Dense workspace reused per column, with a membership mask so each
-        // row enters `touched` at most once (a value can cancel to exactly
-        // zero and be rewritten; duplicate entries would corrupt `l_col`).
+        // Dense workspace reused per column. Rows already pivoted are queued
+        // for elimination; free rows are listed in `touched`, in the order
+        // they are first touched, with a membership mask so each enters it
+        // once (a value can cancel to exactly zero and be rewritten;
+        // duplicate entries would corrupt `L`).
         let mut x = vec![0.0f64; m];
         let mut in_touched = vec![false; m];
         let mut touched: Vec<usize> = Vec::with_capacity(64);
 
-        // Worklist of pivot positions whose rows hold nonzeros, processed in
-        // ascending order (a binary min-heap). This keeps the update loop
-        // proportional to actual fill-in instead of `O(j)` per column.
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>> =
-            std::collections::BinaryHeap::new();
-        let mut queued = vec![false; m];
+        // Worklist of earlier pivots whose rows hold nonzeros, swept in
+        // ascending order so the update loop stays proportional to the
+        // fill-in instead of `O(j)` per column. Every queued pivot lies
+        // below `j`, and applying pivot `k` queues only pivots above `k`
+        // (the rows of `L` column `k` were free at pivot `k`).
+        let mut bits = vec![0u64; m.div_ceil(64)];
 
         for j in 0..m {
-            // Scatter b_j, queueing already-pivoted rows for elimination.
+            // Scatter b_j.
             let p = cols.get(j).copied().unwrap_or(j);
+            let mut lo = j;
             for (r, v) in a.col(basis[p]) {
                 x[r] = v;
-                if !in_touched[r] {
+                let k = pivot_pos[r];
+                if k != usize::MAX {
+                    mark(&mut bits, k);
+                    lo = lo.min(k);
+                } else if !in_touched[r] {
                     in_touched[r] = true;
                     touched.push(r);
                 }
-                let k = pivot_pos[r];
-                if k != usize::MAX && !queued[k] {
-                    queued[k] = true;
-                    heap.push(std::cmp::Reverse(k));
-                }
             }
             // Apply previous columns (solve with partial L) in ascending
-            // pivot order; updates may queue further pivots downstream.
-            let mut u_col = Vec::new();
-            while let Some(std::cmp::Reverse(k)) = heap.pop() {
-                queued[k] = false;
-                let xk = x[pivot_row[k]];
+            // pivot order; a pivot's row is final when it is reached, so
+            // its value moves into `U`.
+            sweep_up_from(&mut bits[..j.div_ceil(64)], lo / 64, |k, bits| {
+                let xk = std::mem::take(&mut x[pivot_row[k]]);
                 if is_nonzero(xk) {
-                    u_col.push((k, xk));
-                    for &(r, mult) in &l_cols[k] {
-                        if !in_touched[r] {
+                    u_cols.push((k, xk));
+                    for &(r, mult) in &l_cols[l_col_start[k]..l_col_start[k + 1]] {
+                        x[r] -= xk * mult;
+                        let kr = pivot_pos[r];
+                        if kr != usize::MAX {
+                            mark(bits, kr);
+                        } else if !in_touched[r] {
                             in_touched[r] = true;
                             touched.push(r);
                         }
-                        x[r] -= xk * mult;
-                        let kr = pivot_pos[r];
-                        if kr != usize::MAX && kr > k && !queued[kr] {
-                            queued[kr] = true;
-                            heap.push(std::cmp::Reverse(kr));
-                        }
                     }
                 }
-            }
-            let free = |r: usize| pivot_pos[r] == usize::MAX;
+            });
             let best_row = match rule {
                 PivotRule::Partial => {
                     // Largest magnitude among rows without a pivot yet.
                     let mut best_row = usize::MAX;
                     let mut best_val = 0.0f64;
                     for &r in &touched {
-                        if free(r) && x[r].abs() > best_val {
+                        if x[r].abs() > best_val {
                             best_val = x[r].abs();
                             best_row = r;
                         }
@@ -384,19 +459,14 @@ impl LuFactors {
                 PivotRule::Markowitz => {
                     // Among stability-acceptable rows, the one touching the
                     // fewest basis columns (ties: smallest row).
-                    let mut vmax = 0.0f64;
-                    for &r in &touched {
-                        if free(r) {
-                            vmax = vmax.max(x[r].abs());
-                        }
-                    }
+                    let vmax = touched.iter().fold(0.0f64, |v, &r| v.max(x[r].abs()));
                     if vmax <= pivot_tol {
                         return Err(LpError::SingularBasis);
                     }
                     let mut best_row = usize::MAX;
                     let mut best_cost = (usize::MAX, usize::MAX);
                     for &r in &touched {
-                        if free(r) && x[r].abs() >= MARKOWITZ_REL * vmax {
+                        if x[r].abs() >= MARKOWITZ_REL * vmax {
                             let cost = (row_count[r], r);
                             if cost < best_cost {
                                 best_cost = cost;
@@ -410,103 +480,94 @@ impl LuFactors {
             let piv = x[best_row];
             pivot_row[j] = best_row;
             pivot_pos[best_row] = j;
-            let mut l_col = Vec::new();
+            // The other nonzeros form column `j` of `L`; the workspace
+            // clears.
             for &r in &touched {
-                if pivot_pos[r] == usize::MAX && is_nonzero(x[r]) {
-                    l_col.push((r, x[r] / piv));
+                let xr = std::mem::take(&mut x[r]);
+                in_touched[r] = false;
+                if r != best_row && is_nonzero(xr) {
+                    l_cols.push((r, xr / piv));
                 }
             }
-            u_diag.push(piv);
-            u_cols.push(u_col);
-            l_cols.push(l_col);
-            // Clear workspace.
-            for &r in &touched {
-                x[r] = 0.0;
-                in_touched[r] = false;
-            }
             touched.clear();
+            l_col_start.push(l_cols.len());
+            u_col_start.push(u_cols.len());
+            u_diag.push(piv);
         }
-        // Adjacency for the hypersparse solves. `u_row(k)` is row `k` of U
-        // (filled by ascending column, so each row comes out sorted);
-        // `l_deps[k]` lists the pivots whose L column touches the row
-        // pivoted at `k`.
-        let mut u_row_start = vec![0usize; m + 1];
-        for u_col in &u_cols {
-            for &(k, _) in u_col {
-                u_row_start[k + 1] += 1;
-            }
-        }
-        for k in 0..m {
-            u_row_start[k + 1] += u_row_start[k];
-        }
-        let mut fill = u_row_start.clone();
-        let mut u_rows = vec![(0, 0.0); u_row_start[m]];
-        for (j, u_col) in u_cols.iter().enumerate() {
-            for &(k, u) in u_col {
-                u_rows[fill[k]] = (j, u);
-                fill[k] += 1;
-            }
-        }
-        let mut l_deps: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (j, l_col) in l_cols.iter().enumerate() {
-            for &(r, _) in l_col {
-                l_deps[pivot_pos[r]].push(j);
-            }
-        }
+        // Adjacency for the hypersparse solves: the pivots whose `L` column
+        // touches each pivot's row, and, for the eta file, `U` by rows.
+        let (dep_start, deps) = transpose(m, &l_col_start, &l_cols, |j, (r, _)| (pivot_pos[r], j));
+        let (u_row_start, u_rows) = match rule {
+            PivotRule::Partial => transpose(m, &u_col_start, &u_cols, |j, (k, u)| (k, (j, u))),
+            PivotRule::Markowitz => (Vec::new(), Vec::new()),
+        };
         Ok(Self {
             l: LFactor {
                 pivot_row,
                 pivot_pos,
-                l_cols,
-                l_deps,
+                cols: l_cols,
+                col_start: l_col_start,
+                deps,
+                dep_start,
             },
             cols,
             u_cols,
+            u_col_start,
             u_diag,
             u_rows,
             u_row_start,
         })
     }
 
-    /// Row `k` of `U` above the diagonal: `(column j > k, u_kj)`, columns
+    /// Column `j` of `U` above the diagonal: `(pivot k < j, u_kj)`, pivots
     /// ascending.
-    pub(crate) fn u_row(&self, k: usize) -> &[(usize, f64)] {
+    pub(crate) fn u_col(&self, j: usize) -> &[(usize, f64)] {
+        &self.u_cols[self.u_col_start[j]..self.u_col_start[j + 1]]
+    }
+
+    /// Row `k` of `U` above the diagonal: `(column j > k, u_kj)`, columns
+    /// ascending. Built under [`PivotRule::Partial`] only.
+    fn u_row(&self, k: usize) -> &[(usize, f64)] {
         &self.u_rows[self.u_row_start[k]..self.u_row_start[k + 1]]
     }
 
     /// Solves `B w = b` in place: on entry `buf` holds `b` (indexed by
     /// original row); on exit it holds `w` (indexed by basis position).
-    pub(crate) fn ftran(&self, buf: &mut [f64]) {
-        debug_assert_eq!(buf.len(), self.u_diag.len());
-        let mut z = self.l.ftran(buf);
-        // Backward: U w = z.
-        for j in (0..z.len()).rev() {
-            let wj = z[j] / self.u_diag[j];
-            z[j] = wj;
+    pub(crate) fn ftran(&self, buf: &mut [f64], scratch: &mut LuScratch) {
+        let m = self.u_diag.len();
+        debug_assert_eq!(buf.len(), m);
+        scratch.ensure(m);
+        let z = &mut scratch.z[..m];
+        self.l.ftran(buf, z);
+        // Backward: U w = z, each w_j final when reached, so it moves
+        // straight into `buf` (pivot `j` is basis position `j`).
+        for j in (0..m).rev() {
+            let wj = std::mem::take(&mut z[j]) / self.u_diag[j];
+            buf[j] = wj;
             if is_nonzero(wj) {
-                for &(k, u) in &self.u_cols[j] {
+                for &(k, u) in self.u_col(j) {
                     z[k] -= wj * u;
                 }
             }
         }
-        buf.copy_from_slice(&z);
     }
 
     /// Solves `Bᵀ y = c` in place: on entry `buf` holds `c` (indexed by basis
     /// position); on exit it holds `y` (indexed by original row).
-    pub(crate) fn btran(&self, buf: &mut [f64]) {
+    pub(crate) fn btran(&self, buf: &mut [f64], scratch: &mut LuScratch) {
         let m = self.u_diag.len();
         debug_assert_eq!(buf.len(), m);
+        scratch.ensure(m);
+        let z = &mut scratch.z[..m];
         // Forward: Uᵀ z = c.
-        let mut z = vec![0.0f64; m];
         for j in 0..m {
             let mut s = buf[j];
-            for &(k, u) in &self.u_cols[j] {
+            for &(k, u) in self.u_col(j) {
                 s -= u * z[k];
             }
             z[j] = s / self.u_diag[j];
         }
-        self.l.btran(&mut z, buf);
+        self.l.btran(z, buf);
     }
 
     /// Hypersparse [`ftran`](Self::ftran): same solve, but only the pivot
@@ -541,7 +602,7 @@ impl LuFactors {
             if is_nonzero(wj) {
                 buf[j] = wj;
                 pattern.push(j);
-                for &(k, u) in &self.u_cols[j] {
+                for &(k, u) in self.u_col(j) {
                     z[k] -= wj * u;
                     mark(bits, k);
                 }
@@ -737,10 +798,11 @@ impl BasisRepr {
 
     /// Solves `B w = b` in place (`b` by original row, `w` by basis
     /// position): for the eta file, the LU solve then the etas in order.
-    pub(crate) fn ftran(&self, buf: &mut [f64]) {
+    /// `lsc` lends its zeroed `z` and gets it back zeroed.
+    pub(crate) fn ftran(&self, buf: &mut [f64], lsc: &mut LuScratch) {
         match self {
             BasisRepr::Eta { lu, etas } => {
-                lu.ftran(buf);
+                lu.ftran(buf, lsc);
                 for eta in etas {
                     let xr = buf[eta.r] / eta.wr;
                     buf[eta.r] = xr;
@@ -751,13 +813,14 @@ impl BasisRepr {
                     }
                 }
             }
-            BasisRepr::Ft(ft) => ft.ftran(buf),
+            BasisRepr::Ft(ft) => ft.ftran(buf, lsc),
         }
     }
 
     /// Solves `Bᵀ y = c` in place (`c` by basis position, `y` by original
     /// row): for the eta file, the etas in reverse then the LU solve.
-    pub(crate) fn btran(&self, buf: &mut [f64]) {
+    /// `lsc` lends its zeroed `z` and gets it back zeroed.
+    pub(crate) fn btran(&self, buf: &mut [f64], lsc: &mut LuScratch) {
         match self {
             BasisRepr::Eta { lu, etas } => {
                 for eta in etas.iter().rev() {
@@ -767,9 +830,9 @@ impl BasisRepr {
                     }
                     buf[eta.r] = s / eta.wr;
                 }
-                lu.btran(buf);
+                lu.btran(buf, lsc);
             }
-            BasisRepr::Ft(ft) => ft.btran(buf),
+            BasisRepr::Ft(ft) => ft.btran(buf, lsc),
         }
     }
 
@@ -802,7 +865,7 @@ impl BasisRepr {
         pattern: &mut Vec<usize>,
         lsc: &mut LuScratch,
     ) {
-        if Self::solved_densely(buf, pattern, |b| self.ftran(b)) {
+        if Self::solved_densely(buf, pattern, |b| self.ftran(b, lsc)) {
             return;
         }
         match self {
@@ -846,7 +909,7 @@ impl BasisRepr {
         pattern: &mut Vec<usize>,
         lsc: &mut LuScratch,
     ) {
-        if Self::solved_densely(buf, pattern, |b| self.btran(b)) {
+        if Self::solved_densely(buf, pattern, |b| self.btran(b, lsc)) {
             return;
         }
         match self {
@@ -933,12 +996,13 @@ pub(crate) mod tests {
     fn check_ftran_btran(a: &CscMatrix, basis: &[usize]) {
         let lu = partial(a, basis);
         let m = a.nrows();
+        let mut lsc = LuScratch::default();
         let [bd, bt] = basis_dense(a, basis);
         // FTRAN against dense solve for a few rhs.
         for t in 0..3 {
             let b: Vec<f64> = (0..m).map(|i| ((i * 7 + t * 3) % 5) as f64 - 2.0).collect();
             let mut buf = b.clone();
-            lu.ftran(&mut buf);
+            lu.ftran(&mut buf, &mut lsc);
             let want = dense_solve(&bd, &b);
             for i in 0..m {
                 assert!(
@@ -953,7 +1017,7 @@ pub(crate) mod tests {
         for t in 0..3 {
             let c: Vec<f64> = (0..m).map(|i| ((i * 11 + t) % 7) as f64 - 3.0).collect();
             let mut buf = c.clone();
-            lu.btran(&mut buf);
+            lu.btran(&mut buf, &mut lsc);
             let want = dense_solve(&bt, &c);
             for i in 0..m {
                 assert!(
@@ -981,11 +1045,12 @@ pub(crate) mod tests {
             ],
         );
         let lu = partial(&a, &[0, 1, 2]);
+        let mut lsc = LuScratch::default();
         let mut b = vec![3.0, -2.0, 7.0];
-        lu.ftran(&mut b);
+        lu.ftran(&mut b, &mut lsc);
         assert_eq!(b, vec![3.0, -2.0, 7.0]);
         let mut c = vec![1.0, 2.0, 3.0];
-        lu.btran(&mut c);
+        lu.btran(&mut c, &mut lsc);
         assert_eq!(c, vec![1.0, 2.0, 3.0]);
     }
 
@@ -1052,7 +1117,7 @@ pub(crate) mod tests {
             rhss.push(vec![0, m - 1]);
             rhss.push(vec![1, 2]);
         }
-        type Dense = fn(&LuFactors, &mut [f64]);
+        type Dense = fn(&LuFactors, &mut [f64], &mut LuScratch);
         type Sparse = fn(&LuFactors, &mut [f64], &mut Vec<usize>, &mut LuScratch);
         let pairs: [(Dense, Sparse); 2] = [
             (LuFactors::ftran, LuFactors::ftran_sparse),
@@ -1067,7 +1132,7 @@ pub(crate) mod tests {
                     sparse_buf[r] = 1.5 + t as f64;
                 }
                 let mut pattern = rows.clone();
-                solve(&lu, &mut dense_buf);
+                solve(&lu, &mut dense_buf, &mut scratch);
                 sparse(&lu, &mut sparse_buf, &mut pattern, &mut scratch);
                 for i in 0..m {
                     assert_eq!(
@@ -1166,6 +1231,185 @@ pub(crate) mod tests {
         }
     }
 
+    /// The factors of a textbook dense left-looking elimination of the
+    /// basis columns `basis` of `a` under `rule`.
+    struct DenseFactors {
+        /// Basis position factored at each pivot.
+        order: Vec<usize>,
+        pivot_row: Vec<usize>,
+        /// Per pivot: `L` below the diagonal (rows ascending), `U` above
+        /// it (earlier pivots ascending), and the diagonal.
+        l: Vec<Vec<(usize, f64)>>,
+        u: Vec<Vec<(usize, f64)>>,
+        diag: Vec<f64>,
+    }
+
+    /// Each column in turn is copied out dense, every earlier pivot in
+    /// ascending order is applied to it, and the pivot row is chosen among
+    /// all rows still free by `rule`'s documented criterion. Pivot ties
+    /// would leave that criterion open, so the inputs must have none.
+    fn dense_left_looking(a: &CscMatrix, basis: &[usize], rule: PivotRule) -> DenseFactors {
+        let m = a.nrows();
+        let [bd, _] = basis_dense(a, basis);
+        let col_nnz = |p: usize| (0..m).filter(|&r| bd[r][p] != 0.0).count();
+        let row_count: Vec<usize> = (0..m)
+            .map(|r| bd[r].iter().filter(|&&v| v != 0.0).count())
+            .collect();
+        let mut order: Vec<usize> = (0..m).collect();
+        if rule == PivotRule::Markowitz {
+            order.sort_by_key(|&p| (col_nnz(p), p));
+        }
+        let mut f = DenseFactors {
+            order: order.clone(),
+            pivot_row: Vec::new(),
+            l: Vec::new(),
+            u: Vec::new(),
+            diag: Vec::new(),
+        };
+        let mut pivoted = vec![false; m];
+        for p in order {
+            let mut x: Vec<f64> = (0..m).map(|r| bd[r][p]).collect();
+            let mut u_col = Vec::new();
+            for k in 0..f.pivot_row.len() {
+                let xk = x[f.pivot_row[k]];
+                if xk != 0.0 {
+                    u_col.push((k, xk));
+                    for &(r, mult) in &f.l[k] {
+                        x[r] -= xk * mult;
+                    }
+                }
+            }
+            let free: Vec<usize> = (0..m).filter(|&r| !pivoted[r] && x[r] != 0.0).collect();
+            let vmax = free.iter().fold(0.0f64, |v, &r| v.max(x[r].abs()));
+            assert!(vmax > 1e-10, "singular test basis");
+            let row = match rule {
+                PivotRule::Partial => {
+                    let ties: Vec<usize> = free
+                        .iter()
+                        .copied()
+                        .filter(|&r| x[r].abs() == vmax)
+                        .collect();
+                    assert_eq!(ties.len(), 1, "pivot tie in the test basis: {ties:?}");
+                    ties[0]
+                }
+                PivotRule::Markowitz => free
+                    .iter()
+                    .copied()
+                    .filter(|&r| x[r].abs() >= MARKOWITZ_REL * vmax)
+                    .min_by_key(|&r| (row_count[r], r))
+                    .unwrap(),
+            };
+            pivoted[row] = true;
+            f.pivot_row.push(row);
+            f.diag.push(x[row]);
+            f.l.push(
+                free.iter()
+                    .filter(|&&r| r != row)
+                    .map(|&r| (r, x[r] / x[row]))
+                    .collect(),
+            );
+            f.u.push(u_col);
+        }
+        f
+    }
+
+    /// A slack-heavy basis of `[I | S]`: `q` structural columns first,
+    /// then the slacks of all rows but the structurals' home rows. Each
+    /// structural's largest entry lies in a slack row, so under partial
+    /// pivoting it takes that row and the row's slack meets its fill later.
+    fn slack_heavy_basis(m: usize, q: usize, seed: u64) -> (CscMatrix, Vec<usize>) {
+        let mut next = uniform(seed);
+        let mut trips: Vec<(usize, usize, f64)> = (0..m).map(|r| (r, r, 1.0)).collect();
+        // Home rows are every fourth row; the big entries go elsewhere.
+        let home = |i: usize| 4 * i;
+        for i in 0..q {
+            let c = m + i;
+            let big = 4 * ((next() * q as f64) as usize) + 1 + (next() * 3.0) as usize;
+            trips.push((home(i), c, 1.0 + next()));
+            trips.push((big, c, 3.0 + next()));
+            for r in 0..m {
+                if r != home(i) && r != big && next() < 3.0 / m as f64 {
+                    trips.push((r, c, next() * 2.0 - 1.0));
+                }
+            }
+        }
+        let a = CscMatrix::from_triplets(m, m + q, trips);
+        let slacks = (0..m).filter(|&r| r % 4 != 0 || r / 4 >= q);
+        (a, (m..m + q).chain(slacks).collect())
+    }
+
+    /// `factorize` computes, bit for bit, the factors of the dense
+    /// reference elimination: the pivot order, every `L` multiplier, `U`
+    /// entry and diagonal, under both pivot rules. Its derived adjacencies
+    /// are the transposes of its columns.
+    #[test]
+    fn factors_match_dense_reference_elimination_bit_for_bit() {
+        let mut cases: Vec<(CscMatrix, Vec<usize>)> = Vec::new();
+        for (m, seed) in [(12, 7u64), (90, 13), (200, 17)] {
+            let a = random_sparse_basis(m, seed);
+            cases.push((a.clone(), (0..m).collect()));
+            cases.push((a, (0..m).rev().collect()));
+        }
+        for (m, q, seed) in [(40, 10, 3u64), (300, 75, 5)] {
+            cases.push(slack_heavy_basis(m, q, seed));
+        }
+        let mut fill_in_slacks = 0;
+        for (a, basis) in &cases {
+            let m = a.nrows();
+            for rule in [PivotRule::Partial, PivotRule::Markowitz] {
+                let lu = LuFactors::factorize(a, basis, 1e-10, rule).unwrap();
+                let want = dense_left_looking(a, basis, rule);
+                let ctx = format!("m {m} {rule:?}");
+                match rule {
+                    PivotRule::Partial => assert!(lu.cols.is_empty(), "{ctx}"),
+                    PivotRule::Markowitz => assert_eq!(lu.cols, want.order, "{ctx}"),
+                }
+                assert_eq!(lu.l.pivot_row, want.pivot_row, "{ctx}: pivot rows");
+                let bits = |col: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                    col.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+                };
+                for j in 0..m {
+                    let mut l_col = lu.l.col(j).to_vec();
+                    l_col.sort_by_key(|&(r, _)| r);
+                    assert_eq!(bits(&l_col), bits(&want.l[j]), "{ctx}: L column {j}");
+                    assert_eq!(bits(lu.u_col(j)), bits(&want.u[j]), "{ctx}: U column {j}");
+                    assert_eq!(
+                        lu.u_diag[j].to_bits(),
+                        want.diag[j].to_bits(),
+                        "{ctx}: diagonal {j}"
+                    );
+                    if rule == PivotRule::Partial
+                        && a.col_nnz(basis[j]) == 1
+                        && !want.l[j].is_empty()
+                    {
+                        fill_in_slacks += 1;
+                    }
+                }
+                for k in 0..m {
+                    let deps: Vec<usize> = (0..k)
+                        .filter(|&j| lu.l.col(j).iter().any(|&(r, _)| r == lu.l.pivot_row[k]))
+                        .collect();
+                    assert_eq!(lu.l.deps(k), deps, "{ctx}: Lᵀ dependants of {k}");
+                    if rule == PivotRule::Partial {
+                        let row: Vec<(usize, f64)> = (k + 1..m)
+                            .flat_map(|j| {
+                                lu.u_col(j)
+                                    .iter()
+                                    .filter(|e| e.0 == k)
+                                    .map(move |e| (j, e.1))
+                            })
+                            .collect();
+                        assert_eq!(bits(lu.u_row(k)), bits(&row), "{ctx}: U row {k}");
+                    }
+                }
+            }
+        }
+        assert!(
+            fill_in_slacks > 20,
+            "slack columns met too little fill: {fill_in_slacks}"
+        );
+    }
+
     /// An eta-file basis of a pseudo-random sparse `m × 2m` matrix after
     /// `pivots` product-form updates, built the way the simplex builds it
     /// (largest-magnitude pivot of each FTRAN column).
@@ -1189,10 +1433,11 @@ pub(crate) mod tests {
             ..LpOptions::default()
         };
         let mut repr = BasisRepr::factorize(&a, &basis, &opts).unwrap();
+        let mut lsc = LuScratch::default();
         for q in m..m + pivots {
             let mut w = vec![0.0; m];
             a.col_axpy(q, 1.0, &mut w);
-            repr.ftran(&mut w);
+            repr.ftran(&mut w, &mut lsc);
             let r = (0..m)
                 .max_by(|&i, &k| w[i].abs().total_cmp(&w[k].abs()))
                 .unwrap();
@@ -1213,7 +1458,7 @@ pub(crate) mod tests {
             let mut lsc = LuScratch::default();
             let mut rhss: Vec<Vec<usize>> = (0..m).step_by(3).map(|i| vec![i]).collect();
             rhss.push(vec![1, m / 2, m - 2]);
-            type Dense = fn(&BasisRepr, &mut [f64]);
+            type Dense = fn(&BasisRepr, &mut [f64], &mut LuScratch);
             type Sparse = fn(&BasisRepr, &mut [f64], &mut Vec<usize>, &mut LuScratch);
             let pairs: [(Dense, Sparse); 2] = [
                 (BasisRepr::ftran, BasisRepr::ftran_sparse),
@@ -1227,7 +1472,7 @@ pub(crate) mod tests {
                     }
                     let mut sparse_buf = dense_buf.clone();
                     let mut pattern = rows.clone();
-                    dense(&repr, &mut dense_buf);
+                    dense(&repr, &mut dense_buf, &mut lsc);
                     sparse(&repr, &mut sparse_buf, &mut pattern, &mut lsc);
                     for i in 0..m {
                         assert_eq!(

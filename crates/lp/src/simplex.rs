@@ -355,7 +355,8 @@ impl<'a> Simplex<'a> {
             }
         }
         debug_assert_eq!(self.scratch.rhs.len(), m);
-        self.basis.ftran(&mut self.scratch.rhs);
+        self.basis
+            .ftran(&mut self.scratch.rhs, &mut self.scratch.lu);
         self.xb.copy_from_slice(&self.scratch.rhs);
         self.scratch.rhs.fill(0.0);
     }
@@ -410,7 +411,7 @@ impl<'a> Simplex<'a> {
         for (pos, &col) in self.basic.iter().enumerate() {
             self.scratch.y[pos] = costs[col];
         }
-        self.basis.btran(&mut self.scratch.y);
+        self.basis.btran(&mut self.scratch.y, &mut self.scratch.lu);
         self.sites.record_dense(Site::Price, &self.scratch.y);
         tock(t, &mut self.profile.btran_secs);
         let t = tick(self.timers);
@@ -570,7 +571,7 @@ impl<'a> Simplex<'a> {
             for (r, v) in self.core.a.col(q) {
                 w[r] = v;
             }
-            self.basis.ftran(w);
+            self.basis.ftran(w, &mut self.scratch.lu);
             self.sites.record_dense(site, w);
         }
         tock(t, &mut self.profile.ftran_secs);
@@ -1188,7 +1189,7 @@ impl<'a> Simplex<'a> {
             s.rpat.sort_unstable();
             self.sites.record(Site::Rho, s.rpat.len(), self.core.m);
         } else {
-            self.basis.btran(&mut s.rho);
+            self.basis.btran(&mut s.rho, &mut s.lu);
             self.sites.record_dense(Site::Rho, &s.rho);
         }
         tock(tb, &mut self.profile.btran_secs);
@@ -1569,7 +1570,7 @@ impl<'a> Simplex<'a> {
         for (pos, &col) in self.basic.iter().enumerate() {
             self.scratch.y[pos] = costs[col];
         }
-        self.basis.btran(&mut self.scratch.y);
+        self.basis.btran(&mut self.scratch.y, &mut self.scratch.lu);
         let y = self.scratch.y.clone();
         tock(t, &mut self.profile.btran_secs);
         y
