@@ -7,8 +7,12 @@
 //!
 //! `lint` scans the workspace sources and prints findings; with `--deny` it
 //! exits nonzero on any unsuppressed finding (the CI gate). `certify`
-//! re-solves the g1 golden benchmark rows and verifies each claimed optimum
-//! in exact arithmetic, exiting nonzero on the first rejected certificate.
+//! re-solves the g1 golden benchmark rows and Table 4's graph 3 at N3 L5
+//! on default options and verifies each claimed optimum in exact
+//! arithmetic, exiting nonzero on the first rejected certificate or on a
+//! row solved by another engine than its row count selects (the g1 rows
+//! run Dantzig pricing on the eta file, the 4,690-row graph-3 model devex
+//! on Forrest–Tomlin–Markowitz factors).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,7 +22,7 @@ use tempart_audit::report::findings_to_json;
 use tempart_audit::run_lints;
 use tempart_bench::{date98_device, date98_instance};
 use tempart_core::{IlpModel, ModelConfig, SolveOptions};
-use tempart_lp::MipStatus;
+use tempart_lp::{BasisUpdate, MipStatus, Pricing};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -80,10 +84,27 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The g1 Table-3 rows with proven optima (N partitions, L relaxation,
-/// expected communication cost) — the same pins as
-/// `crates/bench/tests/golden_models.rs`.
-const G1_ROWS: &[(u32, u32, i64)] = &[(3, 1, 13), (2, 2, 5), (2, 3, 0)];
+/// A pricing and basis-update pair.
+type EnginePair = (Pricing, BasisUpdate);
+
+/// The paper-scale engine, and the engine above the size rule's threshold.
+const LEGACY: EnginePair = (Pricing::Dantzig, BasisUpdate::Eta);
+const LARGE: EnginePair = (Pricing::Devex, BasisUpdate::FtMarkowitz);
+
+/// One certified row: paper graph, exploration set (adders, multipliers,
+/// subtracters), N partitions, L relaxation, expected communication cost,
+/// and the engine default options must run it on.
+type CertRow = (usize, (u32, u32, u32), u32, u32, i64, EnginePair);
+
+/// The g1 Table-3 rows with proven optima, below the engine size rule's
+/// threshold, and Table 4's graph 3 at N3 L5, the smallest ten-task model
+/// and above it — the same pins as `crates/bench/tests/golden_models.rs`.
+const ROWS: &[CertRow] = &[
+    (1, (2, 2, 1), 3, 1, 13, LEGACY),
+    (1, (2, 2, 1), 2, 2, 5, LEGACY),
+    (1, (2, 2, 1), 2, 3, 0, LEGACY),
+    (3, (2, 2, 2), 3, 5, 0, LARGE),
+];
 
 fn cmd_certify(args: &[String]) -> ExitCode {
     let mut json = false;
@@ -94,12 +115,12 @@ fn cmd_certify(args: &[String]) -> ExitCode {
         }
     }
     let mut rows_json = Vec::new();
-    for &(n, l, expected_cost) in G1_ROWS {
-        let label = format!("g1 N{n} L{l}");
-        let inst = match date98_instance(1, 2, 2, 1, date98_device()) {
+    for &(g, (a, m, s), n, l, expected_cost, engine) in ROWS {
+        let label = format!("g{g} N{n} L{l}");
+        let inst = match date98_instance(g, a, m, s, date98_device()) {
             Ok(i) => i,
             Err(e) => {
-                eprintln!("audit: certify: building g1 failed: {e}");
+                eprintln!("audit: certify: building g{g} failed: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -121,6 +142,14 @@ fn cmd_certify(args: &[String]) -> ExitCode {
             eprintln!(
                 "audit: certify: {label}: expected a proven optimum, got {}",
                 out.status
+            );
+            return ExitCode::FAILURE;
+        }
+        let ran = out.stats.engine;
+        if (ran.pricing, ran.basis_update) != engine {
+            eprintln!(
+                "audit: certify: {label}: default options ran {ran}, expected {}/{}",
+                engine.0, engine.1
             );
             return ExitCode::FAILURE;
         }
@@ -147,7 +176,9 @@ fn cmd_certify(args: &[String]) -> ExitCode {
         }
         if json {
             rows_json.push(format!(
-                "    {{\"row\": \"{label}\", \"exact_objective\": {}, \"vars\": {}, \"rows\": {}, \"closed_by_rounding\": {}}}",
+                "    {{\"row\": \"{label}\", \"engine\": \"{}/{}\", \"exact_objective\": {}, \"vars\": {}, \"rows\": {}, \"closed_by_rounding\": {}}}",
+                ran.pricing,
+                ran.basis_update,
                 report.exact_objective,
                 report.vars_checked,
                 report.rows_checked,
@@ -155,7 +186,7 @@ fn cmd_certify(args: &[String]) -> ExitCode {
             ));
         } else {
             println!(
-                "audit: certify: {label}: OK — exact objective {}, {} vars, {} rows verified{}",
+                "audit: certify: {label}: OK — {ran}, exact objective {}, {} vars, {} rows verified{}",
                 report.exact_objective,
                 report.vars_checked,
                 report.rows_checked,
@@ -170,10 +201,7 @@ fn cmd_certify(args: &[String]) -> ExitCode {
     if json {
         println!("{{\n  \"certified\": [\n{}\n  ]\n}}", rows_json.join(",\n"));
     } else {
-        println!(
-            "audit: certify: all {} g1 rows verified exactly",
-            G1_ROWS.len()
-        );
+        println!("audit: certify: all {} rows verified exactly", ROWS.len());
     }
     ExitCode::SUCCESS
 }

@@ -24,7 +24,8 @@ use std::process::ExitCode;
 
 use tempart_bench::report::{format_markdown, format_table, or_null, Report};
 use tempart_bench::{
-    date98_device, date98_instance, date98_scaled_instance, run_row, ExperimentRow, RowConfig,
+    date98_device, date98_instance, date98_scaled_instance, paper_engine, run_row, ExperimentRow,
+    RowConfig,
 };
 use tempart_core::{
     CoreError, CutSet, IlpModel, Linearization, ModelConfig, RuleKind, SolveOptions,
@@ -348,6 +349,7 @@ fn simulate(threads: usize) -> bool {
         let config = ModelConfig::tightened(n, l);
         let solve = SolveOptions {
             mip: MipOptions {
+                lp: paper_engine(),
                 time_limit_secs: budget,
                 threads,
                 ..MipOptions::default()
@@ -472,7 +474,7 @@ fn kernel(limit: f64, smoke: bool) -> bool {
             let config = ModelConfig::tightened(n, l);
             let mut cfg = RowConfig::new(g, ams, config, RuleKind::Paper, limit);
             cfg.solve.seed_incumbent = true;
-            cfg.solve.mip.lp.basis_update = basis_update;
+            cfg.solve.mip.lp.basis_update = Some(basis_update);
             cfg.solve.mip.lp.profile = true;
             let row = match run_row(&cfg) {
                 Ok(r) => r,
@@ -482,6 +484,15 @@ fn kernel(limit: f64, smoke: bool) -> bool {
                     continue;
                 }
             };
+            // The tier compares basis updates under the paper's Dantzig
+            // pricing, which setting only the basis update keeps.
+            let engine = row.stats.engine;
+            if (engine.pricing, engine.basis_update) != (Pricing::Dantzig, basis_update) {
+                report.error(format!(
+                    "kernel equivalence {label} {kname}: ran {engine}, not dantzig/{basis_update}"
+                ));
+                eq_pass = false;
+            }
             let proven = row
                 .cost
                 .filter(|_| !row.timed_out && row.feasible == Some(true));
@@ -545,7 +556,7 @@ fn kernel(limit: f64, smoke: bool) -> bool {
     for (kname, basis_update) in KERNELS {
         let config = ModelConfig::tightened(3, 1);
         let mut cfg = RowConfig::new(1, (2, 2, 1), config, RuleKind::FirstIndex, limit);
-        cfg.solve.mip.lp.basis_update = basis_update;
+        cfg.solve.mip.lp.basis_update = Some(basis_update);
         cfg.solve.mip.lp.profile = true;
         let mut best: Option<ExperimentRow> = None;
         for _ in 0..reps {
@@ -700,8 +711,8 @@ fn kernel(limit: f64, smoke: bool) -> bool {
         for (kname, basis_update) in KERNELS {
             let opts = LpOptions {
                 max_iterations: cap,
-                pricing: Pricing::Devex,
-                basis_update,
+                pricing: Some(Pricing::Devex),
+                basis_update: Some(basis_update),
                 ..LpOptions::default()
             };
             let mut best: Option<(f64, usize, Option<f64>)> = None;

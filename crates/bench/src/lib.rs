@@ -23,4 +23,4 @@ pub mod report;
 pub mod runner;
 
 pub use graphs::{date98_device, date98_instance, date98_scaled_instance, paper_graph, GraphSpec};
-pub use runner::{run_row, ExperimentRow, RowConfig};
+pub use runner::{paper_engine, run_row, ExperimentRow, RowConfig};

@@ -5,7 +5,9 @@
 
 use tempart_bench::{date98_device, date98_instance, paper_graph};
 use tempart_core::{IlpModel, ModelConfig, SolveOptions};
-use tempart_lp::{BasisUpdate, Branching, MipStatus, Pricing};
+use tempart_lp::{
+    BasisUpdate, Branching, Engine, EngineSource, MipStatus, Pricing, ENGINE_ROW_THRESHOLD,
+};
 
 #[test]
 fn paper_graph_shapes_are_stable() {
@@ -172,8 +174,8 @@ fn serial_ft_markowitz_node_counts_pinned() {
         let model = IlpModel::build(inst, ModelConfig::tightened(n, l)).unwrap();
         for (pricing, pin) in [Pricing::Dantzig, Pricing::Devex].into_iter().zip(counts) {
             let mut opts = SolveOptions::default();
-            opts.mip.lp.basis_update = BasisUpdate::FtMarkowitz;
-            opts.mip.lp.pricing = pricing;
+            opts.mip.lp.basis_update = Some(BasisUpdate::FtMarkowitz);
+            opts.mip.lp.pricing = Some(pricing);
             let out = model.solve(&opts).unwrap();
             assert_eq!(out.status, status, "N{n} L{l} {pricing} status");
             assert_eq!(
@@ -192,6 +194,62 @@ fn serial_ft_markowitz_node_counts_pinned() {
             );
         }
     }
+}
+
+#[test]
+fn size_rule_engine_counts_pinned_above_threshold() {
+    // Table 4's graph 3 at N3 L5 is the smallest ten-task model (4,690
+    // rows), above the size rule's threshold, so default options run devex
+    // pricing on Forrest–Tomlin–Markowitz factors. The seeded incumbent
+    // (cost 0) meets the root LP bound, so the root is the whole search;
+    // its pivots and refactorizations move only when that engine's
+    // arithmetic does. Solved twice: both runs must agree.
+    let inst = date98_instance(3, 2, 2, 2, date98_device()).unwrap();
+    let model = IlpModel::build(inst, ModelConfig::tightened(3, 5)).unwrap();
+    assert_eq!(model.problem().num_rows(), 4_690);
+    assert!(model.problem().num_rows() > ENGINE_ROW_THRESHOLD);
+    for run in 0..2 {
+        let out = model.solve(&SolveOptions::default()).unwrap();
+        assert_eq!(
+            out.stats.engine,
+            Engine {
+                pricing: Pricing::Devex,
+                basis_update: BasisUpdate::FtMarkowitz,
+                source: EngineSource::SizeRule,
+            },
+            "run {run}: engine"
+        );
+        assert_eq!(out.status, MipStatus::Optimal, "run {run}: status");
+        assert_eq!(
+            (
+                out.stats.nodes,
+                out.stats.lp_iterations,
+                out.stats.simplex.refactors
+            ),
+            (1, 419, 2),
+            "run {run}: nodes, LP iterations, refactorizations"
+        );
+        assert_eq!(
+            out.solution.as_ref().map(|s| s.communication_cost()),
+            Some(0),
+            "run {run}: objective"
+        );
+    }
+    // Graph 1's models sit below the threshold: default options keep the
+    // pinned Dantzig engine on the eta file there.
+    let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
+    let model = IlpModel::build(inst, ModelConfig::tightened(2, 3)).unwrap();
+    assert!(model.problem().num_rows() <= ENGINE_ROW_THRESHOLD);
+    let out = model.solve(&SolveOptions::default()).unwrap();
+    assert_eq!(
+        out.stats.engine,
+        Engine {
+            pricing: Pricing::Dantzig,
+            basis_update: BasisUpdate::Eta,
+            source: EngineSource::SizeRule,
+        },
+        "g1 N2 L3 engine"
+    );
 }
 
 #[test]
@@ -268,7 +326,7 @@ fn devex_search_node_counts_pinned() {
         let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
         let model = IlpModel::build(inst, ModelConfig::tightened(n, l)).unwrap();
         let mut opts = SolveOptions::default();
-        opts.mip.lp.pricing = Pricing::Devex;
+        opts.mip.lp.pricing = Some(Pricing::Devex);
         let out = model.solve(&opts).unwrap();
         assert_eq!(out.status, status, "N{n} L{l} status");
         assert_eq!(out.stats.nodes, nodes, "N{n} L{l} nodes");

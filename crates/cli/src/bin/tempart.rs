@@ -27,7 +27,7 @@
 //! search has no incumbent yet the Figure-2 list-scheduling heuristic
 //! solution is reported instead (`source: heuristic`). `--json` prints a
 //! machine-readable summary (`status`, `gap`, `source`, `objective`,
-//! `nodes`) instead of the human-readable report. The time limit covers the
+//! `nodes`, `engine`) instead of the human-readable report. The time limit covers the
 //! whole command, an automatic latency sweep included; the node limit
 //! applies to each solve of the sweep on its own.
 //!
@@ -45,14 +45,22 @@
 //! `--pricing` selects the simplex pricing rule (`dantzig` is the pinned
 //! legacy engine, `devex` the incremental engine with bound-flipping dual
 //! ratio test, `bland` the anti-cycling rule); every mode proves the same
-//! optimum. `--stats` enables the solver profiling layer and prints a
-//! per-phase simplex time/count breakdown after the solve.
+//! optimum. `--stats` enables the solver profiling layer and prints the
+//! engine that ran and a per-phase simplex time/count breakdown after the
+//! solve.
 //!
 //! `--basis-update` selects the simplex basis-maintenance kernel: `eta` is
 //! the pinned legacy product-form eta file, refactorized on a fixed
 //! interval; `ft-markowitz` applies Forrest–Tomlin updates to the `U`
 //! factor of a Markowitz-ordered factorization and refactorizes on fill-in
 //! growth or a failed stability test. Both prove the same optimum.
+//!
+//! With neither flag the model's size picks the engine: `devex` on
+//! `ft-markowitz` above 4,096 constraint rows (the ten-task models), and
+//! `dantzig` on `eta` at or below it (every paper-scale model, so their
+//! pinned node counts hold). With one flag, the other keeps its legacy
+//! default (`dantzig` or `eta`). `--stats` and `--json` report the engine
+//! and whether the size rule or a flag chose it.
 //!
 //! `--scale K` replicates the specification's task graph `K` times,
 //! chaining each copy's sink tasks to the next copy's sources
@@ -222,11 +230,12 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--threads takes a worker count (0 = all CPUs)")?
             }
             "--pricing" => {
-                mip.lp.pricing = it
-                    .next()
-                    .as_deref()
-                    .and_then(Pricing::parse)
-                    .ok_or("--pricing takes dantzig, devex, or bland")?
+                mip.lp.pricing = Some(
+                    it.next()
+                        .as_deref()
+                        .and_then(Pricing::parse)
+                        .ok_or("--pricing takes dantzig, devex, or bland")?,
+                )
             }
             "--stats" => mip.lp.profile = true,
             "--certify" => args.certify = true,
@@ -240,11 +249,12 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--branching takes rule or pseudocost")?
             }
             "--basis-update" => {
-                mip.lp.basis_update = it
-                    .next()
-                    .as_deref()
-                    .and_then(BasisUpdate::parse)
-                    .ok_or("--basis-update takes eta or ft-markowitz")?
+                mip.lp.basis_update = Some(
+                    it.next()
+                        .as_deref()
+                        .and_then(BasisUpdate::parse)
+                        .ok_or("--basis-update takes eta or ft-markowitz")?,
+                )
             }
             "--scale" => {
                 args.scale = it
@@ -300,13 +310,18 @@ fn json_summary(
             s.strong_branch_solves,
         )
     };
+    let engine = &stats.engine;
     format!(
-        "{{\"status\":\"{}\",\"gap\":{},\"source\":\"{}\",\"objective\":{},\"nodes\":{}{}}}",
+        "{{\"status\":\"{}\",\"gap\":{},\"source\":\"{}\",\"objective\":{},\"nodes\":{},\
+         \"engine\":{{\"pricing\":\"{}\",\"basis_update\":\"{}\",\"chosen_by\":\"{}\"}}{}}}",
         status.as_str(),
         gap,
         source.as_str(),
         objective,
         stats.nodes,
+        engine.pricing,
+        engine.basis_update,
+        engine.source.as_str(),
         scale
     )
 }
@@ -542,6 +557,7 @@ fn run() -> Result<(), Failure> {
                         );
                     }
                     if args.mip.lp.profile {
+                        println!("engine: {}", out.stats.engine);
                         println!("{}", out.stats.simplex.report());
                         if !out.stats.scale.is_empty() {
                             println!("{}", out.stats.scale.report());
@@ -609,6 +625,7 @@ fn run() -> Result<(), Failure> {
                         );
                     }
                     if args.mip.lp.profile {
+                        println!("engine: {}", result.mip_stats().engine);
                         println!("{}", result.mip_stats().simplex.report());
                         if !result.mip_stats().scale.is_empty() {
                             println!("{}", result.mip_stats().scale.report());
@@ -678,6 +695,10 @@ fn main() -> ExitCode {
         Err(Failure::Usage(e)) => {
             eprintln!("error: {e}");
             eprintln!("usage: tempart <solve|estimate|simulate|dot|export|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--pricing dantzig|devex|bland] [--basis-update eta|ft-markowitz] [--cuts] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--format lp|mps] [--stats] [--certify] [--json]");
+            eprintln!(
+                "engine: with neither --pricing nor --basis-update, devex/ft-markowitz above {} rows, dantzig/eta otherwise",
+                tempart_lp::ENGINE_ROW_THRESHOLD
+            );
             ExitCode::FAILURE
         }
     }

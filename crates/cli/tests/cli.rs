@@ -96,6 +96,47 @@ fn solve_json_summary_via_binary() {
 }
 
 #[test]
+fn json_and_stats_name_the_engine_and_who_chose_it() {
+    let spec = example_spec_path();
+    let run = |extra: &[&str]| {
+        let out = tempart()
+            .arg("solve")
+            .arg(&spec)
+            .args(["--partitions", "2", "--latency", "1"])
+            .args(extra)
+            .output()
+            .expect("run solve");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    // The example's 161 rows are below the threshold: the size rule keeps
+    // the legacy engine.
+    let line = run(&["--json"]);
+    assert!(
+        line.contains(
+            "\"engine\":{\"pricing\":\"dantzig\",\"basis_update\":\"eta\",\"chosen_by\":\"size-rule\"}"
+        ),
+        "{line}"
+    );
+    let line = run(&["--pricing", "devex", "--json"]);
+    assert!(
+        line.contains(
+            "\"engine\":{\"pricing\":\"devex\",\"basis_update\":\"eta\",\"chosen_by\":\"caller\"}"
+        ),
+        "{line}"
+    );
+    let stdout = run(&["--basis-update", "ft-markowitz", "--stats"]);
+    assert!(
+        stdout.contains("engine: dantzig/ft-markowitz (chosen by caller)"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn solve_faulted_expired_limit_still_reports_answer() {
     // A fault plan plus an already-expired deadline: the anytime contract
     // must still exit 0 with a feasible answer and a reported source.

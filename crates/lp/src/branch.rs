@@ -10,7 +10,7 @@ use std::sync::Arc;
 use crate::cuts;
 use crate::faults::Budget;
 use crate::internal::CoreLp;
-use crate::options::MipOptions;
+use crate::options::{Engine, MipOptions};
 use crate::problem::{LpError, Problem, VarId, VarKind};
 use crate::profile::{ContentionProfile, ScaleProfile, SimplexProfile};
 use crate::status::MipStatus;
@@ -193,6 +193,10 @@ pub struct MipStats {
     /// pseudo-cost branching); all zero with the features off. See
     /// [`ScaleProfile`].
     pub scale: ScaleProfile,
+    /// The simplex engine of the search's node LPs, and whether the caller
+    /// or the size rule chose it (see
+    /// [`LpOptions::engine`](crate::LpOptions::engine)).
+    pub engine: Engine,
 }
 
 /// Result of a branch-and-bound solve.

@@ -76,7 +76,10 @@ pub use cuts::{
 };
 pub use faults::{Budget, BudgetExceeded, FaultPlan, FaultSite};
 pub use mps::write_mps;
-pub use options::{BasisUpdate, Branching, LpOptions, MipOptions, Pricing};
+pub use options::{
+    BasisUpdate, Branching, Engine, EngineSource, LpOptions, MipOptions, Pricing,
+    ENGINE_ROW_THRESHOLD,
+};
 pub use problem::{LpError, Problem, RowId, RowView, Sense, VarId, VarKind};
 pub use profile::{ContentionProfile, ScaleProfile, SimplexProfile};
 pub use progress::Progress;

@@ -8,12 +8,13 @@
 //! refactorization is cheap.
 //!
 //! The factors are flat: `L` and `U` are each one entry array split into
-//! columns by one `start` offset array, and the transposed adjacencies the
-//! hypersparse solves walk (the `Lᵀ` dependants, and the row-wise `U` of
-//! the eta file) are built from them by counting sort. The elimination
-//! appends each column to those arrays and queues earlier pivots on the
-//! same bitmap worklist as the solves ([`sweep_up`]), so it allocates
-//! nothing per column.
+//! columns by one `start` offset array. The transposed adjacencies only the
+//! hypersparse transposed solves walk (the `Lᵀ` dependants, and the
+//! row-wise `U` of the eta file) are built from them by counting sort on
+//! the first such solve ([`Rows`]), so a factorization whose solves all
+//! run densely never builds them. The elimination appends each column to
+//! the flat arrays and queues earlier pivots on the same bitmap worklist
+//! as the solves ([`sweep_up`]), so it allocates nothing per column.
 //!
 //! The frozen `L` ([`LFactor`]) and its four solves — forward and
 //! transposed, dense and pattern-tracked — serve both representations, and
@@ -22,15 +23,17 @@
 //! `z` as their pivot-space vector and leave it zeroed.
 //!
 //! [`BasisRepr`] is what a solve maintains between factorizations, chosen by
-//! [`LpOptions::basis_update`]: the product-form eta file ([`Eta`]) over
+//! the solve's [`Engine`](crate::Engine): the product-form eta file ([`Eta`]) over
 //! partial-pivoting factors, or Forrest–Tomlin updates
 //! ([`FtFactors`]) of Markowitz-ordered ones. Each representation carries
 //! its own refactorization trigger ([`BasisRepr::refactor_due`]); the
 //! simplex calls its methods and never names a variant.
 #![allow(clippy::needless_range_loop)] // dense kernels index several arrays in lockstep
 
+use std::cell::OnceCell;
+
 use crate::ft::FtFactors;
-use crate::options::{BasisUpdate, LpOptions};
+use crate::options::BasisUpdate;
 use crate::sparse::CscMatrix;
 use crate::tol::{is_nonzero, is_zero};
 use crate::LpError;
@@ -69,12 +72,25 @@ pub(crate) struct LFactor {
     cols: Vec<(usize, f64)>,
     /// Column `j` of `L` is `cols[col_start[j]..col_start[j + 1]]`.
     col_start: Vec<usize>,
-    /// Reverse adjacency of `Lᵀ`: pivot `k` → pivots `j < k` whose `L`
-    /// column touches a row pivoted at `k` (see [`deps`](Self::deps)),
-    /// ascending. Drives the hypersparse `Lᵀ` solve.
-    deps: Vec<usize>,
-    /// The dependants of pivot `k` are `deps[dep_start[k]..dep_start[k + 1]]`.
-    dep_start: Vec<usize>,
+    /// Reverse adjacency of `Lᵀ`: row `k` lists the pivots `j < k` whose
+    /// `L` column touches a row pivoted at `k`, ascending (see
+    /// [`deps`](Self::deps)). Drives the hypersparse `Lᵀ` solve, which
+    /// builds it on first use.
+    deps: OnceCell<Rows<usize>>,
+}
+
+/// Flat rows of a transposed adjacency: row `k` is
+/// `entries[start[k]..start[k + 1]]`.
+#[derive(Debug, Clone)]
+struct Rows<T> {
+    start: Vec<usize>,
+    entries: Vec<T>,
+}
+
+impl<T> Rows<T> {
+    fn row(&self, k: usize) -> &[T] {
+        &self.entries[self.start[k]..self.start[k + 1]]
+    }
 }
 
 impl LFactor {
@@ -88,9 +104,15 @@ impl LFactor {
         &self.cols[self.col_start[j]..self.col_start[j + 1]]
     }
 
-    /// The pivots `j < k` whose `L` column touches the row pivoted at `k`.
-    fn deps(&self, k: usize) -> &[usize] {
-        &self.deps[self.dep_start[k]..self.dep_start[k + 1]]
+    /// The `Lᵀ` dependants, row `k` holding the pivots `j < k` whose `L`
+    /// column touches the row pivoted at `k`; built on the first call.
+    fn deps(&self) -> &Rows<usize> {
+        self.deps.get_or_init(|| {
+            let pivot_pos = &self.pivot_pos;
+            transpose(pivot_pos.len(), &self.col_start, &self.cols, |j, (r, _)| {
+                (pivot_pos[r], j)
+            })
+        })
     }
 
     /// Forward solve: on entry `buf` holds `b` (by original row); writes
@@ -160,8 +182,8 @@ impl LFactor {
     /// Pattern-tracked [`btran`](Self::btran) of the pivots queued in
     /// `bits`, whose values are in `z` (zero elsewhere), into the all-zero
     /// `buf`: `v_j` depends on `v_k` for pivots `k > j` whose row appears
-    /// in column `j` of `L`, and a nonzero `v_j` queues the pivots in
-    /// [`deps(j)`](Self::deps). Values stay live until every dependant is
+    /// in column `j` of `L`, and a nonzero `v_j` queues the pivots in row
+    /// `j` of [`deps`](Self::deps). Values stay live until every dependant is
     /// done, so the scatter clears `z` afterwards. On exit `pattern` lists
     /// the nonzero rows of `buf` (unsorted).
     pub(crate) fn btran_sparse(
@@ -172,6 +194,7 @@ impl LFactor {
         z: &mut [f64],
         pops: &mut Vec<usize>,
     ) {
+        let deps = self.deps();
         pops.clear();
         sweep_down(bits, |j, bits| {
             let mut s = z[j];
@@ -181,7 +204,7 @@ impl LFactor {
             z[j] = s;
             pops.push(j);
             if is_nonzero(s) {
-                for &k in self.deps(j) {
+                for &k in deps.row(j) {
                     mark(bits, k);
                 }
             }
@@ -218,15 +241,12 @@ pub(crate) struct LuFactors {
     u_col_start: Vec<usize>,
     /// Diagonal of `U`.
     pub(crate) u_diag: Vec<f64>,
-    /// Row-wise copy of `U` in one array: row `k` (see
-    /// [`u_row`](Self::u_row)) holds `(column j > k, u_kj)`, columns
-    /// ascending. Drives the eta file's hypersparse `Uᵀ` solve, which
-    /// pushes each nonzero `z_k` along its row; built under
-    /// [`PivotRule::Partial`] only (Forrest–Tomlin keeps live rows of its
-    /// own).
-    u_rows: Vec<(usize, f64)>,
-    /// Row `k` of `U` is `u_rows[u_row_start[k]..u_row_start[k + 1]]`.
-    u_row_start: Vec<usize>,
+    /// Row-wise copy of `U`: row `k` (see [`u_rows`](Self::u_rows)) holds
+    /// `(column j > k, u_kj)`, columns ascending. Drives the eta file's
+    /// hypersparse `Uᵀ` solve, which pushes each nonzero `z_k` along its
+    /// row and builds the copy on first use (Forrest–Tomlin keeps live rows
+    /// of its own).
+    u_rows: OnceCell<Rows<(usize, f64)>>,
 }
 
 /// Reusable workspace for the hypersparse (pattern-tracked) triangular
@@ -289,13 +309,13 @@ pub(crate) fn sweep_down(bits: &mut [u64], mut visit: impl FnMut(usize, &mut [u6
 /// Counting-sort transpose of flat columns (`entries`, split by `start`)
 /// into `n` flat rows: `place(j, e)` names the row of entry `e` of column
 /// `j` and what the row stores for it. Each row lists its entries in
-/// ascending column order. Returns the row offsets and the row entries.
+/// ascending column order.
 fn transpose<T: Copy + Default>(
     n: usize,
     start: &[usize],
     entries: &[(usize, f64)],
     place: impl Fn(usize, (usize, f64)) -> (usize, T),
-) -> (Vec<usize>, Vec<T>) {
+) -> Rows<T> {
     let mut row_start = vec![0usize; n + 1];
     for j in 0..start.len() - 1 {
         for &e in &entries[start[j]..start[j + 1]] {
@@ -314,7 +334,10 @@ fn transpose<T: Copy + Default>(
             fill[k] += 1;
         }
     }
-    (row_start, rows)
+    Rows {
+        start: row_start,
+        entries: rows,
+    }
 }
 
 impl LuScratch {
@@ -494,28 +517,19 @@ impl LuFactors {
             u_col_start.push(u_cols.len());
             u_diag.push(piv);
         }
-        // Adjacency for the hypersparse solves: the pivots whose `L` column
-        // touches each pivot's row, and, for the eta file, `U` by rows.
-        let (dep_start, deps) = transpose(m, &l_col_start, &l_cols, |j, (r, _)| (pivot_pos[r], j));
-        let (u_row_start, u_rows) = match rule {
-            PivotRule::Partial => transpose(m, &u_col_start, &u_cols, |j, (k, u)| (k, (j, u))),
-            PivotRule::Markowitz => (Vec::new(), Vec::new()),
-        };
         Ok(Self {
             l: LFactor {
                 pivot_row,
                 pivot_pos,
                 cols: l_cols,
                 col_start: l_col_start,
-                deps,
-                dep_start,
+                deps: OnceCell::new(),
             },
             cols,
             u_cols,
             u_col_start,
             u_diag,
-            u_rows,
-            u_row_start,
+            u_rows: OnceCell::new(),
         })
     }
 
@@ -525,10 +539,18 @@ impl LuFactors {
         &self.u_cols[self.u_col_start[j]..self.u_col_start[j + 1]]
     }
 
-    /// Row `k` of `U` above the diagonal: `(column j > k, u_kj)`, columns
-    /// ascending. Built under [`PivotRule::Partial`] only.
-    fn u_row(&self, k: usize) -> &[(usize, f64)] {
-        &self.u_rows[self.u_row_start[k]..self.u_row_start[k + 1]]
+    /// `U` by rows above the diagonal, row `k` holding `(column j > k,
+    /// u_kj)` with columns ascending; built on the first call. Read under
+    /// [`PivotRule::Partial`] only, where pivot `j` is basis position `j`.
+    fn u_rows(&self) -> &Rows<(usize, f64)> {
+        self.u_rows.get_or_init(|| {
+            transpose(
+                self.u_diag.len(),
+                &self.u_col_start,
+                &self.u_cols,
+                |j, (k, u)| (k, (j, u)),
+            )
+        })
     }
 
     /// Solves `B w = b` in place: on entry `buf` holds `b` (indexed by
@@ -635,6 +657,7 @@ impl LuFactors {
         // Each nonzero z_k is pushed along row k of U into `buf`, so every
         // c_j loses its nonzero terms in ascending k — the order the dense
         // column loop subtracts them in — without visiting the zero ones.
+        let u_rows = self.u_rows();
         for &j in pattern.iter() {
             mark(bits, j);
         }
@@ -645,7 +668,7 @@ impl LuFactors {
             if is_nonzero(zj) {
                 z[j] = zj;
                 stage.push(j);
-                for &(j2, u) in self.u_row(j) {
+                for &(j2, u) in u_rows.row(j) {
                     buf[j2] -= u * zj;
                     mark(bits, j2);
                 }
@@ -703,12 +726,12 @@ impl Eta {
 const DYNAMIC_FILL_LIMIT: f64 = 2.0;
 
 /// Dynamic (Forrest–Tomlin) refactorization: hard cap on recorded updates,
-/// as a multiple of [`LpOptions::refactor_every`], so slowly-filling
+/// as a multiple of [`LpOptions::refactor_every`](crate::LpOptions::refactor_every), so slowly-filling
 /// factorizations still retire before roundoff accumulates.
 const DYNAMIC_UPDATE_CAP: usize = 4;
 
-/// The maintained representation of the basis inverse, selected by
-/// [`LpOptions::basis_update`].
+/// The maintained representation of the basis inverse, selected by the
+/// solve's [`Engine::basis_update`](crate::Engine::basis_update).
 ///
 /// The `Eta` variant is the legacy product-form scheme whose pivot
 /// sequence the golden tests pin. The `Ft` variant applies Forrest–Tomlin
@@ -724,7 +747,7 @@ pub(crate) enum BasisRepr {
 
 impl BasisRepr {
     /// Factorizes the basis columns `basic` of `a` into the representation
-    /// `opts` configures.
+    /// `kind` names, accepting pivots larger than `pivot_tol`.
     ///
     /// # Errors
     ///
@@ -733,17 +756,18 @@ impl BasisRepr {
     pub(crate) fn factorize(
         a: &CscMatrix,
         basic: &[usize],
-        opts: &LpOptions,
+        pivot_tol: f64,
+        kind: BasisUpdate,
     ) -> Result<Self, LpError> {
-        Ok(match opts.basis_update {
+        Ok(match kind {
             BasisUpdate::Eta => BasisRepr::Eta {
-                lu: LuFactors::factorize(a, basic, opts.pivot_tol, PivotRule::Partial)?,
+                lu: LuFactors::factorize(a, basic, pivot_tol, PivotRule::Partial)?,
                 etas: Vec::new(),
             },
             BasisUpdate::FtMarkowitz => BasisRepr::Ft(FtFactors::new(LuFactors::factorize(
                 a,
                 basic,
-                opts.pivot_tol,
+                pivot_tol,
                 PivotRule::Markowitz,
             )?)),
         })
@@ -1231,6 +1255,31 @@ pub(crate) mod tests {
         }
     }
 
+    /// A factorization leaves the transposed adjacencies unbuilt, and so
+    /// do the dense solves and the hypersparse forward solve; the first
+    /// hypersparse transposed solve builds both.
+    #[test]
+    fn transposes_wait_for_the_first_hypersparse_transposed_solve() {
+        let m = 90;
+        let a = random_sparse_basis(m, 17);
+        let basis: Vec<usize> = (0..m).collect();
+        let lu = LuFactors::factorize(&a, &basis, 1e-10, PivotRule::Partial).unwrap();
+        let built = |lu: &LuFactors| (lu.l.deps.get().is_some(), lu.u_rows.get().is_some());
+        assert_eq!(built(&lu), (false, false), "after factorize");
+        let mut lsc = LuScratch::default();
+        let unit = |i: usize| {
+            let mut buf = vec![0.0; m];
+            buf[i] = 1.0;
+            buf
+        };
+        lu.ftran(&mut unit(3), &mut lsc);
+        lu.btran(&mut unit(3), &mut lsc);
+        lu.ftran_sparse(&mut unit(3), &mut vec![3], &mut lsc);
+        assert_eq!(built(&lu), (false, false), "after dense and forward solves");
+        lu.btran_sparse(&mut unit(5), &mut vec![5], &mut lsc);
+        assert_eq!(built(&lu), (true, true), "after a transposed sparse solve");
+    }
+
     /// The factors of a textbook dense left-looking elimination of the
     /// basis columns `basis` of `a` under `rule`.
     struct DenseFactors {
@@ -1389,7 +1438,7 @@ pub(crate) mod tests {
                     let deps: Vec<usize> = (0..k)
                         .filter(|&j| lu.l.col(j).iter().any(|&(r, _)| r == lu.l.pivot_row[k]))
                         .collect();
-                    assert_eq!(lu.l.deps(k), deps, "{ctx}: Lᵀ dependants of {k}");
+                    assert_eq!(lu.l.deps().row(k), deps, "{ctx}: Lᵀ dependants of {k}");
                     if rule == PivotRule::Partial {
                         let row: Vec<(usize, f64)> = (k + 1..m)
                             .flat_map(|j| {
@@ -1399,7 +1448,7 @@ pub(crate) mod tests {
                                     .map(move |e| (j, e.1))
                             })
                             .collect();
-                        assert_eq!(bits(lu.u_row(k)), bits(&row), "{ctx}: U row {k}");
+                        assert_eq!(bits(lu.u_rows().row(k)), bits(&row), "{ctx}: U row {k}");
                     }
                 }
             }
@@ -1428,11 +1477,8 @@ pub(crate) mod tests {
         }
         let a = CscMatrix::from_triplets(m, 2 * m, trips);
         let basis: Vec<usize> = (0..m).collect();
-        let opts = LpOptions {
-            pivot_tol: 1e-9,
-            ..LpOptions::default()
-        };
-        let mut repr = BasisRepr::factorize(&a, &basis, &opts).unwrap();
+        let pivot_tol = 1e-9;
+        let mut repr = BasisRepr::factorize(&a, &basis, pivot_tol, BasisUpdate::Eta).unwrap();
         let mut lsc = LuScratch::default();
         for q in m..m + pivots {
             let mut w = vec![0.0; m];
@@ -1442,7 +1488,7 @@ pub(crate) mod tests {
                 .max_by(|&i, &k| w[i].abs().total_cmp(&w[k].abs()))
                 .unwrap();
             if w[r].abs() > 1e-6 {
-                assert!(repr.update(r, &w, None, opts.pivot_tol));
+                assert!(repr.update(r, &w, None, pivot_tol));
             }
         }
         assert!(repr.updates_len() * 2 > pivots, "too few etas");

@@ -6,20 +6,27 @@ use crate::faults::{Budget, FaultPlan};
 use crate::progress::Progress;
 
 /// Entering-variable pricing strategy for the simplex.
+///
+/// A caller that sets neither [`LpOptions::pricing`] nor
+/// [`LpOptions::basis_update`] gets the engine [`LpOptions::engine`] picks
+/// from the LP's size; one that sets only the basis update gets the
+/// [`Default`] pricing, Dantzig.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Pricing {
     /// Classic Dantzig pricing (most-violated reduced cost), recomputing
     /// reduced costs from scratch each iteration. This is the *legacy
-    /// engine*: its pivot sequence is pinned by golden node-count tests, so
-    /// it is the default and the reference for reproducibility. Its kernels
-    /// switch to hypersparse (pattern-tracked) solves while their vectors
-    /// are sparse, with the dense loops' arithmetic, so the pivots do not
-    /// depend on which kernel ran (DESIGN.md §5b).
+    /// engine*, the paper-scale default: its pivot sequence is pinned by
+    /// golden node-count tests, so it is the reference for
+    /// reproducibility. Its kernels switch to hypersparse (pattern-tracked)
+    /// solves while their vectors are sparse, with the dense loops'
+    /// arithmetic, so the pivots do not depend on which kernel ran
+    /// (DESIGN.md §5b).
     #[default]
     Dantzig,
     /// Devex pricing (Forrest–Goldfarb reference-framework weights) with
     /// incrementally maintained reduced costs and the bound-flipping dual
-    /// ratio test. The fast engine; proves the same optima as Dantzig but
+    /// ratio test. The fast engine, and the default above
+    /// [`ENGINE_ROW_THRESHOLD`] rows; proves the same optima as Dantzig but
     /// with its own pivot sequence.
     Devex,
     /// Bland's smallest-index rule on the incremental engine. Slow but
@@ -56,13 +63,17 @@ impl std::fmt::Display for Pricing {
 
 /// Basis-maintenance strategy between refactorizations. Each
 /// representation carries its own refactorization trigger (DESIGN.md §5h).
+///
+/// A caller that sets only [`LpOptions::pricing`] gets the [`Default`]
+/// basis update, the eta file; one that sets neither gets the engine
+/// [`LpOptions::engine`] picks from the LP's size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BasisUpdate {
     /// Product-form eta file: every pivot appends an eta matrix that FTRAN/
     /// BTRAN apply on top of the last LU factorization, and the basis is
     /// refactorized after every [`LpOptions::refactor_every`] updates. This
-    /// is the *legacy engine* — its arithmetic is part of the pinned golden
-    /// pivot sequence, so it is the default.
+    /// is the *legacy engine*, the paper-scale default — its arithmetic is
+    /// part of the pinned golden pivot sequence.
     #[default]
     Eta,
     /// Forrest–Tomlin updates over a Markowitz-ordered factorization: each
@@ -72,7 +83,8 @@ pub enum BasisUpdate {
     /// order (fill-in × stability) keeps that fill small. The basis is
     /// refactorized when the measured fill doubles, when an update fails
     /// the stability test, or after `4 ×` [`LpOptions::refactor_every`]
-    /// updates. Same optima, different float rounding, hence opt-in.
+    /// updates. Same optima, different float rounding; the default above
+    /// [`ENGINE_ROW_THRESHOLD`] rows.
     FtMarkowitz,
 }
 
@@ -98,6 +110,63 @@ impl BasisUpdate {
 impl std::fmt::Display for BasisUpdate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// Row count above which an LP whose caller names no engine runs devex
+/// pricing on Forrest–Tomlin–Markowitz factors (see [`LpOptions::engine`]).
+///
+/// It sits in the measured gap between the paper-scale LPs and the ten-task
+/// models: the largest paper-scale LP has 1,251 rows (every graph-1 model
+/// and every five-task specification of the benchmark is at or below it),
+/// and the smallest ten-task model of the paper's Table 4 (graph 3 at
+/// `N = 3`, `L = 5`) has 4,690.
+pub const ENGINE_ROW_THRESHOLD: usize = 4_096;
+
+/// Who chose the engine of a solve (see [`Engine`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum EngineSource {
+    /// The caller set [`LpOptions::pricing`] or [`LpOptions::basis_update`].
+    #[default]
+    Caller,
+    /// The caller set neither, and the LP's row count chose
+    /// (see [`ENGINE_ROW_THRESHOLD`]).
+    SizeRule,
+}
+
+impl EngineSource {
+    /// Stable lower-case name (JSON reports).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            EngineSource::Caller => "caller",
+            EngineSource::SizeRule => "size-rule",
+        }
+    }
+}
+
+/// The simplex engine a solve runs: its pricing, its basis update, and who
+/// chose them. Resolved once per LP solve by [`LpOptions::engine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Engine {
+    /// Entering-variable pricing.
+    pub pricing: Pricing,
+    /// Basis maintenance between refactorizations.
+    pub basis_update: BasisUpdate,
+    /// Whether the caller or the size rule chose the pair.
+    pub source: EngineSource,
+}
+
+impl std::fmt::Display for Engine {
+    /// `pricing/basis-update (chosen by …)`, e.g.
+    /// `devex/ft-markowitz (chosen by size-rule)`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}/{} (chosen by {})",
+            self.pricing,
+            self.basis_update,
+            self.source.as_str()
+        )
     }
 }
 
@@ -159,13 +228,16 @@ pub struct LpOptions {
     /// (see [`BasisUpdate`]). The numerical retry ladder lowers it.
     pub refactor_every: usize,
     /// Basis-maintenance strategy between refactorizations (see
-    /// [`BasisUpdate`]). The default eta file is the pinned legacy engine.
-    pub basis_update: BasisUpdate,
+    /// [`BasisUpdate`]). `None` (the default) leaves it, with
+    /// [`pricing`](Self::pricing), to [`engine`](Self::engine).
+    pub basis_update: Option<BasisUpdate>,
     /// Iteration cap for a *warm-started dual* solve; a degenerate dual that
     /// exceeds it is abandoned in favour of a cold primal solve.
     pub dual_iteration_cap: usize,
-    /// Entering-variable pricing strategy (see [`Pricing`]).
-    pub pricing: Pricing,
+    /// Entering-variable pricing strategy (see [`Pricing`]). `None` (the
+    /// default) leaves it, with [`basis_update`](Self::basis_update), to
+    /// [`engine`](Self::engine).
+    pub pricing: Option<Pricing>,
     /// Collect per-phase wall-clock timers (pricing/ftran/btran/ratio-test/
     /// refactor) into the [`SimplexProfile`](crate::SimplexProfile). Counters
     /// (iterations, bound flips, devex resets, refactorizations) are always
@@ -194,12 +266,57 @@ impl Default for LpOptions {
             pivot_tol: 1e-8,
             max_iterations: 200_000,
             refactor_every: 64,
-            basis_update: BasisUpdate::Eta,
+            basis_update: None,
             dual_iteration_cap: 2_000,
-            pricing: Pricing::Dantzig,
+            pricing: None,
             profile: false,
             faults: None,
             budget: None,
+        }
+    }
+}
+
+impl LpOptions {
+    /// The engine a solve of an LP with `rows` constraint rows runs.
+    ///
+    /// A caller that sets [`pricing`](Self::pricing) or
+    /// [`basis_update`](Self::basis_update) gets what it set, with the
+    /// [`Default`] of the field it left unset (Dantzig, the eta file). A
+    /// caller that sets neither gets the size rule: above
+    /// [`ENGINE_ROW_THRESHOLD`] rows devex pricing on Forrest–Tomlin–
+    /// Markowitz factors, at or below it the pinned Dantzig engine on the
+    /// eta file.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tempart_lp::{BasisUpdate, EngineSource, LpOptions, Pricing, ENGINE_ROW_THRESHOLD};
+    ///
+    /// let large = LpOptions::default().engine(ENGINE_ROW_THRESHOLD + 1);
+    /// assert_eq!(large.pricing, Pricing::Devex);
+    /// assert_eq!(large.basis_update, BasisUpdate::FtMarkowitz);
+    /// assert_eq!(large.source, EngineSource::SizeRule);
+    ///
+    /// let set = LpOptions { basis_update: Some(BasisUpdate::Eta), ..LpOptions::default() };
+    /// assert_eq!(set.engine(ENGINE_ROW_THRESHOLD + 1).pricing, Pricing::Dantzig);
+    /// ```
+    pub fn engine(&self, rows: usize) -> Engine {
+        match (self.pricing, self.basis_update) {
+            (None, None) if rows > ENGINE_ROW_THRESHOLD => Engine {
+                pricing: Pricing::Devex,
+                basis_update: BasisUpdate::FtMarkowitz,
+                source: EngineSource::SizeRule,
+            },
+            (None, None) => Engine {
+                pricing: Pricing::Dantzig,
+                basis_update: BasisUpdate::Eta,
+                source: EngineSource::SizeRule,
+            },
+            (pricing, basis_update) => Engine {
+                pricing: pricing.unwrap_or_default(),
+                basis_update: basis_update.unwrap_or_default(),
+                source: EngineSource::Caller,
+            },
         }
     }
 }
@@ -288,11 +405,16 @@ mod tests {
         let lp = LpOptions::default();
         assert!(lp.feas_tol > 0.0 && lp.feas_tol < 1e-4);
         assert!(lp.refactor_every >= 8);
-        assert_eq!(lp.pricing, Pricing::Dantzig, "legacy engine by default");
         assert_eq!(
-            lp.basis_update,
-            BasisUpdate::Eta,
-            "legacy eta file by default — the pins depend on it"
+            (lp.pricing, lp.basis_update),
+            (None, None),
+            "the engine is left to the size rule by default"
+        );
+        let paper = lp.engine(ENGINE_ROW_THRESHOLD);
+        assert_eq!(
+            (paper.pricing, paper.basis_update),
+            (Pricing::Dantzig, BasisUpdate::Eta),
+            "legacy engine at paper scale — the pins depend on it"
         );
         assert!(!lp.profile, "timers are opt-in");
         let mip = MipOptions::default();
@@ -309,6 +431,54 @@ mod tests {
         assert!(
             lp.faults.is_none() && lp.budget.is_none() && mip.progress.is_none(),
             "inert by default"
+        );
+    }
+
+    #[test]
+    fn engine_rule_splits_at_the_threshold_and_honours_explicit_settings() {
+        let legacy = (Pricing::Dantzig, BasisUpdate::Eta);
+        let fast = (Pricing::Devex, BasisUpdate::FtMarkowitz);
+        let pair = |e: Engine| (e.pricing, e.basis_update);
+        let below = ENGINE_ROW_THRESHOLD - 1;
+        let at = ENGINE_ROW_THRESHOLD;
+        let above = ENGINE_ROW_THRESHOLD + 1;
+        let unset = LpOptions::default();
+        for (rows, want) in [(0, legacy), (below, legacy), (at, legacy), (above, fast)] {
+            let e = unset.engine(rows);
+            assert_eq!(pair(e), want, "unset, {rows} rows");
+            assert_eq!(e.source, EngineSource::SizeRule, "unset, {rows} rows");
+        }
+        // Each explicit setting keeps its meaning on both sides; the field
+        // left unset takes its legacy default.
+        for pricing in [
+            None,
+            Some(Pricing::Dantzig),
+            Some(Pricing::Devex),
+            Some(Pricing::Bland),
+        ] {
+            for basis_update in [None, Some(BasisUpdate::Eta), Some(BasisUpdate::FtMarkowitz)] {
+                if pricing.is_none() && basis_update.is_none() {
+                    continue;
+                }
+                let opts = LpOptions {
+                    pricing,
+                    basis_update,
+                    ..LpOptions::default()
+                };
+                let want = (
+                    pricing.unwrap_or(Pricing::Dantzig),
+                    basis_update.unwrap_or(BasisUpdate::Eta),
+                );
+                for rows in [below, at, above] {
+                    let e = opts.engine(rows);
+                    assert_eq!(pair(e), want, "{pricing:?}/{basis_update:?}, {rows} rows");
+                    assert_eq!(e.source, EngineSource::Caller);
+                }
+            }
+        }
+        assert_eq!(
+            unset.engine(above).to_string(),
+            "devex/ft-markowitz (chosen by size-rule)"
         );
     }
 

@@ -381,6 +381,7 @@ pub(crate) fn solve_parallel(
         seconds: start.elapsed().as_secs_f64(),
         incumbent_updates: seeded_updates,
         per_worker_nodes: worker_stats.iter().map(|w| w.nodes).collect(),
+        engine: opts.lp.engine(core.m),
         ..MipStats::default()
     };
     for w in &worker_stats {

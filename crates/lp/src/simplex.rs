@@ -1,11 +1,16 @@
 //! Bounded-variable revised simplex: primal (two-phase, artificial cold
 //! start) and dual (warm restarts after bound changes in branch-and-bound).
 //!
+//! Each solve runs one [`Engine`], resolved once at its entry by
+//! [`LpOptions::engine`] from the LP's row count and the caller's settings;
+//! the pricing dispatch, the kernel choice ([`KernelSites`]), the basis
+//! factorization and the cold retry ladder read it, never the options.
+//!
 //! The basis is one [`BasisRepr`] (the pinned eta file or Forrest–Tomlin
 //! factors, see [`crate::lu`]). The simplex factorizes it, solves with it,
 //! records each pivot in it and asks it when a rebuild is due, without
 //! naming the representation; only the Dantzig engine's choice of kernel
-//! ([`KernelSites`]) reads [`LpOptions::basis_update`].
+//! reads the engine's basis update.
 //!
 //! Style note: the numerical kernels iterate dense work arrays by index on
 //! purpose (several arrays are updated in lockstep); the iterator forms
@@ -16,7 +21,7 @@ use std::time::Instant;
 
 use crate::internal::CoreLp;
 use crate::lu::{BasisRepr, LuScratch};
-use crate::options::{BasisUpdate, LpOptions, Pricing};
+use crate::options::{BasisUpdate, Engine, LpOptions, Pricing};
 use crate::problem::{LpError, Problem};
 use crate::profile::{tick, tock, SimplexProfile};
 use crate::sparse::CsrMatrix;
@@ -219,11 +224,11 @@ impl KernelSites {
     /// runs its sparse kernel.
     const SPARSE_BELOW: f64 = 0.1;
 
-    fn new(opts: &LpOptions) -> Self {
+    fn new(engine: Engine, opt_tol: f64) -> Self {
         KernelSites {
-            enabled: opts.pricing == Pricing::Dantzig
-                && opts.basis_update == BasisUpdate::Eta
-                && opts.opt_tol >= 0.0,
+            enabled: engine.pricing == Pricing::Dantzig
+                && engine.basis_update == BasisUpdate::Eta
+                && opt_tol >= 0.0,
             sparse: [false; 4],
         }
     }
@@ -254,6 +259,8 @@ impl KernelSites {
 struct Simplex<'a> {
     core: &'a CoreLp,
     opts: &'a LpOptions,
+    /// The pricing and basis update this solve runs.
+    engine: Engine,
     lower: Vec<f64>,
     upper: Vec<f64>,
     stat: Vec<VStat>,
@@ -276,9 +283,11 @@ impl<'a> Simplex<'a> {
     /// timed in `factor_secs` and, with the mid-solve rebuilds, in
     /// `refactor_secs`) and its work vectors allocated (timed as other
     /// work).
+    #[allow(clippy::too_many_arguments)]
     fn new(
         core: &'a CoreLp,
         opts: &'a LpOptions,
+        engine: Engine,
         lower: Vec<f64>,
         upper: Vec<f64>,
         stat: Vec<VStat>,
@@ -286,7 +295,7 @@ impl<'a> Simplex<'a> {
         xb: Vec<f64>,
     ) -> Result<Self, LpError> {
         let tfac = tick(opts.profile);
-        let basis = BasisRepr::factorize(&core.a, &basic, opts)?;
+        let basis = BasisRepr::factorize(&core.a, &basic, opts.pivot_tol, engine.basis_update)?;
         let mut profile = SimplexProfile {
             factorizations: 1,
             ..SimplexProfile::default()
@@ -300,6 +309,7 @@ impl<'a> Simplex<'a> {
         Ok(Simplex {
             core,
             opts,
+            engine,
             lower,
             upper,
             stat,
@@ -311,7 +321,7 @@ impl<'a> Simplex<'a> {
             scratch,
             profile,
             timers: opts.profile,
-            sites: KernelSites::new(opts),
+            sites: KernelSites::new(engine, opts.opt_tol),
         })
     }
 
@@ -364,7 +374,12 @@ impl<'a> Simplex<'a> {
     fn refactor(&mut self) -> Result<(), LpError> {
         let t = tick(self.timers);
         inject_singular(self.opts)?;
-        self.basis = BasisRepr::factorize(&self.core.a, &self.basic, self.opts)?;
+        self.basis = BasisRepr::factorize(
+            &self.core.a,
+            &self.basic,
+            self.opts.pivot_tol,
+            self.engine.basis_update,
+        )?;
         self.recompute_xb();
         self.profile.refactors += 1;
         tock(t, &mut self.profile.refactor_secs);
@@ -681,7 +696,7 @@ impl<'a> Simplex<'a> {
         cols.clear();
         cols.extend((0..self.core.n).filter(|&j| is_nonzero(costs[j])));
         tock(t, &mut self.profile.other_secs);
-        match self.opts.pricing {
+        match self.engine.pricing {
             Pricing::Dantzig => self.primal_dantzig(costs, stop_at),
             Pricing::Devex | Pricing::Bland => self.primal_incremental(costs, stop_at),
         }
@@ -863,7 +878,7 @@ impl<'a> Simplex<'a> {
                     return Ok(LpStatus::Optimal);
                 }
             }
-            let bland = matches!(self.opts.pricing, Pricing::Bland) || self.degen_streak > 40;
+            let bland = matches!(self.engine.pricing, Pricing::Bland) || self.degen_streak > 40;
             let tp = tick(self.timers);
             let entering = self.price_incremental(d, bland);
             tock(tp, &mut self.profile.pricing_secs);
@@ -1021,7 +1036,7 @@ impl<'a> Simplex<'a> {
     /// test with hypersparse solves.
     fn dual(&mut self, costs: &[f64]) -> Result<LpStatus, WarmFail> {
         let mut d = std::mem::take(&mut self.scratch.d);
-        let res = match self.opts.pricing {
+        let res = match self.engine.pricing {
             Pricing::Dantzig => self.dual_dantzig(costs, &mut d),
             Pricing::Devex | Pricing::Bland => self.dual_bfrt(costs, &mut d),
         };
@@ -1648,15 +1663,17 @@ fn perturbed_bounds(lower: &[f64], upper: &[f64]) -> (Vec<f64>, Vec<f64>) {
 /// with cycling-proof Bland pricing, and finally with a tiny deterministic
 /// outward bound perturbation (see [`perturbed_bounds`]). Each rung changes
 /// the pivot sequence, which in practice escapes the degenerate corner that
-/// produced the failure. Rungs climbed before success are counted in
-/// [`SimplexProfile::retries`]; a clean first-rung solve is bit-identical
-/// to a ladder-free solve.
+/// produced the failure. Every rung keeps the solve's basis update; the
+/// Bland rungs replace only its pricing. Rungs climbed before success are
+/// counted in [`SimplexProfile::retries`]; a clean first-rung solve is
+/// bit-identical to a ladder-free solve.
 pub(crate) fn solve_core_cold(
     core: &CoreLp,
     lower: &[f64],
     upper: &[f64],
     opts: &LpOptions,
 ) -> Result<CoreOutcome, LpError> {
+    let engine = opts.engine(core.m);
     let ladder: [(usize, f64, Option<Pricing>, bool); 5] = [
         (opts.refactor_every, opts.pivot_tol, None, false),
         (16, opts.pivot_tol, None, false),
@@ -1669,14 +1686,15 @@ pub(crate) fn solve_core_cold(
         let mut o = opts.clone();
         o.refactor_every = refactor_every;
         o.pivot_tol = pivot_tol;
-        if let Some(p) = pricing {
-            o.pricing = p;
-        }
+        let engine = Engine {
+            pricing: pricing.unwrap_or(engine.pricing),
+            ..engine
+        };
         let attempt = if perturb {
             let (lo, up) = perturbed_bounds(lower, upper);
-            solve_core_cold_once(core, &lo, &up, &o)
+            solve_core_cold_once(core, &lo, &up, &o, engine)
         } else {
-            solve_core_cold_once(core, lower, upper, &o)
+            solve_core_cold_once(core, lower, upper, &o, engine)
         };
         match attempt {
             Err(e @ (LpError::SingularBasis | LpError::IterationLimit)) => last = e,
@@ -1724,6 +1742,7 @@ fn solve_core_cold_once(
     lower: &[f64],
     upper: &[f64],
     opts: &LpOptions,
+    engine: Engine,
 ) -> Result<CoreOutcome, LpError> {
     inject_itercap(opts)?;
     // audit: allow(nondet) — profiling timer only (reported in SimplexProfile).
@@ -1805,7 +1824,7 @@ fn solve_core_cold_once(
     let mut setup_secs = 0.0;
     tock(tsetup, &mut setup_secs);
     inject_singular(opts)?;
-    let mut sx = Simplex::new(core, opts, lower, upper, stat, basic, xb0)?;
+    let mut sx = Simplex::new(core, opts, engine, lower, upper, stat, basic, xb0)?;
     sx.profile.other_secs += setup_secs;
     // Phase 1: drive the total artificial infeasibility to zero, stopping
     // the moment it reaches zero (degenerate pivots at the optimum would
@@ -1913,6 +1932,7 @@ pub(crate) fn solve_core_warm(
     let mut sx = Simplex::new(
         core,
         opts,
+        opts.engine(core.m),
         lower.to_vec(),
         upper.to_vec(),
         stat,
@@ -2470,9 +2490,9 @@ mod tests {
                     lower[j] = fixed;
                     upper[j] = fixed;
                     let mut od = opts();
-                    od.pricing = Pricing::Dantzig;
+                    od.pricing = Some(Pricing::Dantzig);
                     let mut ox = opts();
-                    ox.pricing = Pricing::Devex;
+                    ox.pricing = Some(Pricing::Devex);
                     let a = solve_core_warm(&core, &lower, &upper, &base.snapshot, &od);
                     let b = solve_core_warm(&core, &lower, &upper, &base.snapshot, &ox);
                     let (Ok(a), Ok(b)) = (a, b) else {
@@ -2713,8 +2733,18 @@ mod tests {
             checked += 1;
             let (lower, upper) = (core.lower.clone(), core.upper.clone());
             let (stat, basic) = (out.snapshot.stat.clone(), out.snapshot.basic.clone());
-            let mut sx =
-                Simplex::new(&core, &o, lower, upper, stat, basic, vec![0.0; core.m]).unwrap();
+            let engine = o.engine(core.m);
+            let mut sx = Simplex::new(
+                &core,
+                &o,
+                engine,
+                lower,
+                upper,
+                stat,
+                basic,
+                vec![0.0; core.m],
+            )
+            .unwrap();
             sx.recompute_xb();
             // The negated costs leave this basis far from optimal, so
             // pricing has many candidates.

@@ -76,8 +76,8 @@ fn build(mip: &RandomMip) -> Problem {
 /// happen even on small instances.
 fn ft_options(pricing: Pricing) -> LpOptions {
     LpOptions {
-        pricing,
-        basis_update: BasisUpdate::FtMarkowitz,
+        pricing: Some(pricing),
+        basis_update: Some(BasisUpdate::FtMarkowitz),
         refactor_every: 2,
         ..LpOptions::default()
     }
@@ -92,7 +92,7 @@ proptest! {
     fn basis_kernels_agree_on_lp_objective(mip in random_mip()) {
         let p = build(&mip);
         for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            let base_opts = LpOptions { pricing, ..LpOptions::default() };
+            let base_opts = LpOptions { pricing: Some(pricing), ..LpOptions::default() };
             let base = solve_lp(&p, &base_opts).expect("eta lp");
             let out = solve_lp(&p, &ft_options(pricing)).expect("ft lp");
             prop_assert_eq!(out.status, base.status, "{}", pricing);
@@ -135,7 +135,7 @@ fn ft_update_chains_cross_refactorizations() {
     for p in [timing_problem(8, 8), timing_problem(4, 12)] {
         for pricing in [Pricing::Dantzig, Pricing::Devex] {
             let base_opts = LpOptions {
-                pricing,
+                pricing: Some(pricing),
                 ..LpOptions::default()
             };
             let base = solve_lp(&p, &base_opts).expect("eta lp");
@@ -209,7 +209,7 @@ fn timing_problem(rows: usize, cols: usize) -> Problem {
 /// A deterministic banded LP with `rows` packing rows and `2 × rows`
 /// columns, each meeting three nearby rows, with costs on one column in
 /// 24. Its `y = B⁻ᵀc_B` and FTRAN columns stay a few percent dense, so
-/// the default engine runs its hypersparse kernels on nearly every pivot.
+/// the Dantzig engine runs its hypersparse kernels on nearly every pivot.
 fn hypersparse_timing_problem(rows: usize) -> Problem {
     let mut p = Problem::new("hypersparse");
     let mut state = 0x2545f4914f6cdd1du64;
@@ -241,7 +241,7 @@ fn hypersparse_timing_problem(rows: usize) -> Problem {
 
 /// Satellite check: with profiling on, the per-phase section timers sum to
 /// within 5% of the measured LP wall clock — no untimed hot path remains,
-/// on the dense kernels and on the default engine's hypersparse ones.
+/// on the dense kernels and on the Dantzig engine's hypersparse ones.
 #[test]
 fn profile_sections_account_for_lp_time() {
     let dense = timing_problem(24, 24);
@@ -253,7 +253,7 @@ fn profile_sections_account_for_lp_time() {
     ] {
         let opts = LpOptions {
             profile: true,
-            basis_update,
+            basis_update: Some(basis_update),
             ..LpOptions::default()
         };
         let mut total = SimplexProfile::default();

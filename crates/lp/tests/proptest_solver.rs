@@ -146,7 +146,7 @@ proptest! {
         let p = build(&mip);
         let base = solve_lp(&p, &LpOptions::default()).expect("dantzig lp");
         for pricing in [Pricing::Devex, Pricing::Bland] {
-            let opts = LpOptions { pricing, ..LpOptions::default() };
+            let opts = LpOptions { pricing: Some(pricing), ..LpOptions::default() };
             let out = solve_lp(&p, &opts).expect("lp solve");
             prop_assert_eq!(out.status, base.status, "pricing {}", pricing);
             if base.status == LpStatus::Optimal {
@@ -166,7 +166,7 @@ proptest! {
         let reference = brute_force(&p);
         for pricing in [Pricing::Dantzig, Pricing::Devex, Pricing::Bland] {
             let mut opts = MipOptions::default();
-            opts.lp.pricing = pricing;
+            opts.lp.pricing = Some(pricing);
             let out = BranchAndBound::new(&p)
                 .options(opts)
                 .solve()

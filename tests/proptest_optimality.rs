@@ -149,7 +149,7 @@ proptest! {
         let model = IlpModel::build(inst.clone(), config.clone()).expect("build");
         let oracle = brute::brute_force_optimum(&inst, &config);
         let mut opts = SolveOptions::default();
-        opts.mip.lp.pricing = Pricing::Devex;
+        opts.mip.lp.pricing = Some(Pricing::Devex);
         let out = model.solve(&opts).expect("solve");
         match &oracle {
             Some((_, cost)) => {

@@ -57,7 +57,7 @@ cargo test -q -p tempart-server --features race-model --test race_queue
 echo "== audit: workspace lints (deny unsuppressed) =="
 cargo run --release -p tempart-audit -- lint --deny
 
-echo "== audit: exact certificates for the g1 golden rows =="
+echo "== audit: exact certificates for the golden rows (g1, above-threshold g3) =="
 cargo run --release -p tempart-audit -- certify
 
 echo "verify.sh: all green"
