@@ -29,10 +29,16 @@
 //!   row lists never need relabelling. Only the triangular *order* of the
 //!   slots changes (the updated slot moves to the last position).
 //!
+//! Triangular positions are **labels** that only ascend: factorization
+//! labels slot `s` with `s`, and an update gives the moved slot the next
+//! unused label, leaving a hole at its old one. The other slots keep their
+//! labels and their relative order, so an update reorders in `O(1)` and
+//! every solve visits the slots in the order a renumbered list would.
+//!
 //! The hypersparse solves sweep the bitmap worklist of [`LuScratch`], and
 //! the update one of its own ([`sweep_up`]): the `U` and `Uᵀ` passes and
-//! the row elimination key them by triangular position, the `L` and `Lᵀ`
-//! passes by slot.
+//! the row elimination key them by label (`m` plus the updates so far), the
+//! `L` and `Lᵀ` passes by slot.
 //!
 //! # Stability
 //!
@@ -43,6 +49,9 @@
 
 use crate::lu::{mark, sweep_down, sweep_up, LFactor, LuFactors, LuScratch};
 use crate::tol::{ft_pivot_ok, is_nonzero};
+
+/// The slot of a label that an update retired.
+const HOLE: usize = usize::MAX;
 
 /// One recorded row elimination: FTRAN applies
 /// `z[r] -= Σ μ_t · z[t]`, BTRAN applies the transpose.
@@ -68,9 +77,11 @@ pub(crate) struct FtFactors {
     urow: Vec<Vec<(usize, f64)>>,
     /// Diagonal of `U`, by slot.
     diag: Vec<f64>,
-    /// Triangular order: `order[p]` = slot at position `p`.
+    /// Triangular order by label: `order[p]` = slot labelled `p`, or
+    /// [`HOLE`]. Its length, `m` plus the accepted updates, bounds every
+    /// label sweep.
     order: Vec<usize>,
-    /// Inverse of `order`: `pos[s]` = position of slot `s`.
+    /// Inverse of `order`: `pos[s]` = label of slot `s`.
     pos: Vec<usize>,
     /// `col_of_slot[s]` = basis position whose column lives in slot `s`.
     col_of_slot: Vec<usize>,
@@ -170,7 +181,7 @@ impl FtFactors {
     /// original row); on exit it holds `w` (indexed by basis position).
     pub(crate) fn ftran(&self, buf: &mut [f64], scratch: &mut LuScratch) {
         debug_assert_eq!(buf.len(), self.m);
-        scratch.ensure(self.m);
+        scratch.ensure(self.m, self.order.len());
         let z = &mut scratch.z[..self.m];
         // Frozen L into slot space, then the row etas in append order.
         self.l.ftran(buf, z);
@@ -183,8 +194,10 @@ impl FtFactors {
         }
         // Backward U solve in descending triangular position; each w_s is
         // final when reached, so it moves straight to its basis position.
-        for p in (0..self.m).rev() {
-            let s = self.order[p];
+        for &s in self.order.iter().rev() {
+            if s == HOLE {
+                continue;
+            }
             let ws = std::mem::take(&mut z[s]) / self.diag[s];
             buf[self.col_of_slot[s]] = ws;
             if is_nonzero(ws) {
@@ -199,11 +212,13 @@ impl FtFactors {
     /// basis position); on exit it holds `y` (indexed by original row).
     pub(crate) fn btran(&self, buf: &mut [f64], scratch: &mut LuScratch) {
         debug_assert_eq!(buf.len(), self.m);
-        scratch.ensure(self.m);
+        scratch.ensure(self.m, self.order.len());
         let z = &mut scratch.z[..self.m];
         // Forward Uᵀ solve in ascending triangular position.
-        for p in 0..self.m {
-            let s = self.order[p];
+        for &s in &self.order {
+            if s == HOLE {
+                continue;
+            }
             let mut sum = buf[self.col_of_slot[s]];
             for &(t, u) in &self.ucol[s] {
                 sum -= u * z[t];
@@ -232,13 +247,14 @@ impl FtFactors {
         scratch: &mut LuScratch,
     ) {
         debug_assert_eq!(buf.len(), self.m);
-        scratch.ensure(self.m);
+        scratch.ensure(self.m, self.order.len());
         let LuScratch { bits, z, stage, .. } = scratch;
-        let bits = &mut bits[..self.m.div_ceil(64)];
-        self.l.ftran_sparse(buf, pattern, bits, z, stage);
+        let bits = &mut bits[..self.order.len().div_ceil(64)];
+        self.l
+            .ftran_sparse(buf, pattern, &mut bits[..self.m.div_ceil(64)], z, stage);
         // Row etas in append order on the staged values (`z` is zero
         // outside the stage, so reads need no membership test), queueing
-        // every staged slot by triangular position for the U pass.
+        // every staged slot by label for the U pass.
         for &s in stage.iter() {
             mark(bits, self.pos[s]);
         }
@@ -252,7 +268,7 @@ impl FtFactors {
                 mark(bits, self.pos[eta.r]);
             }
         }
-        // Backward U solve, descending by position.
+        // Backward U solve, descending by label.
         pattern.clear();
         sweep_down(bits, |p, bits| {
             let s = self.order[p];
@@ -278,22 +294,22 @@ impl FtFactors {
         scratch: &mut LuScratch,
     ) {
         debug_assert_eq!(buf.len(), self.m);
-        scratch.ensure(self.m);
+        scratch.ensure(self.m, self.order.len());
         let LuScratch {
             bits,
             z,
             stage,
             pops,
         } = scratch;
-        let bits = &mut bits[..self.m.div_ceil(64)];
-        // Forward Uᵀ solve, ascending by position: z[s] needs z[t] for
-        // the above-diagonal entries of column s; a nonzero z[s] feeds
-        // every column of row s.
+        // Forward Uᵀ solve, ascending by label: z[s] needs z[t] for the
+        // above-diagonal entries of column s; a nonzero z[s] feeds every
+        // column of row s.
+        let labels = &mut bits[..self.order.len().div_ceil(64)];
         for &p in pattern.iter() {
-            mark(bits, self.pos[self.slot_of_col[p]]);
+            mark(labels, self.pos[self.slot_of_col[p]]);
         }
         stage.clear();
-        sweep_up(bits, |p, bits| {
+        sweep_up(labels, |p, bits| {
             let s = self.order[p];
             let mut sum = buf[self.col_of_slot[s]];
             buf[self.col_of_slot[s]] = 0.0;
@@ -311,6 +327,7 @@ impl FtFactors {
         });
         // Transposed row etas, reverse order, queueing every staged and
         // touched slot for the frozen Lᵀ pass.
+        let bits = &mut bits[..self.m.div_ceil(64)];
         for &s in stage.iter() {
             mark(bits, s);
         }
@@ -384,13 +401,14 @@ impl FtFactors {
         }
 
         // (b) Eliminate row s_r of U, read-only: sweep its entries in
-        // ascending triangular position; each surviving entry becomes an
-        // eta multiplier and propagates that pivot's row into the
-        // accumulator. Propagation only reaches strictly later
-        // positions, so nothing is visited twice. Entries of the old
-        // column s_r are skipped — the spike replaces that column.
+        // ascending label; each surviving entry becomes an eta multiplier
+        // and propagates that pivot's row into the accumulator.
+        // Propagation only reaches strictly later labels, so nothing is
+        // visited twice. Entries of the old column s_r are skipped — the
+        // spike replaces that column.
         let mut acc = std::mem::take(&mut self.work_acc);
         let mut bits = std::mem::take(&mut self.work_bits);
+        bits.resize(self.order.len().div_ceil(64), 0);
         let mut entries: Vec<(usize, f64)> = Vec::new();
         for &(t, val) in &self.urow[s_r] {
             acc[t] += val;
@@ -453,13 +471,11 @@ impl FtFactors {
             vpat.clear();
             self.ucol[s_r] = new_col;
             self.diag[s_r] = d;
-            // Slot s_r moves to the last triangular position.
-            let p_r = self.pos[s_r];
-            self.order.remove(p_r);
+            // Slot s_r moves to the last triangular position: the next
+            // unused label.
+            self.order[self.pos[s_r]] = HOLE;
+            self.pos[s_r] = self.order.len();
             self.order.push(s_r);
-            for q in p_r..self.m {
-                self.pos[self.order[q]] = q;
-            }
             self.num_updates += 1;
             if !entries.is_empty() {
                 self.eta_nnz += entries.len();
@@ -485,7 +501,7 @@ impl FtFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lu::tests::{basis_dense, dense_solve};
+    use crate::lu::tests::{basis_dense, dense_solve, uniform};
     use crate::lu::PivotRule;
     use crate::sparse::CscMatrix;
     use proptest::prelude::*;
@@ -656,6 +672,58 @@ mod tests {
         let w = ftran_col(&ft, &a, 2);
         assert!(ft.update(1, &w, None, 1e-10));
         check_all_solves(&ft, &a, &[0, 2], 1e-10);
+    }
+
+    /// An update chain on an 80-row basis, so that the slot bitmap spans
+    /// two words and the label bitmap grows to four as updates retire
+    /// labels: after every accepted update, the dense and hypersparse
+    /// solves match the dense reference, with exact patterns.
+    #[test]
+    fn update_chain_beyond_one_bitmap_word_matches_dense_after_every_update() {
+        let m = 80;
+        let mut next = uniform(0x1f83d9abfb41bd6b);
+        // Columns `i` and `m + i` both carry 8 at row `i` and three inexact
+        // entries of magnitude at most 2 elsewhere, so every basis that
+        // holds one of each pair is column diagonally dominant: position
+        // `c` swaps its column for the other of its pair.
+        let mut trips = Vec::new();
+        for c in 0..2 * m {
+            trips.push((c % m, c, 8.0));
+            for _ in 0..3 {
+                let r = (next() * m as f64) as usize;
+                trips.push((r, c, next() * 4.0 - 2.0));
+            }
+        }
+        let a = CscMatrix::from_triplets(m, 2 * m, trips);
+        let mut basis: Vec<usize> = (0..m).collect();
+        let mut ft = markowitz(&a, &basis);
+        let mut scratch = LuScratch::default();
+        let mut accepted = 0;
+        for step in 0..150 {
+            let c = (next() * m as f64) as usize;
+            let new_col = (basis[c] + m) % (2 * m);
+            let ok = if step % 2 == 0 {
+                let mut buf = vec![0.0; m];
+                let mut pat = Vec::new();
+                for (r, val) in a.col(new_col) {
+                    buf[r] = val;
+                    pat.push(r);
+                }
+                ft.ftran_sparse(&mut buf, &mut pat, &mut scratch);
+                ft.update(c, &buf, Some(&pat), 1e-10)
+            } else {
+                let w = ftran_col(&ft, &a, new_col);
+                ft.update(c, &w, None, 1e-10)
+            };
+            if ok {
+                basis[c] = new_col;
+                accepted += 1;
+                check_all_solves(&ft, &a, &basis, 1e-8);
+            }
+        }
+        assert_eq!(ft.updates_len(), accepted);
+        assert_eq!(ft.order.len(), m + accepted);
+        assert!(m + accepted > 3 * 64, "only {accepted} accepted updates");
     }
 
     #[derive(Debug, Clone)]

@@ -347,17 +347,19 @@ impl LuScratch {
     /// its memory for the lifetime of a solver now working on small ones.
     const SHRINK_FACTOR: usize = 8;
 
-    /// Prepares the workspace for a solve of dimension `m`: grows the
-    /// dense arrays when `m` grew, compacts everything when `m` shrank far
-    /// below the retained capacity, and asserts — in debug builds — that
-    /// the previous caller left the workspace clean. Every solve, dense or
-    /// hypersparse, eta file or Forrest–Tomlin, enters through here.
-    pub(crate) fn ensure(&mut self, m: usize) {
+    /// Prepares the workspace for a solve of dimension `m` whose bitmap
+    /// sweeps cover `labels ≥ m` entries (Forrest–Tomlin labels outnumber
+    /// the rows by its updates): grows the arrays when either grew,
+    /// compacts everything when `m` shrank far below the retained capacity,
+    /// and asserts — in debug builds — that the previous caller left the
+    /// workspace clean. Every solve, dense or hypersparse, eta file or
+    /// Forrest–Tomlin, enters through here.
+    pub(crate) fn ensure(&mut self, m: usize, labels: usize) {
+        let words = labels.div_ceil(64);
         if self.z.len() < m {
-            self.bits.resize(m.div_ceil(64), 0);
             self.z.resize(m, 0.0);
         } else if self.z.len() > Self::SHRINK_FACTOR * m.max(64) {
-            self.bits.truncate(m.div_ceil(64));
+            self.bits.truncate(words);
             self.bits.shrink_to_fit();
             self.z.truncate(m);
             self.z.shrink_to_fit();
@@ -365,6 +367,9 @@ impl LuScratch {
             self.stage.shrink_to(m);
             self.pops.truncate(0);
             self.pops.shrink_to(m);
+        }
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
         }
         debug_assert!(self.bits.iter().all(|&b| b == 0), "scratch left dirty");
         debug_assert!(self.z.iter().all(|&v| is_zero(v)), "scratch left dirty");
@@ -558,7 +563,7 @@ impl LuFactors {
     pub(crate) fn ftran(&self, buf: &mut [f64], scratch: &mut LuScratch) {
         let m = self.u_diag.len();
         debug_assert_eq!(buf.len(), m);
-        scratch.ensure(m);
+        scratch.ensure(m, m);
         let z = &mut scratch.z[..m];
         self.l.ftran(buf, z);
         // Backward: U w = z, each w_j final when reached, so it moves
@@ -579,7 +584,7 @@ impl LuFactors {
     pub(crate) fn btran(&self, buf: &mut [f64], scratch: &mut LuScratch) {
         let m = self.u_diag.len();
         debug_assert_eq!(buf.len(), m);
-        scratch.ensure(m);
+        scratch.ensure(m, m);
         let z = &mut scratch.z[..m];
         // Forward: Uᵀ z = c.
         for j in 0..m {
@@ -607,7 +612,7 @@ impl LuFactors {
     ) {
         let m = self.u_diag.len();
         debug_assert_eq!(buf.len(), m);
-        scratch.ensure(m);
+        scratch.ensure(m, m);
         let LuScratch { bits, z, stage, .. } = scratch;
         // The active words of the bitmap: `ensure` keeps a longer one after
         // serving a larger dimension.
@@ -645,7 +650,7 @@ impl LuFactors {
     ) {
         let m = self.u_diag.len();
         debug_assert_eq!(buf.len(), m);
-        scratch.ensure(m);
+        scratch.ensure(m, m);
         let LuScratch {
             bits,
             z,
@@ -939,7 +944,7 @@ impl BasisRepr {
         match self {
             BasisRepr::Eta { lu, etas } => {
                 if !etas.is_empty() {
-                    lsc.ensure(buf.len());
+                    lsc.ensure(buf.len(), buf.len());
                     let bits = &mut lsc.bits;
                     for &p in pattern.iter() {
                         mark(bits, p);
@@ -1217,7 +1222,7 @@ pub(crate) mod tests {
     }
 
     /// A deterministic xorshift stream of floats in `[0, 1)`.
-    fn uniform(seed: u64) -> impl FnMut() -> f64 {
+    pub(crate) fn uniform(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed;
         move || {
             state ^= state << 13;
@@ -1544,7 +1549,7 @@ pub(crate) mod tests {
         // A scratch that served a large solve must keep working — and give
         // its memory back — when reused for much smaller systems.
         let mut scratch = LuScratch::default();
-        scratch.ensure(10_000);
+        scratch.ensure(10_000, 10_000);
         assert_eq!(scratch.z.len(), 10_000);
         assert_eq!(scratch.bits.len(), 157);
         let small = CscMatrix::from_triplets(2, 2, vec![(0, 0, 2.0), (1, 0, 1.0), (1, 1, 3.0)]);

@@ -38,6 +38,30 @@ pub(crate) enum VStat {
     Free,
 }
 
+/// Sets (`on`) or clears bit `j` of a bitmap.
+fn set_bit(bits: &mut [u64], j: usize, on: bool) {
+    let b = 1u64 << (j & 63);
+    if on {
+        bits[j >> 6] |= b;
+    } else {
+        bits[j >> 6] &= !b;
+    }
+}
+
+/// The set bits of a bitmap, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
 /// A snapshot of a simplex basis, used to warm-start node LPs in
 /// branch-and-bound.
 #[derive(Debug, Clone)]
@@ -54,7 +78,8 @@ pub(crate) struct CoreOutcome {
     pub x: Vec<f64>,
     /// Phase-2 objective value (meaningless unless `status == Optimal`).
     pub objective: f64,
-    /// Dual values per row (`y = B⁻ᵀ c_B` at the final basis).
+    /// Dual values per row (`y = B⁻ᵀ c_B` at the final basis) when the
+    /// solve was asked for them and reached phase 2; empty otherwise.
     pub duals: Vec<f64>,
     pub snapshot: BasisSnapshot,
     pub iterations: usize,
@@ -101,12 +126,19 @@ struct Scratch {
     touched: Vec<usize>,
     /// Devex reference weights (length `n`).
     devex: Vec<f64>,
+    /// Devex/Bland pricing candidates, one bit per column: the columns
+    /// [`Simplex::prices_in`] accepts at the current `d`, kept in step with
+    /// every change of `d` or `stat` in the incremental primal.
+    cands: Vec<u64>,
     /// Dual ratio-test breakpoints `(|d_j/α_j|, j)`.
     breakpoints: Vec<(f64, usize)>,
     /// Columns flipped by the current bound-flipping ratio test pass.
     flips: Vec<usize>,
     /// Columns with a nonzero cost in the current primal phase, ascending.
     cost_cols: Vec<usize>,
+    /// Basis positions whose column has a nonzero cost in the current
+    /// primal phase, one bit per position, kept at every basis change.
+    cost_pos: Vec<u64>,
     lu: LuScratch,
 }
 
@@ -121,6 +153,8 @@ impl Scratch {
         self.alpha.resize(n, 0.0);
         self.amask.resize(n, false);
         self.devex.resize(n, 0.0);
+        self.cands.resize(n.div_ceil(64), 0);
+        self.cost_pos.resize(m.div_ceil(64), 0);
     }
 
     /// Forms the pivot row `αᵀ = ρᵀ A` from the nonzeros of `rho`, listed
@@ -217,6 +251,14 @@ thread_local! {
 #[cfg(test)]
 pub(crate) fn force_sparse_kernels(force: Option<bool>) {
     FORCE_SPARSE.with(|f| f.set(force));
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only audit of the maintained sets on this thread: `Some(k)`
+    /// checks them against full scans at the top of every primal iteration
+    /// and counts the checks in `k`.
+    static SET_AUDITS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
 impl KernelSites {
@@ -460,14 +502,6 @@ impl<'a> Simplex<'a> {
         tock(t, &mut self.profile.btran_secs);
     }
 
-    /// [`reduced_costs_into`](Self::reduced_costs_into) targeting
-    /// `scratch.d` (the common case).
-    fn update_reduced_costs(&mut self, costs: &[f64]) {
-        let mut d = std::mem::take(&mut self.scratch.d);
-        self.reduced_costs_into(costs, &mut d);
-        self.scratch.d = d;
-    }
-
     /// How far nonbasic column `j` with reduced cost `dj` violates dual
     /// feasibility beyond `opt_tol` (`0` when it may not enter).
     fn pricing_violation(&self, j: usize, dj: f64) -> f64 {
@@ -478,6 +512,29 @@ impl<'a> Simplex<'a> {
             VStat::Free => (dj.abs() - tol).max(0.0),
             VStat::Basic => 0.0,
         }
+    }
+
+    /// Whether column `j` with reduced cost `dj` may enter: nonbasic, not
+    /// fixed, and violating dual feasibility.
+    fn prices_in(&self, j: usize, dj: f64) -> bool {
+        self.lower[j] != self.upper[j] && self.pricing_violation(j, dj) > 0.0
+    }
+
+    /// Puts column `j`, whose reduced cost is now `dj`, in or out of the
+    /// devex/Bland candidate set.
+    fn refresh_candidate(&mut self, j: usize, dj: f64) {
+        let on = self.prices_in(j, dj);
+        set_bit(&mut self.scratch.cands, j, on);
+    }
+
+    /// Full reduced-cost recompute for the incremental primal, with the
+    /// candidate set rebuilt from the fresh `d`.
+    fn reprice(&mut self, costs: &[f64], d: &mut Vec<f64>) {
+        let t = self.reduced_costs_pricing(costs, d);
+        for j in 0..self.core.n {
+            self.refresh_candidate(j, d[j]);
+        }
+        tock(t, &mut self.profile.pricing_secs);
     }
 
     /// Dantzig (or Bland, under degeneracy) pricing. Returns the entering
@@ -550,7 +607,8 @@ impl<'a> Simplex<'a> {
     }
 
     /// Objective value of the current (possibly mid-pivot) iterate, over
-    /// the phase's nonzero-cost columns.
+    /// the phase's nonzero-cost columns: the nonbasic ones, then the basic
+    /// ones in ascending basis position.
     fn current_objective(&self, costs: &[f64]) -> f64 {
         let mut obj = 0.0;
         for &j in &self.scratch.cost_cols {
@@ -558,12 +616,62 @@ impl<'a> Simplex<'a> {
                 obj += costs[j] * self.nonbasic_value(j);
             }
         }
-        for (pos, &col) in self.basic.iter().enumerate() {
-            if is_nonzero(costs[col]) {
-                obj += costs[col] * self.xb[pos];
-            }
+        for pos in ones(&self.scratch.cost_pos) {
+            obj += costs[self.basic[pos]] * self.xb[pos];
         }
         obj
+    }
+
+    /// Test-only: with auditing on ([`SET_AUDITS`]), checks the nonzero-cost
+    /// positions of `costs` and, given the incremental primal's `d`, the
+    /// pricing candidates against full scans, and counts the check.
+    #[cfg(test)]
+    fn audit_maintained_sets(&self, costs: &[f64], d: Option<&[f64]>) {
+        let Some(audits) = SET_AUDITS.with(|a| a.get()) else {
+            return;
+        };
+        SET_AUDITS.with(|a| a.set(Some(audits + 1)));
+        let cost_pos: Vec<usize> = (0..self.core.m)
+            .filter(|&pos| is_nonzero(costs[self.basic[pos]]))
+            .collect();
+        let kept: Vec<usize> = ones(&self.scratch.cost_pos).collect();
+        assert_eq!(kept, cost_pos, "nonzero-cost basis positions");
+        if let Some(d) = d {
+            let cands: Vec<usize> = (0..self.core.n)
+                .filter(|&j| {
+                    self.stat[j] != VStat::Basic
+                        && self.lower[j] != self.upper[j]
+                        && self.pricing_violation(j, d[j]) > 0.0
+                })
+                .collect();
+            let kept: Vec<usize> = ones(&self.scratch.cands).collect();
+            assert_eq!(kept, cands, "pricing candidates");
+        }
+    }
+
+    /// Pivots column `q` into basis position `r` at `entering_value`. The
+    /// leaving column rests at the bound `hit` (at its lower bound when
+    /// fixed), and the position keeps its place in the nonzero-cost set of
+    /// `costs`. Returns the leaving column.
+    fn primal_basis_change(
+        &mut self,
+        r: usize,
+        q: usize,
+        hit: VStat,
+        entering_value: f64,
+        costs: &[f64],
+    ) -> usize {
+        let leaving_col = self.basic[r];
+        self.stat[leaving_col] = if self.lower[leaving_col] == self.upper[leaving_col] {
+            VStat::AtLower
+        } else {
+            hit
+        };
+        self.stat[q] = VStat::Basic;
+        self.basic[r] = q;
+        self.xb[r] = entering_value;
+        set_bit(&mut self.scratch.cost_pos, r, is_nonzero(costs[q]));
+        leaving_col
     }
 
     /// FTRAN of column `q` of `A` into the all-zero `w` at `site`. The
@@ -695,6 +803,9 @@ impl<'a> Simplex<'a> {
         let cols = &mut self.scratch.cost_cols;
         cols.clear();
         cols.extend((0..self.core.n).filter(|&j| is_nonzero(costs[j])));
+        for (pos, &col) in self.basic.iter().enumerate() {
+            set_bit(&mut self.scratch.cost_pos, pos, is_nonzero(costs[col]));
+        }
         tock(t, &mut self.profile.other_secs);
         match self.engine.pricing {
             Pricing::Dantzig => self.primal_dantzig(costs, stop_at),
@@ -711,6 +822,8 @@ impl<'a> Simplex<'a> {
                 return Err(LpError::Timeout);
             }
             self.maybe_refactor()?;
+            #[cfg(test)]
+            self.audit_maintained_sets(costs, None);
             if let Some(target) = stop_at {
                 let t = tick(self.timers);
                 let reached = self.current_objective(costs) <= target + self.opts.feas_tol;
@@ -769,15 +882,7 @@ impl<'a> Simplex<'a> {
                 }
                 Some((r, hit)) => {
                     let entering_value = self.nonbasic_value(q) + t * dir;
-                    let leaving_col = self.basic[r];
-                    self.stat[leaving_col] = if self.lower[leaving_col] == self.upper[leaving_col] {
-                        VStat::AtLower
-                    } else {
-                        hit
-                    };
-                    self.stat[q] = VStat::Basic;
-                    self.basic[r] = q;
-                    self.xb[r] = entering_value;
+                    self.primal_basis_change(r, q, hit, entering_value, costs);
                     self.update_basis(r, &w, pat)?;
                 }
             }
@@ -800,23 +905,20 @@ impl<'a> Simplex<'a> {
         Ok(())
     }
 
-    /// Devex (max `d_j²/w_j`) or Bland (smallest index) pricing over
-    /// incrementally maintained reduced costs.
+    /// Devex (max `d_j²/w_j`, the first maximum) or Bland (smallest index)
+    /// pricing over incrementally maintained reduced costs, sweeping the
+    /// candidate set in ascending column order: the columns a scan of every
+    /// column would accept, in the order it would meet them.
     fn price_incremental(&self, d: &[f64], bland: bool) -> Option<usize> {
+        let mut cands = ones(&self.scratch.cands);
+        if bland {
+            return cands.next();
+        }
         let mut best: Option<(usize, f64)> = None;
-        for j in 0..self.core.n {
-            if self.stat[j] == VStat::Basic || self.lower[j] == self.upper[j] {
-                continue;
-            }
-            let viol = self.pricing_violation(j, d[j]);
-            if viol > 0.0 {
-                if bland {
-                    return Some(j);
-                }
-                let score = d[j] * d[j] / self.scratch.devex[j].max(1.0);
-                if best.is_none_or(|(_, bs)| score > bs) {
-                    best = Some((j, score));
-                }
+        for j in cands {
+            let score = d[j] * d[j] / self.scratch.devex[j].max(1.0);
+            if best.is_none_or(|(_, bs)| score > bs) {
+                best = Some((j, score));
             }
         }
         best.map(|(j, _)| j)
@@ -831,6 +933,8 @@ impl<'a> Simplex<'a> {
     ///   every iteration, with full recomputes only at refactorizations and
     ///   once to confirm apparent optimality;
     /// * devex reference weights steer the entering choice (unless Bland);
+    /// * pricing sweeps a maintained candidate set (`Scratch::cands`)
+    ///   instead of every column;
     /// * FTRAN/BTRAN are always hypersparse (pattern-tracked), where the
     ///   Dantzig engine picks per call, and the ratio test and basics
     ///   update only touch the column's nonzeros.
@@ -839,9 +943,9 @@ impl<'a> Simplex<'a> {
         costs: &[f64],
         stop_at: Option<f64>,
     ) -> Result<LpStatus, LpError> {
-        self.update_reduced_costs(costs);
-        self.scratch.devex.fill(1.0);
         let mut d = std::mem::take(&mut self.scratch.d);
+        self.reprice(costs, &mut d);
+        self.scratch.devex.fill(1.0);
         let res = self.primal_incremental_inner(costs, stop_at, &mut d);
         self.scratch.d = d;
         res
@@ -867,9 +971,11 @@ impl<'a> Simplex<'a> {
             }
             if self.basis.refactor_due(self.opts.refactor_every) {
                 self.refactor()?;
-                self.reduced_costs_into(costs, d);
+                self.reprice(costs, d);
                 fresh = true;
             }
+            #[cfg(test)]
+            self.audit_maintained_sets(costs, Some(d));
             if let Some(target) = stop_at {
                 let t = tick(self.timers);
                 let reached = self.current_objective(costs) <= target + self.opts.feas_tol;
@@ -886,7 +992,7 @@ impl<'a> Simplex<'a> {
                 if fresh {
                     return Ok(LpStatus::Optimal);
                 }
-                self.reduced_costs_into(costs, d);
+                self.reprice(costs, d);
                 fresh = true;
                 continue;
             };
@@ -947,6 +1053,7 @@ impl<'a> Simplex<'a> {
                         VStat::AtUpper => VStat::AtLower,
                         s => s,
                     };
+                    self.refresh_candidate(q, d[q]);
                     self.profile.bound_flips += 1;
                 }
                 Some((r, hit)) => {
@@ -966,47 +1073,43 @@ impl<'a> Simplex<'a> {
                         0.0
                     };
                     let entering_value = self.nonbasic_value(q) + t * dir;
-                    let leaving_col = self.basic[r];
-                    self.stat[leaving_col] = if self.lower[leaving_col] == self.upper[leaving_col] {
-                        VStat::AtLower
-                    } else {
-                        hit
-                    };
-                    self.stat[q] = VStat::Basic;
-                    self.basic[r] = q;
-                    self.xb[r] = entering_value;
+                    let leaving_col = self.primal_basis_change(r, q, hit, entering_value, costs);
                     self.update_basis(r, &w, Some(&wpat))?;
                     let tp2 = tick(self.timers);
                     if alpha_q.abs() <= ptol {
                         // FTRAN and BTRAN disagree about the pivot; a full
                         // recompute is safer than an incremental update.
-                        self.reduced_costs_into(costs, d);
+                        self.reprice(costs, d);
                         fresh = true;
                     } else {
                         let theta = d[q] / alpha_q;
                         let wq = self.scratch.devex[q].max(1.0);
                         let mut wmax = 0.0f64;
-                        {
-                            let s = &mut self.scratch;
-                            for &j in &s.touched {
-                                if self.stat[j] == VStat::Basic {
-                                    continue;
+                        let touched = std::mem::take(&mut self.scratch.touched);
+                        for &j in &touched {
+                            if self.stat[j] == VStat::Basic {
+                                continue;
+                            }
+                            let aj = self.scratch.alpha[j];
+                            if is_nonzero(aj) {
+                                d[j] -= theta * aj;
+                                self.refresh_candidate(j, d[j]);
+                                let devex = &mut self.scratch.devex[j];
+                                let cand = (aj / alpha_q) * (aj / alpha_q) * wq;
+                                if cand > *devex {
+                                    *devex = cand;
                                 }
-                                let aj = s.alpha[j];
-                                if is_nonzero(aj) {
-                                    d[j] -= theta * aj;
-                                    let cand = (aj / alpha_q) * (aj / alpha_q) * wq;
-                                    if cand > s.devex[j] {
-                                        s.devex[j] = cand;
-                                    }
-                                    if s.devex[j] > wmax {
-                                        wmax = s.devex[j];
-                                    }
+                                if *devex > wmax {
+                                    wmax = *devex;
                                 }
                             }
                         }
+                        self.scratch.touched = touched;
                         d[leaving_col] = -theta;
                         d[q] = 0.0;
+                        for j in [leaving_col, q] {
+                            self.refresh_candidate(j, d[j]);
+                        }
                         let wl = (wq / (alpha_q * alpha_q)).max(1.0);
                         self.scratch.devex[leaving_col] = wl;
                         if wl.max(wmax) > 1e9 {
@@ -1666,12 +1769,15 @@ fn perturbed_bounds(lower: &[f64], upper: &[f64]) -> (Vec<f64>, Vec<f64>) {
 /// produced the failure. Every rung keeps the solve's basis update; the
 /// Bland rungs replace only its pricing. Rungs climbed before success are
 /// counted in [`SimplexProfile::retries`]; a clean first-rung solve is
-/// bit-identical to a ladder-free solve.
+/// bit-identical to a ladder-free solve. The final duals cost a dense BTRAN,
+/// so they are computed only when `with_duals` asks for them ([`solve_lp`]
+/// does; branch and bound does not).
 pub(crate) fn solve_core_cold(
     core: &CoreLp,
     lower: &[f64],
     upper: &[f64],
     opts: &LpOptions,
+    with_duals: bool,
 ) -> Result<CoreOutcome, LpError> {
     let engine = opts.engine(core.m);
     let ladder: [(usize, f64, Option<Pricing>, bool); 5] = [
@@ -1692,9 +1798,9 @@ pub(crate) fn solve_core_cold(
         };
         let attempt = if perturb {
             let (lo, up) = perturbed_bounds(lower, upper);
-            solve_core_cold_once(core, &lo, &up, &o, engine)
+            solve_core_cold_once(core, &lo, &up, &o, engine, with_duals)
         } else {
-            solve_core_cold_once(core, lower, upper, &o, engine)
+            solve_core_cold_once(core, lower, upper, &o, engine, with_duals)
         };
         match attempt {
             Err(e @ (LpError::SingularBasis | LpError::IterationLimit)) => last = e,
@@ -1722,19 +1828,19 @@ pub(crate) fn solve_node_resilient(
     opts: &LpOptions,
 ) -> Result<CoreOutcome, LpError> {
     if let Some(snapshot) = warm {
-        match solve_core_warm(core, lower, upper, snapshot, opts) {
+        match solve_core_warm(core, lower, upper, snapshot, opts, false) {
             Ok(out) => return Ok(out),
             Err(WarmFail::NotDualFeasible)
             | Err(WarmFail::Error(LpError::SingularBasis))
             | Err(WarmFail::Error(LpError::IterationLimit)) => {
-                let mut out = solve_core_cold(core, lower, upper, opts)?;
+                let mut out = solve_core_cold(core, lower, upper, opts, false)?;
                 out.profile.warm_fallbacks += 1;
                 return Ok(out);
             }
             Err(WarmFail::Error(e)) => return Err(e),
         }
     }
-    solve_core_cold(core, lower, upper, opts)
+    solve_core_cold(core, lower, upper, opts, false)
 }
 
 fn solve_core_cold_once(
@@ -1743,6 +1849,7 @@ fn solve_core_cold_once(
     upper: &[f64],
     opts: &LpOptions,
     engine: Engine,
+    with_duals: bool,
 ) -> Result<CoreOutcome, LpError> {
     inject_itercap(opts)?;
     // audit: allow(nondet) — profiling timer only (reported in SimplexProfile).
@@ -1857,7 +1964,7 @@ fn solve_core_cold_once(
             status: LpStatus::Infeasible,
             x: sx.extract_x(),
             objective: f64::INFINITY,
-            duals: vec![0.0; core.m],
+            duals: Vec::new(),
             snapshot: sx.snapshot(),
             iterations: sx.iterations,
             profile,
@@ -1880,7 +1987,11 @@ fn solve_core_cold_once(
     let x = sx.extract_x();
     let objective = core.c.iter().zip(&x).map(|(c, v)| c * v).sum();
     tock(tout, &mut sx.profile.other_secs);
-    let duals = sx.duals(&core.c);
+    let duals = if with_duals {
+        sx.duals(&core.c)
+    } else {
+        Vec::new()
+    };
     let mut profile = sx.profile;
     profile.solves = 1;
     profile.lp_secs = t0.elapsed().as_secs_f64();
@@ -1895,13 +2006,15 @@ fn solve_core_cold_once(
     })
 }
 
-/// Warm-started dual solve from a basis snapshot after bound changes.
+/// Warm-started dual solve from a basis snapshot after bound changes,
+/// with the final duals when `with_duals` asks for them.
 pub(crate) fn solve_core_warm(
     core: &CoreLp,
     lower: &[f64],
     upper: &[f64],
     snapshot: &BasisSnapshot,
     opts: &LpOptions,
+    with_duals: bool,
 ) -> Result<CoreOutcome, WarmFail> {
     let mut stat = snapshot.stat.clone();
     // Nonbasic variables whose bound vanished or moved keep their side; a
@@ -1948,7 +2061,11 @@ pub(crate) fn solve_core_warm(
     let x = sx.extract_x();
     let objective = core.c.iter().zip(&x).map(|(c, v)| c * v).sum();
     tock(tout, &mut sx.profile.other_secs);
-    let duals = sx.duals(&core.c);
+    let duals = if with_duals {
+        sx.duals(&core.c)
+    } else {
+        Vec::new()
+    };
     let mut profile = sx.profile;
     profile.solves = 1;
     profile.lp_secs = t0.elapsed().as_secs_f64();
@@ -2011,7 +2128,7 @@ pub struct LpOutcome {
 /// ```
 pub fn solve_lp(problem: &Problem, opts: &LpOptions) -> Result<LpOutcome, LpError> {
     let core = CoreLp::from_problem(problem);
-    let out = solve_core_cold(&core, &core.lower, &core.upper, opts)?;
+    let out = solve_core_cold(&core, &core.lower, &core.upper, opts, true)?;
     let x = out.x[..core.num_structs].to_vec();
     let (duals, reduced_costs) = if out.status == LpStatus::Optimal {
         let rc: Vec<f64> = (0..core.num_structs)
@@ -2175,14 +2292,14 @@ mod tests {
         )
         .unwrap();
         let core = CoreLp::from_problem(&p);
-        let root = solve_core_cold(&core, &core.lower, &core.upper, &opts()).unwrap();
+        let root = solve_core_cold(&core, &core.lower, &core.upper, &opts(), false).unwrap();
         assert_eq!(root.status, LpStatus::Optimal);
         // Fix x3 = 0 (the most valuable one).
         let mut lo = core.lower.clone();
         let mut hi = core.upper.clone();
         hi[3] = 0.0;
-        let warm = solve_core_warm(&core, &lo, &hi, &root.snapshot, &opts()).unwrap();
-        let cold = solve_core_cold(&core, &lo, &hi, &opts()).unwrap();
+        let warm = solve_core_warm(&core, &lo, &hi, &root.snapshot, &opts(), false).unwrap();
+        let cold = solve_core_cold(&core, &lo, &hi, &opts(), false).unwrap();
         assert_eq!(warm.status, LpStatus::Optimal);
         assert!(
             (warm.objective - cold.objective).abs() < 1e-6,
@@ -2193,8 +2310,8 @@ mod tests {
         // Fix x3 = 1 instead.
         lo[3] = 1.0;
         hi[3] = 1.0;
-        let warm = solve_core_warm(&core, &lo, &hi, &root.snapshot, &opts()).unwrap();
-        let cold = solve_core_cold(&core, &lo, &hi, &opts()).unwrap();
+        let warm = solve_core_warm(&core, &lo, &hi, &root.snapshot, &opts(), false).unwrap();
+        let cold = solve_core_cold(&core, &lo, &hi, &opts(), false).unwrap();
         assert!((warm.objective - cold.objective).abs() < 1e-6);
     }
 
@@ -2227,7 +2344,7 @@ mod tests {
         )
         .unwrap();
         let core = CoreLp::from_problem(&p);
-        let root = solve_core_cold(&core, &core.lower, &core.upper, &opts()).unwrap();
+        let root = solve_core_cold(&core, &core.lower, &core.upper, &opts(), false).unwrap();
         assert_eq!(root.status, LpStatus::Optimal);
         for fix_mask in 0..8u32 {
             let mut lo = core.lower.clone();
@@ -2237,8 +2354,8 @@ mod tests {
                 lo[bit] = val;
                 hi[bit] = val;
             }
-            let warm = solve_core_warm(&core, &lo, &hi, &root.snapshot, &opts());
-            let cold = solve_core_cold(&core, &lo, &hi, &opts()).unwrap();
+            let warm = solve_core_warm(&core, &lo, &hi, &root.snapshot, &opts(), false);
+            let cold = solve_core_cold(&core, &lo, &hi, &opts(), false).unwrap();
             match warm {
                 Ok(w) => {
                     assert_eq!(w.status, cold.status, "mask {fix_mask}");
@@ -2266,13 +2383,13 @@ mod tests {
         p.add_constraint("c", [(a, 1.0), (b, 1.0)], Sense::Ge, 2.0)
             .unwrap();
         let core = CoreLp::from_problem(&p);
-        let root = solve_core_cold(&core, &core.lower, &core.upper, &opts()).unwrap();
+        let root = solve_core_cold(&core, &core.lower, &core.upper, &opts(), false).unwrap();
         assert_eq!(root.status, LpStatus::Optimal);
         let lo = core.lower.clone();
         let mut hi = core.upper.clone();
         hi[0] = 0.0;
         hi[1] = 0.0;
-        let warm = solve_core_warm(&core, &lo, &hi, &root.snapshot, &opts()).unwrap();
+        let warm = solve_core_warm(&core, &lo, &hi, &root.snapshot, &opts(), false).unwrap();
         assert_eq!(warm.status, LpStatus::Infeasible);
     }
 
@@ -2478,7 +2595,7 @@ mod tests {
         for trial in 0..400 {
             let p = random_binary_model(&mut state);
             let core = CoreLp::from_problem(&p);
-            let base = match solve_core_cold(&core, &core.lower, &core.upper, &opts()) {
+            let base = match solve_core_cold(&core, &core.lower, &core.upper, &opts(), false) {
                 Ok(out) if out.status == LpStatus::Optimal => out,
                 _ => continue,
             };
@@ -2493,8 +2610,8 @@ mod tests {
                     od.pricing = Some(Pricing::Dantzig);
                     let mut ox = opts();
                     ox.pricing = Some(Pricing::Devex);
-                    let a = solve_core_warm(&core, &lower, &upper, &base.snapshot, &od);
-                    let b = solve_core_warm(&core, &lower, &upper, &base.snapshot, &ox);
+                    let a = solve_core_warm(&core, &lower, &upper, &base.snapshot, &od, false);
+                    let b = solve_core_warm(&core, &lower, &upper, &base.snapshot, &ox, false);
                     let (Ok(a), Ok(b)) = (a, b) else {
                         // A warm failure on either path falls back to a cold
                         // solve in B&B; only compare completed warm solves.
@@ -2604,8 +2721,9 @@ mod tests {
                 random_binary_model(&mut state)
             };
             let core = CoreLp::from_problem(&p);
-            let (dense, sparse) =
-                dense_and_sparse(|| solve_core_cold(&core, &core.lower, &core.upper, &opts()));
+            let (dense, sparse) = dense_and_sparse(|| {
+                solve_core_cold(&core, &core.lower, &core.upper, &opts(), true)
+            });
             let (Ok(dense), Ok(sparse)) = (dense, sparse) else {
                 panic!("trial {trial}: cold solve failed");
             };
@@ -2620,7 +2738,7 @@ mod tests {
                 let mut upper = core.upper.clone();
                 upper[j] = lower[j];
                 let (dense_w, sparse_w) = dense_and_sparse(|| {
-                    solve_core_warm(&core, &lower, &upper, &dense.snapshot, &opts()).ok()
+                    solve_core_warm(&core, &lower, &upper, &dense.snapshot, &opts(), true).ok()
                 });
                 assert_eq!(
                     dense_w.is_some(),
@@ -2726,7 +2844,7 @@ mod tests {
         for trial in 0..12 {
             let p = random_banded_lp(80 + 10 * trial, &mut state);
             let core = CoreLp::from_problem(&p);
-            let out = solve_core_cold(&core, &core.lower, &core.upper, &o).unwrap();
+            let out = solve_core_cold(&core, &core.lower, &core.upper, &o, false).unwrap();
             if out.status != LpStatus::Optimal {
                 continue;
             }
@@ -2797,5 +2915,54 @@ mod tests {
             force_sparse_kernels(None);
         }
         assert!(checked >= 6, "only {checked} optimal trials");
+    }
+
+    /// The pricing candidate set and the nonzero-cost basis positions stay
+    /// equal to full scans after every primal pivot: devex, Bland and
+    /// Dantzig cold solves of the random models on the eta file and on
+    /// Forrest–Tomlin–Markowitz factors, refactorizing every few updates,
+    /// with bound flips and devex resets among the pivots. A zero
+    /// optimality tolerance puts reduced costs that roundoff leaves near
+    /// zero on the edge of the set, so a recompute that does not rebuild it
+    /// shows.
+    #[test]
+    fn maintained_sets_match_full_scans_after_every_pivot() {
+        SET_AUDITS.with(|a| a.set(Some(0)));
+        let mut state = 0x510e527fade682d1u64;
+        let mut total = SimplexProfile::default();
+        for trial in 0..40 {
+            let p = if trial % 2 == 0 {
+                random_binary_model(&mut state)
+            } else {
+                random_banded_lp(30 + trial, &mut state)
+            };
+            let core = CoreLp::from_problem(&p);
+            for pricing in [Pricing::Devex, Pricing::Bland, Pricing::Dantzig] {
+                for basis_update in [BasisUpdate::Eta, BasisUpdate::FtMarkowitz] {
+                    for opt_tol in [opts().opt_tol, 0.0] {
+                        let mut o = opts();
+                        o.pricing = Some(pricing);
+                        o.basis_update = Some(basis_update);
+                        o.refactor_every = 3;
+                        o.opt_tol = opt_tol;
+                        o.max_iterations = 2_000;
+                        match solve_core_cold(&core, &core.lower, &core.upper, &o, false) {
+                            Ok(out) => total.absorb(&out.profile),
+                            // Without a tolerance, roundoff can keep a
+                            // degenerate solve cycling; its pivots were
+                            // audited all the same.
+                            Err(LpError::IterationLimit) if opt_tol == 0.0 => {}
+                            Err(e) => panic!("trial {trial} {pricing:?} {basis_update:?}: {e}"),
+                        }
+                    }
+                }
+            }
+        }
+        let audits = SET_AUDITS.with(|a| a.replace(None)).unwrap_or(0);
+        assert!(audits > total.primal_iterations, "{audits} audits");
+        assert!(
+            total.refactors > 0 && total.bound_flips > 0 && total.devex_resets > 0,
+            "{total:?}"
+        );
     }
 }
